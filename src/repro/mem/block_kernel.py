@@ -11,7 +11,8 @@ Two entry points, both bit-identical to their scalar oracles:
   issue times come from per-block numpy precompute
   (``(gap / retire_width) * cycle_ns`` and the instruction-index
   cumsum are elementwise IEEE-754 operations, so the values match the
-  scalar per-record arithmetic bit for bit).
+  scalar per-record arithmetic bit for bit). Checkpoint cuts stop it
+  between any two requests; it re-enters from the state it leaves.
 
 * :func:`hit_run_times` / :func:`same_bank_runs` — the columnar
   helpers behind :meth:`MemoryController.service_block`: maximal
@@ -43,6 +44,9 @@ which profiling shows is where the serial time actually goes.
 from __future__ import annotations
 
 import heapq
+import itertools
+import operator
+import sys
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -101,22 +105,26 @@ def hit_run_times(
     return data, data + line_transfer_ns
 
 
-def _adopt_block(core, inst_base: int) -> Tuple[list, list]:
+def _adopt_block(core, inst_issued: int, first: int) -> Tuple[list, list]:
     """Issue-time precompute for the core's currently loaded block.
 
+    The instruction cumsum is rebased so record ``first`` (the pending
+    one, mid-block after a cut) continues from ``inst_issued``.
     ``(gap / retire_width) * cycle_ns`` and the instruction cumsum are
     elementwise, so the numpy results equal the scalar per-record
     expressions exactly (integer division and multiply are both
     correctly rounded in IEEE-754 double).
     """
-    gaps = core._gap_block
+    gaps = core._block["gap"]
     deltas = ((gaps / core._retire_width) * core._cycle_ns).tolist()
-    inst_after = (inst_base + np.cumsum(gaps.astype(np.int64) + 1)).tolist()
-    return deltas, inst_after
+    steps = np.cumsum(gaps.astype(np.int64) + 1)
+    if first:
+        inst_issued -= int(steps[first - 1])
+    return deltas, (inst_issued + steps).tolist()
 
 
 # repro-oracle: system-loop -- kernel
-def run_block_loop(sim, cores) -> None:
+def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     """Fused system loop over columnar cores; mutates ``sim`` in place.
 
     Bit-identical to ``SystemSimulator._run_scalar`` (the oracle): the
@@ -128,6 +136,9 @@ def run_block_loop(sim, cores) -> None:
     protocol checks still see every command; unobserved open-page banks
     run on flat SoA timing lists. Eligibility is decided by
     ``SystemSimulator._block_loop_eligible``.
+    Returns the requests serviced, stopping at ``stop_at`` (-1: never)
+    with every live object written back as the oracle leaves it between
+    two requests, so a cut can be taken and either loop re-entered.
     """
     config = sim.config.dram
     mitigation = sim.mitigation
@@ -263,8 +274,8 @@ def run_block_loop(sim, cores) -> None:
     c_retired = [core.instructions_retired for core in cores]
     c_out = [core._outstanding for core in cores]
     c_rob = [core._rob_size for core in cores]
-    c_idx = [0] * n_cores
-    c_len = [0] * n_cores
+    c_idx = [core._idx for core in cores]
+    c_len = [core._len for core in cores]
     c_writes: list = [None] * n_cores
     c_rows: list = [None] * n_cores
     c_flats: list = [None] * n_cores
@@ -278,14 +289,10 @@ def run_block_loop(sim, cores) -> None:
         c_writes[core_id] = core._writes
         c_rows[core_id] = core._rows
         c_flats[core_id] = core._flats
-        c_len[core_id] = core._len
-        c_idx[core_id] = core._idx
-        deltas, inst_after = _adopt_block(core, c_inst[core_id])
+        deltas, inst_after = _adopt_block(core, c_inst[core_id], core._idx)
         c_deltas[core_id] = deltas
         c_inst_after[core_id] = inst_after
-        # First issue: core time is 0 and no loads are outstanding, so
-        # next_issue_time reduces to the retire-width delta.
-        heap.append((c_time[core_id] + deltas[c_idx[core_id]], core_id))
+        heap.append((core.next_issue_time(), core_id))
     heapq.heapify(heap)
 
     heappop = heapq.heappop
@@ -296,9 +303,14 @@ def run_block_loop(sim, cores) -> None:
     # sift work, and when the just-serviced core is still the earliest
     # (its tuple sorts below the root) the C call returns it without
     # touching the heap at all. Pop order is decided purely by the
-    # (issue_at, core_id) tuples, so the discipline is unchanged.
+    # (issue_at, core_id) tuples, so the discipline is unchanged. One
+    # iteration per request of a repeat() counter bounds the run at
+    # stop_at with no per-request work of its own (running out of
+    # cores breaks out); its remaining count tells how many ran.
+    limit = (stop_at if stop_at >= 0 else sys.maxsize) if heap else 0
+    requests = itertools.repeat(None, limit)
     item = heappop(heap) if heap else None
-    while item is not None:
+    for _ in requests:
         arrival, core_id = item
         idx = c_idx[core_id]
         c_time[core_id] = arrival
@@ -460,13 +472,16 @@ def run_block_loop(sim, cores) -> None:
         if nxt >= c_len[core_id]:
             core = cores[core_id]
             if not core._load_block_lean():
-                item = heappop(heap) if heap else None
+                if not heap:
+                    item = None
+                    break
+                item = heappop(heap)
                 continue
             c_writes[core_id] = core._writes
             c_rows[core_id] = core._rows
             c_flats[core_id] = core._flats
             c_len[core_id] = core._len
-            deltas, inst_after = _adopt_block(core, inst_index)
+            deltas, inst_after = _adopt_block(core, inst_index, 0)
             c_deltas[core_id] = deltas
             c_inst_after[core_id] = inst_after
             nxt = 0
@@ -505,10 +520,16 @@ def run_block_loop(sim, cores) -> None:
     refresh._next_refi_ns = next_refi
     refresh._next_window_ns = next_window
     refresh.next_due_ns = min(next_refi, next_window)
+    # Pending cores keep their cached issue time, as in the oracle.
+    queued = {core_id: issue_at for issue_at, core_id in heap}
+    if item is not None:
+        queued[item[1]] = item[0]
     for core_id, core in enumerate(cores):
         core.time_ns = c_time[core_id]
         core.instructions_retired = c_retired[core_id]
         core._inst_issued = c_inst[core_id]
-        core._idx = c_idx[core_id]
-        core._has_pending = False
-        core._pending_issue_ns = None
+        core._idx = idx = c_idx[core_id]
+        if core._block is not None:
+            core._pending_gap = int(core._block["gap"][idx])
+        core._pending_issue_ns = queued.get(core_id)
+    return limit - operator.length_hint(requests)

@@ -29,9 +29,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterable, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.dram.address import AddressMapper, DecodedAddress, MutableDecoded
 from repro.mem.request import MemoryRequest
-from repro.workloads.trace import TraceChunks, TraceRecord
+from repro.workloads.trace import TRACE_BLOCK_DTYPE, TraceChunks, TraceRecord
 
 _EMPTY: tuple = ()
 
@@ -85,7 +87,7 @@ class Core:
         "_rows",
         "_cols",
         "_flats",
-        "_gap_block",
+        "_block",
         "_request",
         "_decoded",
     )
@@ -124,7 +126,7 @@ class Core:
         self._gaps = self._addrs = self._writes = _EMPTY
         self._chans = self._ranks = self._banks = _EMPTY
         self._rows = self._cols = self._flats = _EMPTY
-        self._gap_block = None
+        self._block = None
         self._request: Optional[MemoryRequest] = None
         self._decoded: Optional[MutableDecoded] = None
         if self._chunked:
@@ -272,12 +274,14 @@ class Core:
     # ------------------------------------------------------------------
     # Snapshotable (repro.state). Chunked cores only: the scalar front
     # end wraps arbitrary iterators, which have no capturable position.
-    # The decoded block columns are snapshotted outright (re-deriving
-    # them would need the source rewound one block), and the pooled
-    # request/decoded pair is *not* — every field is overwritten before
-    # anything reads it. The cached ``_pending_issue_ns`` must travel:
-    # computing it popped satisfied ROB entries, so a restored core
-    # that recomputed it would see a different ``_outstanding`` prefix.
+    # The current block travels as its raw gap/address/is_write columns
+    # (re-pulling it would need the source rewound one block); restore
+    # re-derives the decoded views with the mapper. The pooled
+    # request/decoded pair is *not* captured — every field is
+    # overwritten before anything reads it. The cached
+    # ``_pending_issue_ns`` must travel: computing it popped satisfied
+    # ROB entries, so a restored core that recomputed it would see a
+    # different ``_outstanding`` prefix.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         if not self._chunked:
@@ -294,6 +298,7 @@ class Core:
             raise NotSnapshotable(
                 f"trace source {type(self._source).__name__} is not Snapshotable"
             )
+        block = self._block
         return (
             self.time_ns,
             self.instructions_retired,
@@ -304,11 +309,12 @@ class Core:
             self._pending_issue_ns,
             self._exhausted,
             self._idx,
-            self._len,
-            [list(self._gaps), list(self._addrs), list(self._writes),
-             list(self._chans), list(self._ranks), list(self._banks),
-             list(self._rows), list(self._cols), list(self._flats)],
-            None if self._gap_block is None else self._gap_block.copy(),
+            None
+            if block is None
+            else tuple(
+                np.ascontiguousarray(block[name])
+                for name in TRACE_BLOCK_DTYPE.names
+            ),
             source_snapshot(),
         )
 
@@ -323,17 +329,17 @@ class Core:
             self._pending_issue_ns,
             self._exhausted,
             self._idx,
-            self._len,
             columns,
-            gap_block,
             source_state,
         ) = state
         self._outstanding = deque(
             (index, completion) for index, completion in outstanding
         )
-        (self._gaps, self._addrs, self._writes, self._chans, self._ranks,
-         self._banks, self._rows, self._cols, self._flats) = columns
-        self._gap_block = gap_block
+        if columns is not None:
+            block = np.empty(len(columns[0]), dtype=TRACE_BLOCK_DTYPE)
+            for name, column in zip(TRACE_BLOCK_DTYPE.names, columns):
+                block[name] = column
+            self._decode_block(block)
         self._source.restore_state(source_state)
 
     # ------------------------------------------------------------------
@@ -363,26 +369,37 @@ class Core:
         self._pending_addr = record.address
         self._pending_write = record.is_write
 
-    def _load_block(self) -> bool:
-        """Pull and batch-decode the next columnar block.
-
-        ``tolist()`` converts every column to plain Python scalars once
-        per block, so the per-request loop indexes lists of ints/bools —
-        the exact values the scalar front end would have produced.
-        """
+    def _pull_block(self):
+        """The source's next non-empty block, or None once exhausted."""
         block = self._source.next_block()
         while block is not None and len(block) == 0:
             block = self._source.next_block()
         if block is None:
             self._exhausted = True
             self._has_pending = False
+        return block
+
+    def _load_block(self) -> bool:
+        """Pull and batch-decode the next columnar block."""
+        block = self._pull_block()
+        if block is None:
             return False
+        self._decode_block(block)
+        return True
+
+    def _decode_block(self, block) -> None:
+        """Adopt ``block`` as the current one, with every decoded view.
+
+        ``tolist()`` converts every column to plain Python scalars once
+        per block, so the per-request loop indexes lists of ints/bools —
+        the exact values the scalar front end would have produced.
+        """
         addresses = block["address"]
-        # The raw gap column is kept for the block kernel's issue-time
-        # precompute (repro.mem.block_kernel); the scalar front end
-        # only ever reads the tolist() views below.
-        self._gap_block = block["gap"]
-        self._gaps = self._gap_block.tolist()
+        # The raw block is kept for the block kernel's issue-time
+        # precompute (repro.mem.block_kernel) and for snapshots; the
+        # scalar front end only ever reads the tolist() views below.
+        self._block = block
+        self._gaps = block["gap"].tolist()
         self._addrs = addresses.tolist()
         self._writes = block["is_write"].tolist()
         columns = self._mapper.decode_batch(addresses)
@@ -393,24 +410,20 @@ class Core:
         self._cols = columns.column.tolist()
         self._flats = columns.flat_bank.tolist()
         self._len = len(self._gaps)
-        return True
 
     def _load_block_lean(self) -> bool:
         """Block load for the fused block kernel: converts only the
-        columns the kernel reads (write flags, rows, flat banks, plus
-        the raw gap array for its issue-time precompute). The scalar
-        front end's views (_gaps/_addrs/_chans/...) are left stale, so
-        ``issue``/``_fetch`` must not run until a full ``_load_block``
-        — the kernel drives the core to exhaustion itself.
+        columns the kernel reads (write flags, rows, flat banks; it
+        takes gaps from the raw block for its issue-time precompute).
+        The scalar front end's views (_gaps/_addrs/_chans/...) are left
+        stale, so ``issue``/``_fetch`` must not run until a full
+        ``_load_block`` or ``restore_state`` — the kernel drives the
+        core itself, also across checkpoint cuts.
         """
-        block = self._source.next_block()
-        while block is not None and len(block) == 0:
-            block = self._source.next_block()
+        block = self._pull_block()
         if block is None:
-            self._exhausted = True
-            self._has_pending = False
             return False
-        self._gap_block = block["gap"]
+        self._block = block
         self._writes = block["is_write"].tolist()
         columns = self._mapper.decode_batch(block["address"])
         self._rows = columns.row.tolist()

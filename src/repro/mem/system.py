@@ -9,6 +9,7 @@ are exactly "run baseline, run defense, divide IPCs".
 
 from __future__ import annotations
 
+import functools
 import heapq
 import os
 from dataclasses import dataclass, field
@@ -103,11 +104,12 @@ class SystemSimulator:
         the run ends when every trace is exhausted and drained.
 
         ``checkpoints`` is an optional
-        :class:`~repro.state.checkpoint.CheckpointSession`: the run then
-        takes the scalar loop (cut points need per-request granularity;
-        scalar and block loops are bit-identical, so results do not
-        change), restores the session's resume checkpoint before the
-        first request, and cuts wherever the session asks.
+        :class:`~repro.state.checkpoint.CheckpointSession`: the run
+        restores the session's resume checkpoint before the first
+        request and cuts wherever the session asks, in whichever loop
+        it would take without one (both stop between any two requests
+        and leave identical state there, so cuts and results do not
+        depend on the loop).
         """
         if len(traces) != self.config.cores:
             raise ValueError(
@@ -127,12 +129,14 @@ class SystemSimulator:
             )
             for core_id, trace in enumerate(traces)
         ]
-        if checkpoints is not None:
-            self._run_checkpointed(cores, checkpoints)
-        elif self._block_loop_eligible(cores):
-            run_block_loop(self, cores)
+        if self._block_loop_eligible(cores):
+            loop = functools.partial(run_block_loop, self, cores)
         else:
-            self._run_scalar(cores)
+            loop = functools.partial(self._run_scalar, cores)
+        if checkpoints is None:
+            loop()
+        else:
+            self._run_with_cuts(loop, cores, checkpoints)
         for core in cores:
             core.drain()
         return self._collect(cores, workload)
@@ -248,62 +252,28 @@ class SystemSimulator:
             checkpoints.resumed_from = checkpoint.serviced
         return simulator.run(traces, workload=workload, checkpoints=checkpoints)
 
-    def _run_checkpointed(self, cores: List[Core], session) -> None:
-        """Scalar loop with serviced-request counting and cut points.
+    def _run_with_cuts(self, loop, cores: List[Core], session) -> None:
+        """Drive ``loop(stop_at) -> serviced`` from cut to cut.
 
-        Mirrors ``_run_scalar`` exactly — the only additions are the
-        serviced counter, the resume restore before the first request,
-        and the cut-point checks. A cut lands *between* requests: after
-        ``core.complete`` and before the next heap push, which is also
-        where the resume path re-enters (the heap is rebuilt from each
-        core's ``next_issue_time``; ``(issue_at, core_id)`` is a strict
-        total order, so pop order is independent of heap layout).
+        A cut lands *between* requests, where a resume re-enters (the
+        issue heap is rebuilt from each core's ``next_issue_time``;
+        ``(issue_at, core_id)`` is a strict total order, so pop order
+        is independent of heap layout). A resumed run never re-cuts at
+        its own resume point.
         """
         serviced = 0
         resume = session.resume
         if resume is not None:
             self.restore_payload(cores, resume.payload)
             serviced = resume.serviced
-        elif session.wants(0):
-            session.save(0, self.checkpoint_payload(cores))
-
-        infinity = float("inf")
-        heap = []
-        for core in cores:
-            issue_at = core.next_issue_time()
-            if issue_at < infinity:
-                heap.append((issue_at, core.core_id))
-        heapq.heapify(heap)
-
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        refresh = self.refresh
-        advance_refresh = refresh.advance_to
-        refresh_due = refresh.next_due_ns
-        decode = self.mapper.decode
-        controllers = self.controllers
-        resumed_from = session.resumed_from
-
-        while heap:
-            _, core_id = heappop(heap)
-            core = cores[core_id]
-            request = core.issue()
-            arrival = request.arrival_ns
-            if arrival >= refresh_due:
-                advance_refresh(arrival)
-                refresh_due = refresh.next_due_ns
-            decoded = request.decoded
-            if decoded is None:  # scalar front end: decode here
-                decoded = decode(request.address)
-                request.decoded = decoded
-            controllers[decoded.channel].service(request)
-            core.complete(request)
-            serviced += 1
-            if serviced != resumed_from and session.wants(serviced):
+        cut = session.next_cut(serviced if resume is None else serviced + 1)
+        while True:
+            if cut == serviced:
                 session.save(serviced, self.checkpoint_payload(cores))
-            issue_at = core.next_issue_time()
-            if issue_at < infinity:
-                heappush(heap, (issue_at, core_id))
+                cut = session.next_cut(serviced + 1)
+            serviced += loop(-1 if cut < 0 else cut - serviced)
+            if serviced != cut:
+                return
 
     def _block_loop_eligible(self, cores: List[Core]) -> bool:
         """Whether this run can take the fused block kernel.
@@ -314,9 +284,9 @@ class SystemSimulator:
         servicing, and no postponed refreshes. Observability probes
         need per-request objects, so traced runs stay scalar; the
         sanitizer's chained observers are supported (observed banks are
-        serviced through ``Bank.access`` inside the kernel). The env
-        toggle lives outside SystemConfig so result-cache keys never
-        depend on which loop ran.
+        serviced through ``Bank.access`` inside the kernel), as are
+        checkpoint cuts. The env toggle lives outside SystemConfig so
+        result-cache keys never depend on which loop ran.
         """
         if os.environ.get("REPRO_BLOCK_CONTROLLER", "1") == "0":
             return False
@@ -333,8 +303,12 @@ class SystemSimulator:
         )
 
     # repro-oracle: system-loop -- oracle
-    def _run_scalar(self, cores: List[Core]) -> None:
-        """Reference per-request loop (the block kernel's oracle)."""
+    def _run_scalar(self, cores: List[Core], stop_at: int = -1) -> int:
+        """Reference per-request loop (the block kernel's oracle).
+
+        Returns the number of requests serviced, stopping once that
+        reaches ``stop_at`` (-1: run to the end).
+        """
         # A core sits in the heap iff it has a pending record
         # (next_issue_time is +inf exactly when it is done), so the loop
         # needs no explicit done checks.
@@ -358,6 +332,7 @@ class SystemSimulator:
         refresh_due = refresh.next_due_ns
         decode = self.mapper.decode
         controllers = self.controllers
+        serviced = 0
 
         while heap:
             _, core_id = heappop(heap)
@@ -376,6 +351,10 @@ class SystemSimulator:
             issue_at = core.next_issue_time()
             if issue_at < infinity:
                 heappush(heap, (issue_at, core_id))
+            serviced += 1
+            if serviced == stop_at:
+                break
+        return serviced
 
     # ------------------------------------------------------------------
     # Metrics

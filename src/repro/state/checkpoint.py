@@ -243,11 +243,15 @@ class CheckpointSession:
                 f"{fingerprint[:12]}...)"
             )
 
-    def wants(self, serviced: int) -> bool:
-        """Should the run cut after ``serviced`` requests?"""
-        if serviced in self.cuts:
-            return True
-        return bool(self.every) and serviced > 0 and serviced % self.every == 0
+    def next_cut(self, serviced: int) -> int:
+        """The first serviced count ``>= serviced`` to cut at, or -1."""
+        cut = -1
+        if self.every:
+            cut = -(-max(serviced, 1) // self.every) * self.every
+        for explicit in self.cuts:
+            if serviced <= explicit and (cut < 0 or explicit < cut):
+                cut = explicit
+        return cut
 
     def save(self, serviced: int, payload: Any) -> SimCheckpoint:
         """Wrap a payload as a checkpoint and hand it to the sink."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, Tuple, runtime_checkable
 
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 
 class NotSnapshotable(RuntimeError):

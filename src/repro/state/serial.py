@@ -10,6 +10,10 @@ a sentinel object:
 * dict                -> ``{"__d__": [[key, value], ...]}`` — *every*
   dict, so non-string keys and insertion order (which drives RIT
   eviction and ``Counter.most_common`` tie-breaks) survive exactly.
+* int -> int dict     -> ``{"__di__": base64(int64 keys ++ values)}`` —
+  the same, packed, when every key and value is a non-bool ``int`` in
+  int64 range (per-bank activation counts, RIT maps: the bulk of a
+  payload, encoded and parsed at C speed instead of pair by pair).
 * numpy array         -> ``{"__nd__": dtype, "shape": [...], "b64":
   base64(tobytes)}`` — byte-exact, no text round trip.
 * non-finite float    -> ``{"__f__": "inf" | "-inf" | "nan"}``
@@ -25,9 +29,35 @@ from __future__ import annotations
 
 import base64
 import math
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
+
+
+# Element types a list may carry as-is: each encodes (and decodes) to
+# itself. Floats only on the way back in — JSON never yields a
+# non-finite one, but encoding must check for them.
+_PLAIN_OUT = frozenset({int, str, bool, type(None)})
+_PLAIN_IN = _PLAIN_OUT | {float}
+
+# Little-endian int64, fixed so checkpoints move between hosts.
+_INT64 = np.dtype("<i8")
+
+
+def _pack_int_dict(value: dict) -> Optional[str]:
+    """Keys then values of an all-int64 dict, packed; None if it is not one.
+
+    ``type(x) is int`` excludes ``bool`` and numpy scalars, and numpy
+    refuses ints beyond int64, so only exact int64 data is packed.
+    """
+    flat = [*value, *value.values()]
+    if flat and set(map(type, flat)) != {int}:
+        return None
+    try:
+        packed = np.array(flat, dtype=_INT64)
+    except OverflowError:
+        return None
+    return base64.b64encode(packed.tobytes()).decode("ascii")
 
 
 def encode_state(value: Any) -> Any:
@@ -49,11 +79,16 @@ def encode_state(value: Any) -> Any:
     if isinstance(value, tuple):
         return {"__t__": [encode_state(item) for item in value]}
     if isinstance(value, list):
+        if set(map(type, value)) <= _PLAIN_OUT:
+            return list(value)
         return [encode_state(item) for item in value]
     if type(value) is dict:
         # Strict type check: dict *subclasses* (Counter, defaultdict,
         # OrderedDict) would silently decay to plain dicts on decode —
         # the owning class must convert them to ordered plain data.
+        packed = _pack_int_dict(value)
+        if packed is not None:
+            return {"__di__": packed}
         return {
             "__d__": [
                 [encode_state(k), encode_state(v)] for k, v in value.items()
@@ -75,10 +110,16 @@ def encode_state(value: Any) -> Any:
 def decode_state(value: Any) -> Any:
     """Exact inverse of :func:`encode_state`."""
     if isinstance(value, list):
+        if set(map(type, value)) <= _PLAIN_IN:
+            return value
         return [decode_state(item) for item in value]
     if isinstance(value, dict):
         if "__t__" in value:
             return tuple(decode_state(item) for item in value["__t__"])
+        if "__di__" in value:
+            flat = np.frombuffer(base64.b64decode(value["__di__"]), _INT64)
+            half = len(flat) // 2
+            return dict(zip(flat[:half].tolist(), flat[half:].tolist()))
         if "__d__" in value:
             return {
                 decode_state(k): decode_state(v) for k, v in value["__d__"]

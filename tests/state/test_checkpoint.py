@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.state.checkpoint import (
     CheckpointSession,
@@ -112,14 +114,61 @@ def test_disabled_store_is_inert(tmp_path):
 # ----------------------------------------------------------------------
 # Session
 # ----------------------------------------------------------------------
-def test_session_wants_explicit_cuts_and_interval():
+def _wanted(session, serviced):
+    """Reference cut predicate: an explicit cut or a positive multiple
+    of ``every``."""
+    if serviced in session.cuts:
+        return True
+    return bool(session.every) and serviced > 0 and serviced % session.every == 0
+
+
+def _walk(session, start, total):
+    """The cut sequence a run driver sees: next_cut from ``start``,
+    then from one past each cut, until past ``total``."""
+    found = []
+    cut = session.next_cut(start)
+    while 0 <= cut <= total:
+        found.append(cut)
+        cut = session.next_cut(cut + 1)
+    return found
+
+
+def test_session_next_cut_explicit_cuts_and_interval():
     session = CheckpointSession(every=100, cuts=(0, 42))
-    assert session.wants(0)
-    assert session.wants(42)
-    assert session.wants(100) and session.wants(200)
-    assert not session.wants(41) and not session.wants(150)
+    assert session.next_cut(0) == 0
+    assert session.next_cut(1) == 42
+    assert session.next_cut(43) == 100
+    assert session.next_cut(100) == 100
+    assert session.next_cut(101) == 200
     zero = CheckpointSession(every=0)
-    assert not zero.wants(0) and not zero.wants(100)
+    assert zero.next_cut(0) == -1 and zero.next_cut(100) == -1
+    assert CheckpointSession(cuts=(7,)).next_cut(8) == -1
+
+
+@pytest.mark.parametrize("every", [0, 3, 1200])
+@pytest.mark.parametrize("cuts", [(), (0, 257, 1200), (5, 5, 600, 1199)])
+@pytest.mark.parametrize("resumed_from", [None, 0, 600, 1200])
+def test_next_cut_walk_matches_predicate(every, cuts, resumed_from):
+    """From a fresh start (cut 0 included) or one past a resume point,
+    walking next_cut yields exactly the wanted serviced counts."""
+    total = 1200
+    session = CheckpointSession(every=every, cuts=cuts)
+    start = 0 if resumed_from is None else resumed_from + 1
+    expected = [s for s in range(start, total + 1) if _wanted(session, s)]
+    assert _walk(session, start, total) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    every=st.integers(min_value=0, max_value=50),
+    cuts=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
+    start=st.integers(min_value=0, max_value=300),
+)
+def test_next_cut_is_the_first_wanted_count(every, cuts, start):
+    session = CheckpointSession(every=every, cuts=tuple(cuts))
+    total = 300
+    expected = [s for s in range(start, total + 1) if _wanted(session, s)]
+    assert _walk(session, start, total) == expected
 
 
 def test_session_save_records_and_sinks():

@@ -17,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from repro.analysis.perf import run_workload
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
+from repro.mem.system import SystemConfig, SystemSimulator
 from repro.mitigations import (
     PARA,
     BlockHammer,
@@ -37,6 +39,8 @@ from repro.mitigations import (
 )
 from repro.state.checkpoint import CheckpointSession, SimCheckpoint
 from repro.workloads.suites import get_workload
+from repro.workloads.synthetic import SyntheticTraceGenerator
+from repro.workloads.trace import TraceChunks
 
 SCALE = 128
 CORES = 2
@@ -180,14 +184,133 @@ def test_roundtrip_with_scalar_mitigation_path(monkeypatch):
 
 
 def test_roundtrip_matches_block_controller_loop(monkeypatch):
-    """Checkpointed runs take the scalar loop; a resume must still be
-    bit-identical to the plain run under either block-controller
-    setting (scalar == block is pinned by tests/mem)."""
-    baseline, resumed = _resume("rrs", 257)
+    """Checkpointed runs take the same loop as plain runs; a resume
+    under either block-controller setting must be bit-identical to the
+    plain run under either (scalar == block is pinned by tests/mem)."""
+    baseline, _ = _scratch("rrs")
     for toggle in ("1", "0"):
         monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
-        plain = _run("rrs")  # no session: eligible for the block loop
+        _, resumed = _resume("rrs", 257)
+        plain = _run("rrs")
         assert plain == baseline == resumed
+
+
+def _cut_texts(name: str) -> dict:
+    texts = {}
+    session = CheckpointSession(
+        cuts=CUT_GRID,
+        sink=lambda ckpt: texts.setdefault(ckpt.serviced, ckpt.dumps()),
+    )
+    _run(name, session)
+    return texts
+
+
+@pytest.mark.parametrize("name", MITIGATIONS)
+def test_cut_payloads_match_across_loops(name, monkeypatch):
+    """The block loop stops with exactly the state the scalar oracle
+    has between the same two requests: every cut serializes to the
+    same text under either loop."""
+    monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", "1")
+    block = _cut_texts(name)
+    monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", "0")
+    scalar = _cut_texts(name)
+    assert sorted(block) == sorted(CUT_GRID)
+    for cut in CUT_GRID:
+        assert block[cut] == scalar[cut], f"cut {cut} differs"
+
+
+class _SmallBlocks(TraceChunks):
+    """A snapshotable chunk source serving pre-built short blocks, so a
+    tiny run crosses many block boundaries."""
+
+    __slots__ = ("_list", "_next")
+
+    def __init__(self, blocks):
+        super().__init__(())
+        self._list = list(blocks)
+        self._next = 0
+
+    def next_block(self):
+        if self._next >= len(self._list):
+            return None
+        self._next += 1
+        return self._list[self._next - 1]
+
+    def snapshot_state(self):
+        return (self._next,)
+
+    def restore_state(self, state):
+        (self._next,) = state
+
+
+def _small_block_run(session=None):
+    dram = DRAMConfig().scaled(SCALE)
+    sim = SystemSimulator(
+        SystemConfig(dram=dram, cores=CORES), mitigation=_mitigation("rrs")
+    )
+    traces = []
+    for core_id in range(CORES):
+        generator = SyntheticTraceGenerator(
+            get_workload("lbm"), core_id=core_id, cores=CORES, config=dram,
+            seed=SEED,
+        )
+        (block,) = generator.blocks(SMALL_RECORDS[core_id])
+        traces.append(_SmallBlocks(np.array_split(block, len(block) // 16)))
+    return sim.run(traces, workload="lbm", checkpoints=session)
+
+
+# Unequal lengths: one core exhausts while the other still issues.
+SMALL_RECORDS = (160, 97)
+
+
+def test_cuts_at_every_request_match_across_loops(monkeypatch):
+    """A cut after every request of a run with 16-record blocks covers
+    stops on a block's last record, on a core's last record and at the
+    end of the run: the loops agree on each, and resumes from either
+    loop's cuts finish bit-identically under the other."""
+    texts = {}
+    for toggle in ("1", "0"):
+        monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
+        cuts = texts[toggle] = {}
+        session = CheckpointSession(
+            every=1,
+            cuts=(0,),
+            sink=lambda ckpt: cuts.setdefault(ckpt.serviced, ckpt.dumps()),
+        )
+        baseline = _small_block_run(session)
+    assert sorted(texts["1"]) == list(range(sum(SMALL_RECORDS) + 1))
+    assert texts["1"] == texts["0"]
+    for toggle, cut in (("1", 16), ("0", 17), ("1", 200), ("0", 257)):
+        monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
+        reloaded = SimCheckpoint.loads(texts[toggle][cut])
+        resumed = _small_block_run(CheckpointSession(resume=reloaded))
+        assert resumed == baseline, (toggle, cut)
+
+
+def test_checkpointed_run_dispatches_block_loop(monkeypatch):
+    """Cutting and resuming stay on the block loop: it is re-entered at
+    each cut with the distance to the next one, then run to the end."""
+    from repro.mem import system as system_module
+
+    monkeypatch.delenv("REPRO_BLOCK_CONTROLLER", raising=False)
+    real = system_module.run_block_loop
+    stops = []
+
+    def spy(sim, cores, stop_at=-1):
+        stops.append(stop_at)
+        return real(sim, cores, stop_at)
+
+    baseline, _ = _scratch("rrs")
+    monkeypatch.setattr(system_module, "run_block_loop", spy)
+    cuts = []
+    session = CheckpointSession(cuts=(257, 600), sink=cuts.append)
+    assert _run("rrs", session) == baseline
+    assert [c.serviced for c in cuts] == [257, 600]
+    assert stops == [257, 600 - 257, -1]
+    stops.clear()
+    _, resumed = _resume("rrs", 600)
+    assert resumed == baseline
+    assert stops == [-1]
 
 
 def test_sanitizer_presence_mismatch_is_refused(monkeypatch):

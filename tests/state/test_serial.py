@@ -9,7 +9,13 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
+from repro.dram.address import AddressMapper
+from repro.dram.config import DRAMConfig
+from repro.mem.cpu import Core
+from repro.state.checkpoint import CheckpointStore, SimCheckpoint
 from repro.state.serial import decode_state, encode_state
+from repro.workloads.suites import get_workload
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 def _roundtrip(value):
@@ -91,3 +97,97 @@ def test_unordered_and_opaque_types_are_rejected(value):
 def test_unknown_sentinel_is_rejected():
     with pytest.raises(ValueError, match="unknown state sentinel"):
         decode_state({"__mystery__": 1})
+
+
+# ----------------------------------------------------------------------
+# int -> int dicts: the flat fast path
+# ----------------------------------------------------------------------
+def test_int_dict_fast_path_keeps_order_and_negative_keys():
+    value = {5: 1, -3: 7, 2**63 - 1: -(2**63), 0: 0, 1: 2}
+    encoded = encode_state(value)
+    assert list(encoded) == ["__di__"]
+    out = _roundtrip(value)
+    assert out == value
+    assert list(out.items()) == list(value.items())  # insertion order
+    assert all(type(x) is int for item in out.items() for x in item)
+
+
+def test_empty_dict_roundtrips():
+    assert _roundtrip({}) == {}
+    assert _roundtrip(({},)) == ({},)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1: True},
+        {True: 1},
+        {1: 2**63},
+        {-(2**63) - 1: 1},
+        {1: 2, "a": 3},
+        {1: 2, 3: 4.0},
+        {1: (2,)},
+    ],
+)
+def test_int_dict_fast_path_falls_back(value):
+    assert list(encode_state(value)) == ["__d__"]
+    out = _roundtrip(value)
+    assert out == value
+    assert [type(x) for item in out.items() for x in item] == [
+        type(x) for item in value.items() for x in item
+    ]
+
+
+def test_numpy_int_dict_is_not_packed():
+    assert list(encode_state({1: np.int64(2)})) == ["__d__"]
+
+
+# ----------------------------------------------------------------------
+# Core block columns and schema versions
+# ----------------------------------------------------------------------
+def _core(records=5000):
+    dram = DRAMConfig().scaled(64)
+    generator = SyntheticTraceGenerator(
+        get_workload("lbm"), core_id=0, cores=1, config=dram, seed=3
+    )
+    mapper = AddressMapper(dram)
+    return Core(0, generator.chunks(records), mapper=mapper, pool_requests=True)
+
+
+def test_core_block_columns_roundtrip():
+    core = _core()
+    for _ in range(4100):  # into the second block
+        core.complete(core.issue())
+    state = core.snapshot_state()
+    columns = state[9]
+    assert [column.dtype for column in columns] == [
+        np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.bool_)
+    ]
+    restored = _core()
+    restored.restore_state(_roundtrip(state))
+    assert json.dumps(encode_state(restored.snapshot_state())) == json.dumps(
+        encode_state(state)
+    )
+    # The decoded views are re-derived from the raw columns.
+    for name in ("_gaps", "_addrs", "_writes", "_chans", "_ranks",
+                 "_banks", "_rows", "_cols", "_flats", "_len", "_idx"):
+        assert getattr(restored, name) == getattr(core, name), name
+    while not core.done:
+        a, b = core.issue(), restored.issue()
+        assert (a.address, a.is_write, a.arrival_ns) == (
+            b.address, b.is_write, b.arrival_ns
+        )
+        assert a.decoded.bank_key == b.decoded.bank_key
+        core.complete(a)
+        restored.complete(b)
+    assert restored.done
+
+
+def test_schema_1_checkpoint_in_store_is_a_miss(tmp_path):
+    store = CheckpointStore(root=tmp_path)
+    fp = "ab" * 32
+    old = SimCheckpoint(fingerprint=fp, serviced=10, payload=(1,), schema_version=1)
+    store.put(old)
+    assert store.cuts(fp) == [10]
+    assert store.get(fp, 10) is None
+    assert store.latest(fp) is None
