@@ -16,11 +16,9 @@ check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow engine
 check-flow:  ## flow engine only: entropy, oracle drift, hot-path, snapshot coverage
 	$(PYTHON) -m repro check --flow
 
-checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs, cut by both loops
+checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs (block loop)
 	$(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 	$(PYTHON) -m repro checkpoint stream none --records 600 --cores 2 --verify
-	REPRO_BLOCK_CONTROLLER=0 $(PYTHON) -m repro checkpoint stream rrs \
-		--records 600 --cores 2 --verify
 
 bench:  ## regenerate every table & figure (slow; honours REPRO_JOBS)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

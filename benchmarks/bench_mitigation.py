@@ -93,24 +93,18 @@ def _factories():
 
 
 def _timed_run(factory, records: int, batched: bool) -> tuple:
-    previous = os.environ.get("REPRO_BATCH_MITIGATION")
-    os.environ["REPRO_BATCH_MITIGATION"] = "1" if batched else "0"
-    try:
-        mitigation = factory()
-        started = time.perf_counter()
-        metrics = run_workload(
-            get_workload(WORKLOAD),
-            mitigation,
-            scale=SCALE,
-            records_per_core=records,
-            seed=0,
-        )
-        return metrics, time.perf_counter() - started
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_MITIGATION", None)
-        else:
-            os.environ["REPRO_BATCH_MITIGATION"] = previous
+    mitigation = factory()
+    if not batched:
+        mitigation.batch_scope = None  # the scalar on_activation oracle
+    started = time.perf_counter()
+    metrics = run_workload(
+        get_workload(WORKLOAD),
+        mitigation,
+        scale=SCALE,
+        records_per_core=records,
+        seed=0,
+    )
+    return metrics, time.perf_counter() - started
 
 
 def _measure() -> dict:

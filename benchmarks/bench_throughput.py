@@ -130,115 +130,25 @@ def _timed_traced_run(points) -> tuple:
 def _timed_attack_run(records: int, batched: bool) -> tuple:
     """One attack-heavy run: PARA over hmmer at the bench scale.
 
-    ``REPRO_BATCH_MITIGATION`` is read once at controller construction,
-    so toggling it here selects the batched fast path or the scalar
-    reference oracle for the whole run — the two must produce
-    bit-identical :class:`SimMetrics`.
+    ``batched=False`` clears the instance's ``batch_scope`` before the
+    simulator is built, selecting the scalar reference oracle for the
+    whole run — the two must produce bit-identical :class:`SimMetrics`.
     """
     from repro.dram.config import DRAMConfig
     from repro.mitigations.para import PARA
 
-    previous = os.environ.get("REPRO_BATCH_MITIGATION")
-    os.environ["REPRO_BATCH_MITIGATION"] = "1" if batched else "0"
-    try:
-        mitigation = PARA(rows_per_bank=DRAMConfig().scaled(SCALE).rows_per_bank)
-        started = time.perf_counter()
-        metrics = run_workload(
-            get_workload(ATTACK_WORKLOAD),
-            mitigation,
-            scale=SCALE,
-            records_per_core=records,
-            seed=0,
-        )
-        return metrics, time.perf_counter() - started
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_MITIGATION", None)
-        else:
-            os.environ["REPRO_BATCH_MITIGATION"] = previous
-
-
-def _timed_controller_run(records: int, reps: int) -> dict:
-    """Controller phase: `service_block` vs the scalar `service` oracle.
-
-    Isolates the memory-controller kernel from the core model and trace
-    generators: one synthetic single-channel block (streaming runs of
-    64 column accesses per bank, row change every 16 runs, 1-in-5
-    writes) is serviced through ``service_block`` and replayed through
-    the scalar oracle on a twin controller. Completions and stats must
-    match bit-for-bit; both sides report min-of-``reps`` wall time.
-    """
-    import numpy as np
-
-    from repro.dram.address import AddressMapper
-    from repro.dram.config import DRAMConfig
-    from repro.dram.device import Channel
-    from repro.mem.controller import MemoryController
-    from repro.mem.request import MemoryRequest
-    from repro.mitigations.none import NoMitigation
-    from repro.workloads.trace import TRACE_BLOCK_DTYPE
-
-    dram = DRAMConfig().scaled(SCALE)
-    mapper = AddressMapper(dram)
-    banks = dram.banks_per_rank
-    n = records
-    index = np.arange(n, dtype=np.int64)
-    run = index >> 6
-    block = np.empty(n, dtype=TRACE_BLOCK_DTYPE)
-    block["address"] = mapper.encode_batch(
-        channel=np.zeros(n, dtype=np.int64),
-        rank=np.zeros(n, dtype=np.int64),
-        bank=run % banks,
-        row=(run >> 4) % dram.rows_per_bank,
-        column=index % dram.lines_per_row,
+    mitigation = PARA(rows_per_bank=DRAMConfig().scaled(SCALE).rows_per_bank)
+    if not batched:
+        mitigation.batch_scope = None
+    started = time.perf_counter()
+    metrics = run_workload(
+        get_workload(ATTACK_WORKLOAD),
+        mitigation,
+        scale=SCALE,
+        records_per_core=records,
+        seed=0,
     )
-    block["gap"] = 0
-    block["is_write"] = index % 5 == 0
-    # A cadence above tCAS + the line transfer keeps hit runs uncoupled
-    # (the regime the vector path commits); anything tighter degenerates
-    # to the scalar replay and measures nothing new.
-    interval_ns = dram.t_cas + dram.line_transfer_ns + 1.0
-
-    def fresh() -> MemoryController:
-        return MemoryController(dram, Channel(dram), NoMitigation(), mapper)
-
-    block_s = scalar_s = float("inf")
-    for rep in range(reps):
-        controller = fresh()
-        started = time.perf_counter()
-        completions = controller.service_block(block, interval_ns=interval_ns)
-        block_s = min(block_s, time.perf_counter() - started)
-
-        oracle = fresh()
-        requests = [
-            MemoryRequest(
-                address=int(block["address"][i]),
-                is_write=bool(block["is_write"][i]),
-                core_id=0,
-                arrival_ns=i * interval_ns,
-            )
-            for i in range(n)
-        ]
-        started = time.perf_counter()
-        service = oracle.service
-        scalar_completions = [service(request) for request in requests]
-        scalar_s = min(scalar_s, time.perf_counter() - started)
-
-        if rep == 0:
-            assert completions.tolist() == scalar_completions, (
-                "service_block completions diverged from the scalar oracle"
-            )
-            assert controller.stats == oracle.stats, (
-                "service_block stats diverged from the scalar oracle"
-            )
-    return {
-        "controller_records": n,
-        "controller_block_seconds": block_s,
-        "controller_scalar_seconds": scalar_s,
-        "controller_requests_per_second": n / block_s,
-        "controller_scalar_requests_per_second": n / scalar_s,
-        "controller_kernel_speedup": scalar_s / block_s,
-    }
+    return metrics, time.perf_counter() - started
 
 
 def _git_sha() -> str:
@@ -351,10 +261,7 @@ def _measure():
     )
     assert trace_events > 0, "the tracer never fired"
 
-    controller = _timed_controller_run(records, reps)
-
     return {
-        **controller,
         "sweep_points": len(points),
         "records_per_core": records,
         "requests_simulated": requests,
@@ -415,10 +322,6 @@ def _append_history(data: dict, target: Path) -> None:
             "records_per_core": data["records_per_core"],
             "serial_requests_per_second": data["serial_requests_per_second"],
             "parallel_requests_per_second": data["parallel_requests_per_second"],
-            "controller_requests_per_second": data[
-                "controller_requests_per_second"
-            ],
-            "controller_kernel_speedup": data["controller_kernel_speedup"],
             "tracer_enabled_requests_per_second": data[
                 "tracer_enabled_requests_per_second"
             ],
@@ -452,10 +355,6 @@ def test_throughput(benchmark, record_result):
         ["serial", f"{data['serial_seconds']:.2f}s",
          f"{data['serial_requests_per_second']:,.0f} req/s"],
         parallel_row,
-        ["controller kernel (service_block)",
-         f"{data['controller_block_seconds'] * 1000:.1f}ms",
-         f"{data['controller_requests_per_second']:,.0f} req/s "
-         f"({data['controller_kernel_speedup']:.2f}x vs scalar oracle)"],
         ["cold cache", f"{data['cold_cache_seconds']:.2f}s", ""],
         ["warm cache", f"{data['warm_cache_seconds']:.2f}s",
          f"{data['warm_cache_speedup']:,.0f}x vs serial, 0 sims"],

@@ -6,9 +6,7 @@ the results file at ``HEAD`` (so the gate works after a bench run has
 overwritten the working-tree copy):
 
 * ``BENCH_throughput.json`` — the ``serial_requests_per_second``
-  headline from ``bench_throughput.py``, plus (once a committed
-  baseline carries it) the ``controller_requests_per_second`` number
-  from the controller-kernel phase;
+  headline from ``bench_throughput.py``;
 * ``BENCH_mitigation.json`` — per-mitigation
   ``batched_activations_per_second`` from ``bench_mitigation.py``
   (skipped with a note when either side lacks the file, so the gate
@@ -49,7 +47,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS = REPO_ROOT / "benchmarks" / "results" / "BENCH_throughput.json"
 MITIGATION_RESULTS = REPO_ROOT / "benchmarks" / "results" / "BENCH_mitigation.json"
 METRIC = "serial_requests_per_second"
-CONTROLLER_METRIC = "controller_requests_per_second"
 MITIGATION_METRIC = "batched_activations_per_second"
 
 
@@ -267,25 +264,6 @@ def main(argv=None) -> int:
     ok = _gate(
         f"serial {METRIC}", baseline[METRIC], fresh[METRIC], args.tolerance
     )
-    # Controller phase (service_block microbenchmark): gated only once
-    # a committed baseline carries the number — older baselines predate
-    # the phase, and a skip keeps the gate usable across that boundary.
-    base_controller = baseline.get(CONTROLLER_METRIC)
-    fresh_controller = fresh.get(CONTROLLER_METRIC)
-    if base_controller is None:
-        print("bench-gate: no committed controller-phase baseline yet — skipping")
-    elif fresh_controller is None:
-        print(
-            "bench-gate: fresh results lack the controller phase — "
-            "rerun benchmarks/bench_throughput.py to gate it"
-        )
-    else:
-        ok &= _gate(
-            f"controller {CONTROLLER_METRIC}",
-            base_controller,
-            fresh_controller,
-            args.tolerance,
-        )
     ok &= _gate_mitigations(args)
     if not ok:
         return 1

@@ -37,10 +37,13 @@ must never masquerade as a complete one.
 
 Worker count: the ``jobs`` argument, else ``$REPRO_JOBS``, else 1.
 
-Test hook: ``REPRO_TEST_FAULT_ONCE=<path>`` makes the next point whose
+Test hooks: ``REPRO_TEST_FAULT_ONCE=<path>`` makes the next point whose
 executor sees the file consume it and fail — hard (``os._exit``) by
 default, or by raising when the file body is ``raise``. The crash/
 retry suites use it to kill exactly one worker attempt.
+``REPRO_TEST_FAULT_AFTER_CKPT=<path>`` has the same file-body contract
+but fires right after a checkpoint is persisted, so the resume-on-retry
+tests can kill a run that provably has state on disk.
 """
 
 from __future__ import annotations
@@ -129,9 +132,14 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _maybe_inject_fault() -> None:
-    """Consume the one-shot fault file and fail (test hook, see module)."""
-    path = os.environ.get(_ENV_FAULT, "")
+def _maybe_inject_fault(env: str) -> None:
+    """Consume the one-shot fault file named by ``$env`` and fail.
+
+    Test hook (see module docstring): the file is unlinked first, so
+    exactly one attempt fails — by raising when its body is ``raise``,
+    else by a hard ``os._exit(3)``.
+    """
+    path = os.environ.get(env, "")
     if not path:
         return
     try:
@@ -142,7 +150,7 @@ def _maybe_inject_fault() -> None:
         # Missing or already consumed by a sibling worker: no fault.
         return
     if mode == "raise":
-        raise RuntimeError("injected worker fault (repro test hook)")
+        raise RuntimeError(f"injected worker fault ({env}, repro test hook)")
     os._exit(3)
 
 
@@ -206,10 +214,9 @@ class SweepPoint:
         Deliberately excludes ``records_per_core``: trace generators
         are seeded independently of length, so two points differing
         only in record count replay bit-identical prefixes and may fork
-        from each other's warm-start checkpoints. It *includes* the
-        behaviour-shaping env toggles (sanitizer state is part of a
-        checkpoint; batching changes mitigation-internal layouts) that
-        the result cache rightly ignores.
+        from each other's warm-start checkpoints. It *includes*
+        ``REPRO_SANITIZE``, which the result cache rightly ignores:
+        sanitizer state is part of a checkpoint.
         """
         from repro.state.checkpoint import run_fingerprint
 
@@ -222,9 +229,6 @@ class SweepPoint:
                 "seed": point.seed,
                 "env": {
                     "REPRO_SANITIZE": os.environ.get("REPRO_SANITIZE", "0"),
-                    "REPRO_BATCH_MITIGATION": os.environ.get(
-                        "REPRO_BATCH_MITIGATION", "1"
-                    ),
                 },
             }
         )
@@ -282,27 +286,6 @@ def _resume_usable(checkpoint, records_per_core: int) -> bool:
     return checkpoint.serviced < origin
 
 
-def _maybe_inject_post_checkpoint_fault() -> None:
-    """Consume ``$REPRO_TEST_FAULT_AFTER_CKPT`` and fail (test hook).
-
-    Same file-body contract as ``REPRO_TEST_FAULT_ONCE``, but fires
-    right after a checkpoint is persisted — the resume-on-retry tests
-    use it to kill a run that provably has state on disk.
-    """
-    path = os.environ.get(_ENV_FAULT_AFTER_CKPT, "")
-    if not path:
-        return
-    try:
-        with open(path) as handle:
-            mode = handle.read().strip()
-        os.unlink(path)
-    except OSError:
-        return
-    if mode == "raise":
-        raise RuntimeError("injected post-checkpoint fault (repro test hook)")
-    os._exit(3)
-
-
 def _checkpoint_session(point: SweepPoint):
     """A :class:`~repro.state.checkpoint.CheckpointSession` for one
     point, or None unless ``REPRO_CHECKPOINT=1`` opts the sweep in."""
@@ -326,7 +309,7 @@ def _checkpoint_session(point: SweepPoint):
 
     def sink(checkpoint) -> None:
         store.put(checkpoint)
-        _maybe_inject_post_checkpoint_fault()
+        _maybe_inject_fault(_ENV_FAULT_AFTER_CKPT)
 
     return CheckpointSession(
         fingerprint=fingerprint,
@@ -378,7 +361,7 @@ def _timed_execute_point(
     (all of it telemetry only — it never feeds the cache or the
     metrics).
     """
-    _maybe_inject_fault()
+    _maybe_inject_fault(_ENV_FAULT)
     started = time.perf_counter()
     point = point.resolved()
     session = _checkpoint_session(point)

@@ -1,44 +1,31 @@
 """Fused block-level simulation kernel (DESIGN.md §12).
 
-Two entry points, both bit-identical to their scalar oracles:
+:func:`run_block_loop` is the full-system hot loop
+(:meth:`~repro.mem.system.SystemSimulator._run_scalar` is the
+registered oracle). One Python iteration per request, but with every
+per-request object hop fused away: bank timing lives in flat SoA lists,
+refresh is advanced inline on those lists, mitigation deferral runs
+against the shared :class:`ChannelBatchState` buffers, and core issue
+times come from per-block numpy precompute (``(gap / retire_width) *
+cycle_ns`` and the instruction-index cumsum are elementwise IEEE-754
+operations, so the values match the scalar per-record arithmetic bit
+for bit). Checkpoint cuts stop it between any two requests; it
+re-enters from the state it leaves.
 
-* :func:`run_block_loop` — the full-system hot loop
-  (:meth:`~repro.mem.system.SystemSimulator._run_scalar` is the
-  registered oracle). One Python iteration per request, but with every
-  per-request object hop fused away: bank timing lives in flat SoA
-  lists, refresh is advanced inline on those lists, mitigation deferral
-  runs against the shared :class:`ChannelBatchState` buffers, and core
-  issue times come from per-block numpy precompute
-  (``(gap / retire_width) * cycle_ns`` and the instruction-index
-  cumsum are elementwise IEEE-754 operations, so the values match the
-  scalar per-record arithmetic bit for bit). Checkpoint cuts stop it
-  between any two requests; it re-enters from the state it leaves.
-
-* :func:`hit_run_times` / :func:`same_bank_runs` — the columnar
-  helpers behind :meth:`MemoryController.service_block`: maximal
-  same-bank run segmentation over a ``TRACE_BLOCK_DTYPE`` chunk and
-  vectorized row-buffer-hit timing for *uncoupled* runs.
-
-Why only hits vectorize exactly
--------------------------------
+Why the loop stays one request at a time
+----------------------------------------
 The DDR timing recurrence is ``start_i = max(floor_i, ready_{i-1})``
 followed by a chain of adds. ``max``-then-add chains cannot be
 reassociated in floating point, so blanket vectorization would drift by
-ulps. But when every element of a run is a row-buffer hit *and* the
-run is uncoupled — each request's floor already clears the previous
-request's data time and bus slot — the ``max`` always selects the
-floor, the recurrence degenerates to ``data_i = floor_i + tCAS``
-elementwise, and numpy reproduces the scalar result exactly. Misses
-stay scalar: an ACT can fire mitigation actions (victim refreshes,
-swaps, channel blocks) that rewrite the very state a lookahead would
-have read.
-
-ROB feedback pins the system loop to one-at-a-time issue: with a
-192-entry window and trace gaps larger than the window, request k+1's
-issue time depends on request k's completion, so there is no exact
-batch boundary to vectorize across. The win here is constant-factor —
-no request/outcome objects, no method dispatch, no attribute traffic —
-which profiling shows is where the serial time actually goes.
+ulps, and an ACT can fire mitigation actions (victim refreshes, swaps,
+channel blocks) that rewrite the very state a lookahead would have
+read. ROB feedback pins the system loop to one-at-a-time issue as well:
+with a 192-entry window and trace gaps larger than the window, request
+k+1's issue time depends on request k's completion, so there is no
+exact batch boundary to vectorize across. The win here is
+constant-factor — no request/outcome objects, no method dispatch, no
+attribute traffic — which profiling shows is where the serial time
+actually goes.
 """
 
 from __future__ import annotations
@@ -47,62 +34,11 @@ import heapq
 import itertools
 import operator
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["hit_run_times", "run_block_loop", "same_bank_runs"]
-
-# Minimum uncoupled hit-run length worth the slicing overhead of the
-# vector path in service_block (below it, scalar wins).
-VECTOR_MIN_RUN = 4
-
-
-def same_bank_runs(flat_banks) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximal same-bank runs of a flat-bank column.
-
-    Returns ``(starts, ends)`` index arrays: run ``k`` spans
-    ``flat_banks[starts[k]:ends[k]]`` and every element targets the
-    same bank. Concatenating the runs reproduces the block.
-    """
-    flat = np.asarray(flat_banks)
-    n = len(flat)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    bounds = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    starts = np.concatenate((np.zeros(1, dtype=np.int64), bounds))
-    ends = np.concatenate((bounds, np.asarray([n], dtype=np.int64)))
-    return starts, ends
-
-
-def hit_run_times(
-    arrivals: np.ndarray,
-    lookup_ns: float,
-    ready_ns: float,
-    bus_free_ns: float,
-    t_cas: float,
-    line_transfer_ns: float,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Vectorized timing for an uncoupled all-hit same-row run.
-
-    Returns ``(data, completions)`` when the run is uncoupled —
-    ``floor_0`` clears the bank's ready time, every later floor clears
-    its predecessor's data time, and the bus chain likewise never
-    binds — so each element's ``max`` resolves to its own floor and
-    the scalar recurrence collapses to elementwise adds (bit-identical
-    to :meth:`MemoryController.service`). Returns None when any
-    element is coupled; the caller must fall back to the scalar path.
-    """
-    floors = arrivals + lookup_ns
-    if floors[0] < ready_ns or np.any(floors[1:] < floors[:-1] + t_cas):
-        return None
-    data = floors + t_cas
-    if data[0] < bus_free_ns or np.any(
-        data[1:] < data[:-1] + line_transfer_ns
-    ):
-        return None
-    return data, data + line_transfer_ns
+__all__ = ["run_block_loop"]
 
 
 def _adopt_block(core, inst_issued: int, first: int) -> Tuple[list, list]:

@@ -6,19 +6,23 @@ throttling (BlockHammer), services the access on the bank's timing
 model, reserves the data bus, and applies whatever mitigating actions
 the defense requests — targeted victim refreshes or channel-blocking
 row swaps.
+
+:meth:`MemoryController.service` is the scalar per-request oracle: the
+full-system block loop (:func:`repro.mem.block_kernel.run_block_loop`)
+fuses it and must match it bit for bit. Writes are serviced inline,
+exactly like reads. Activations reach the mitigation either one at a
+time (``Mitigation.on_activation``) or, when the mitigation declares a
+``batch_scope``, buffered per bank or channel and handed over in runs
+(``on_activation_batch``, DESIGN.md §9).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.dram.address import AddressMapper, MutableDecoded
+from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig
 from repro.dram.device import Channel
-from repro.mem.block_kernel import VECTOR_MIN_RUN, hit_run_times
 from repro.mem.request import MemoryRequest
 from repro.mitigations.base import Mitigation, MitigationOutcome
 
@@ -66,8 +70,6 @@ class MemoryController:
         channel: Channel,
         mitigation: Mitigation,
         mapper: AddressMapper = None,
-        write_queue_capacity: int = 0,
-        write_drain_low: int = 0,
     ) -> None:
         self.config = config
         self.channel = channel
@@ -96,16 +98,6 @@ class MemoryController:
         self._bank_table = [
             bank for rank in channel.ranks for bank in rank.banks
         ]
-        # Optional USIMM-style buffered writes: writes complete
-        # immediately into the queue and drain in bursts once the
-        # high-watermark is reached (0 = service writes inline).
-        if write_queue_capacity < 0 or write_drain_low < 0:
-            raise ValueError("write queue parameters must be non-negative")
-        if write_queue_capacity and write_drain_low >= write_queue_capacity:
-            raise ValueError("drain-low watermark must be below capacity")
-        self.write_queue_capacity = write_queue_capacity
-        self.write_drain_low = write_drain_low
-        self._write_queue: list = []
         # Set by repro.check.sanitizer when REPRO_SANITIZE=1: audits
         # the mitigation's swap machinery after every mitigating action.
         self.sanitizer = None
@@ -116,10 +108,10 @@ class MemoryController:
         # Batched activation path (DESIGN.md §9). Hook-override flags
         # let the hot loop skip virtual calls that are base no-ops
         # (NoMitigation pays nothing; only BlockHammer pays the
-        # pre-activate probe; only RRS pays the route lookup). The env
-        # toggle deliberately lives outside SystemConfig: batched and
-        # scalar runs are bit-identical, so the switch must not perturb
-        # result-cache keys.
+        # pre-activate probe; only RRS pays the route lookup). A
+        # mitigation whose batch_scope is None takes the scalar
+        # on_activation oracle; batched and scalar runs are
+        # bit-identical.
         mitigation_type = type(mitigation)
         self._has_route = mitigation_type.route is not Mitigation.route
         self._has_pre_delay = (
@@ -132,9 +124,7 @@ class MemoryController:
         self._batch = None
         self._batch_global = False
         self._route_tables = None
-        if mitigation.batch_scope is not None and os.environ.get(
-            "REPRO_BATCH_MITIGATION", "1"
-        ) != "0":
+        if mitigation.batch_scope is not None:
             keys = [
                 (channel.index, bank.rank, bank.index)
                 for bank in self._bank_table
@@ -144,7 +134,6 @@ class MemoryController:
                 self._batch_global = mitigation.batch_scope == "global"
                 self._route_tables = mitigation.route_tables(channel.index)
 
-    # repro-oracle: controller-service -- oracle
     def service(self, request: MemoryRequest) -> float:
         """Service one request synchronously; returns completion time.
 
@@ -178,21 +167,6 @@ class MemoryController:
         else:
             physical_row = row
         request.physical_row = physical_row
-
-        if request.is_write and self.write_queue_capacity:
-            # Buffered write: completes into the queue instantly; the
-            # DRAM work happens at the next burst drain.
-            request.start_ns = request.arrival_ns
-            request.completion_ns = request.arrival_ns
-            self.stats.writes += 1
-            self._write_queue.append(request)
-            if len(self._write_queue) >= self.write_queue_capacity:
-                self._drain_writes(request.arrival_ns)
-            if self.obs is not None:
-                # Zero latency, no row-buffer outcome: the DRAM work
-                # happens at drain time, not at enqueue.
-                self.obs.on_request(request, decoded, 0.0, False)
-            return request.completion_ns
 
         start_floor = request.arrival_ns + self._lookup_ns
         if self._has_pre_delay and bank.timing.open_row != physical_row:
@@ -299,179 +273,6 @@ class MemoryController:
             self.obs.on_request(request, decoded, latency, hit)
         return completion
 
-    # repro-oracle: controller-service -- kernel
-    def service_block(
-        self,
-        block,
-        arrival_ns=None,
-        interval_ns: float = None,
-        start_ns: float = 0.0,
-    ) -> np.ndarray:
-        """Service one ``TRACE_BLOCK_DTYPE`` chunk; returns completions.
-
-        Bit-identical to calling :meth:`service` once per record in
-        order — stats, bank/bus state, and mitigation state all end up
-        exactly where the scalar loop would leave them. Arrivals come
-        from ``arrival_ns`` (one non-decreasing float per record) or
-        from a fixed ``interval_ns`` cadence starting at ``start_ns``.
-
-        The block is segmented into maximal same-bank same-row runs.
-        A run whose rows hit the open row of an unobserved, unfaulted,
-        open-page bank — and whose timing is *uncoupled* (see
-        :func:`~repro.mem.block_kernel.hit_run_times`) — is committed
-        as one vector operation; hits never activate, so no mitigation
-        hook, route mutation, or pre-activate delay can fire inside the
-        run. Everything else (misses, coupled runs, observed banks)
-        replays through :meth:`service` itself — the oracle — via one
-        pooled request, so the slow path cannot drift by construction.
-        The whole block must target this controller's channel; the
-        check is up-front rather than per-request.
-        """
-        n = len(block)
-        completions = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return completions
-        if arrival_ns is not None:
-            arrivals = np.ascontiguousarray(arrival_ns, dtype=np.float64)
-            if arrivals.shape != (n,):
-                raise ValueError(
-                    f"arrival_ns must have shape ({n},), got {arrivals.shape}"
-                )
-        else:
-            if interval_ns is None:
-                raise ValueError(
-                    "service_block needs arrival_ns or interval_ns"
-                )
-            arrivals = start_ns + np.arange(n, dtype=np.float64) * interval_ns
-        columns = self.mapper.decode_batch(block["address"])
-        chan = columns.channel
-        mismatched = np.flatnonzero(chan != self.channel.index)
-        if mismatched.size:
-            raise ValueError(
-                f"request for channel {int(chan[mismatched[0]])} sent to "
-                f"controller of channel {self.channel.index}"
-            )
-        writes = block["is_write"]
-        rows_arr = columns.row
-        lfb_arr = columns.rank * self._banks_per_rank + columns.bank
-
-        # Per-index end of the (bank, row) segment containing it.
-        if n > 1:
-            change = lfb_arr[1:] != lfb_arr[:-1]
-            change |= rows_arr[1:] != rows_arr[:-1]
-            bounds = np.flatnonzero(change) + 1
-            starts = np.concatenate((np.zeros(1, dtype=np.int64), bounds))
-            ends = np.concatenate((bounds, np.asarray([n], dtype=np.int64)))
-            seg_end_at = np.repeat(ends, ends - starts).tolist()
-        else:
-            seg_end_at = [n]
-
-        addrs_l = block["address"].tolist()
-        writes_l = writes.tolist()
-        rows_l = rows_arr.tolist()
-        lfb_l = lfb_arr.tolist()
-        flats_l = columns.flat_bank.tolist()
-        ranks_l = columns.rank.tolist()
-        banks_l = columns.bank.tolist()
-        cols_l = columns.column.tolist()
-        arr_l = arrivals.tolist()
-        key_table = self.mapper.bank_key_table
-
-        stats = self.stats
-        channel = self.channel
-        chan_index = channel.index
-        bank_table = self._bank_table
-        route_tables = self._route_tables
-        has_route = self._has_route
-        mitigation = self.mitigation
-        lookup_ns = self._lookup_ns
-        t_cas = self._t_cas
-        line_transfer = self._line_transfer_ns
-        vectorizable = (
-            self._inline_timing
-            and self.obs is None
-            and not self.write_queue_capacity
-        )
-
-        # Buffered writes outlive the service() call (they sit in the
-        # write queue until a drain), so pooling is only safe without a
-        # write queue; the queued path allocates per record instead.
-        pool = self.write_queue_capacity == 0
-        decoded = MutableDecoded()
-        pooled = MemoryRequest(
-            address=0,
-            is_write=False,
-            core_id=-1,
-            arrival_ns=0.0,
-            decoded=decoded,
-        )
-        service = self.service
-
-        i = 0
-        while i < n:
-            end = seg_end_at[i]
-            if vectorizable and end - i >= VECTOR_MIN_RUN:
-                lfb = lfb_l[i]
-                bank = bank_table[lfb]
-                timing = bank.timing
-                if timing.observer is None and bank.disturbance is None:
-                    row = rows_l[i]
-                    if route_tables is not None:
-                        table = route_tables[lfb]
-                        physical = row if table is None else table.get(row, row)
-                    elif has_route:
-                        physical = mitigation.route(key_table[flats_l[i]], row)
-                    else:
-                        physical = row
-                    if timing.open_row == physical:
-                        run = hit_run_times(
-                            arrivals[i:end],
-                            lookup_ns,
-                            timing.ready_ns,
-                            channel.bus_free_ns,
-                            t_cas,
-                            line_transfer,
-                        )
-                        if run is not None:
-                            data, comps = run
-                            completions[i:end] = comps
-                            timing.ready_ns = data[-1]
-                            channel.bus_free_ns = comps[-1]
-                            count = end - i
-                            write_count = int(np.count_nonzero(writes[i:end]))
-                            stats.writes += write_count
-                            stats.reads += count - write_count
-                            stats.row_buffer_hits += count
-                            # Sequential fold, preserving the scalar
-                            # accumulation order exactly.
-                            total = stats.total_latency_ns
-                            for latency in (comps - arrivals[i:end]).tolist():
-                                total += latency
-                            stats.total_latency_ns = total
-                            i = end
-                            continue
-            if pool:
-                request = pooled
-                request.address = addrs_l[i]
-                request.is_write = writes_l[i]
-                request.arrival_ns = arr_l[i]
-                decoded.channel = chan_index
-                decoded.rank = ranks_l[i]
-                decoded.bank = banks_l[i]
-                decoded.row = rows_l[i]
-                decoded.column = cols_l[i]
-                decoded.bank_key = key_table[flats_l[i]]
-            else:
-                request = MemoryRequest(
-                    address=addrs_l[i],
-                    is_write=writes_l[i],
-                    core_id=-1,
-                    arrival_ns=arr_l[i],
-                )
-            completions[i] = service(request)
-            i += 1
-        return completions
-
     def _note_activation(
         self,
         bank_key,
@@ -487,7 +288,7 @@ class MemoryController:
         logical rows; its scalar hook never reads ``physical_row``),
         identical to ``physical_row`` for every identity-routing
         defense. The bank-scope defer case is inlined at the service()
-        call site and only rechecked here for the cold write-drain path.
+        call site, so a bank-scope call here always acts or flushes.
         """
         batch = self._batch
         if batch is None:
@@ -509,20 +310,13 @@ class MemoryController:
             if not action.is_noop:
                 self._apply(action, bank, now_ns)
             return
-        credits = batch.credits
-        credit = credits[flat_bank]
-        if credit > 0 and now_ns < batch.deadlines[flat_bank]:
-            credits[flat_bank] = credit - 1
-            batch.rows[flat_bank].append(row)
-            batch.times[flat_bank].append(now_ns)
-            return
-        if credit < 0:
-            # Opted-out bank (persistently zero horizon, see
-            # BankBatchedMitigation.OPT_OUT_STREAK): under a sustained
-            # hammer every "batch" is a run of one, so skip the buffer
-            # machinery and call the scalar oracle directly. Identical
-            # results by definition; the buffer is empty (opt-out only
-            # happens right after a flush).
+        if batch.credits[flat_bank] < 0:
+            # Opted-out bank (see BankBatchedMitigation.OPT_OUT_RUNS and
+            # OPT_OUT_MEAN_RUN): under a sustained hammer every "batch"
+            # is a run of one, so skip the buffer machinery and call the
+            # scalar oracle directly. Identical results by definition;
+            # the buffer is empty (opt-out only happens right after a
+            # flush).
             action = self.mitigation.on_activation(
                 bank_key, row, physical_row, now_ns
             )
@@ -541,49 +335,13 @@ class MemoryController:
         if not action.is_noop:
             self._apply(action, bank, now_ns)
 
-    def _drain_writes(self, now_ns: float) -> None:
-        """Burst-drain the write queue down to the low watermark."""
-        while len(self._write_queue) > self.write_drain_low:
-            write = self._write_queue.pop(0)
-            decoded = write.decoded
-            flat_bank = decoded.rank * self._banks_per_rank + decoded.bank
-            bank = self._bank_table[flat_bank]
-            outcome = bank.access(write.physical_row, now_ns)
-            self.channel.reserve_bus(outcome.data_ns, self._line_transfer_ns)
-            if outcome.row_buffer_hit:
-                self.stats.row_buffer_hits += 1
-            if outcome.activated:
-                self.stats.activations += 1
-                self._note_activation(
-                    decoded.bank_key,
-                    flat_bank,
-                    decoded.row,
-                    write.physical_row,
-                    bank,
-                    outcome.data_ns,
-                )
-
-    @property
-    def pending_writes(self) -> int:
-        """Writes currently buffered in the write queue."""
-        return len(self._write_queue)
-
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): the controller's own mutable state is
     # its stats block — channel/bank timing belongs to the device layer
     # and batch buffers are flushed by Mitigation.prepare_for_snapshot
-    # before any snapshot is taken. Buffered writes alias pooled request
-    # objects and pending DRAM work, so a cut must land on an empty
-    # write queue.
+    # before any snapshot is taken.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
-        if self._write_queue:
-            from repro.state.protocol import NotSnapshotable
-
-            raise NotSnapshotable(
-                f"channel {self.channel.index} has "
-                f"{len(self._write_queue)} buffered writes pending"
-            )
         stats = self.stats
         return (
             stats.reads,

@@ -117,8 +117,8 @@ class SystemSimulator:
             )
         # Columnar traces (TraceChunks) get the batched front end:
         # per-block decode_batch plus pooled request objects. Pooling
-        # is safe here because this loop services each request fully
-        # (write_queue_capacity=0) before asking the core for another.
+        # is safe here because the controller services each request
+        # fully before the loop asks the core for another.
         cores = [
             Core(
                 core_id,
@@ -280,16 +280,14 @@ class SystemSimulator:
 
         The kernel (repro.mem.block_kernel) is bit-identical to
         ``_run_scalar`` but assumes the configuration the system
-        simulator itself always builds: columnar cores, inline write
-        servicing, and no postponed refreshes. Observability probes
-        need per-request objects, so traced runs stay scalar; the
-        sanitizer's chained observers are supported (observed banks are
-        serviced through ``Bank.access`` inside the kernel), as are
-        checkpoint cuts. The env toggle lives outside SystemConfig so
-        result-cache keys never depend on which loop ran.
+        simulator itself always builds: columnar cores and no postponed
+        refreshes. Observability probes need per-request objects, so
+        traced runs stay scalar; the sanitizer's chained observers are
+        supported (observed banks are serviced through ``Bank.access``
+        inside the kernel), as are checkpoint cuts. Nothing outside the
+        run itself picks the loop, so result-cache keys never depend on
+        which loop ran.
         """
-        if os.environ.get("REPRO_BLOCK_CONTROLLER", "1") == "0":
-            return False
         if self.obs is not None:
             return False
         refresh = self.refresh
@@ -297,10 +295,7 @@ class SystemSimulator:
             return False
         if not all(core._chunked for core in cores):
             return False
-        return all(
-            controller.write_queue_capacity == 0 and controller.obs is None
-            for controller in self.controllers
-        )
+        return all(controller.obs is None for controller in self.controllers)
 
     # repro-oracle: system-loop -- oracle
     def _run_scalar(self, cores: List[Core], stop_at: int = -1) -> int:

@@ -154,7 +154,9 @@ class Mitigation:
     # ------------------------------------------------------------------
     # "bank": per-bank credits/buffers; "global": one shared credit cell
     # (PARA's rng draws are consumed in global activation order); None:
-    # no batch support, the controller uses the scalar path.
+    # no batch support, the controller uses the scalar path. Setting it
+    # to None on an instance before the simulator is built forces that
+    # instance onto the scalar oracle (equivalence tests and benches).
     batch_scope: Optional[str] = None
 
     def make_batch_state(

@@ -521,9 +521,8 @@ class Observability:
         #    ACT is not; the open/close transitions telescope to
         #    ``PRE = ACT - (banks left open at the end)`` under any
         #    page policy;
-        #  * CAS — every CAS comes from a Bank.access call, numbering
-        #    accesses minus still-queued writes (activate-only paths
-        #    issue no CAS).
+        #  * CAS — every CAS comes from a Bank.access call, one per
+        #    serviced access (activate-only paths issue no CAS).
         if self._banks:
             cas_total = 0
             for controller in simulator.controllers:
@@ -531,7 +530,7 @@ class Observability:
                 index = controller.channel.index
                 self._chan_reads[index].value = stats.reads
                 self._chan_writes[index].value = stats.writes
-                cas_total += stats.accesses - controller.pending_writes
+                cas_total += stats.accesses
             act_total = 0
             open_banks = 0
             for (_, bank), act_counter in zip(

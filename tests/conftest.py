@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro.dram.config import DRAMConfig
+from repro.mem.system import SystemSimulator
 
 
 @pytest.fixture(autouse=True)
@@ -36,3 +39,23 @@ def small_dram() -> DRAMConfig:
 def paper_dram() -> DRAMConfig:
     """The paper's full Table 2 configuration."""
     return DRAMConfig()
+
+
+@pytest.fixture
+def scalar_loop(monkeypatch):
+    """Context manager: runs started inside it take ``_run_scalar``.
+
+    Patches ``SystemSimulator._block_loop_eligible`` to refuse the block
+    kernel, so equivalence tests can drive the scalar oracle and the
+    production loop side by side in one test.
+    """
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SystemSimulator, "_block_loop_eligible", lambda self, cores: False
+            )
+            yield
+
+    return forced

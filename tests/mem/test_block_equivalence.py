@@ -1,44 +1,30 @@
-"""Block controller path vs the scalar oracle: bit-identical runs.
+"""Block loop vs the scalar oracle: bit-identical runs.
 
-Two oracle pairs are exercised here by their registered names:
-
-* ``run_block_loop`` (the fused system loop) against
-  ``SystemSimulator._run_scalar`` — full simulations with the
-  ``REPRO_BLOCK_CONTROLLER`` toggle flipped, across every mitigation
-  and representative workloads, with and without ``REPRO_SANITIZE=1``
-  and with the fault model attached;
-* ``MemoryController.service_block`` against scalar ``service`` —
-  fuzzed synthetic blocks driven through twin controllers, covering
-  coupled and uncoupled arrival cadences, writes, and row misses.
-
-Plus a property test of ``same_bank_runs``, the segmentation primitive
-both kernels rest on.
+``run_block_loop`` (the fused system loop) is checked against its
+registered oracle ``SystemSimulator._run_scalar``: full simulations run
+once as production dispatches them and once forced onto the scalar loop
+(the ``scalar_loop`` fixture), across every mitigation and
+representative workloads, with and without ``REPRO_SANITIZE=1`` and
+with the fault model attached. ``TestLoopDispatch`` pins which loop a
+run takes.
 """
 
-import os
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+import repro.mem.system as system_module
 from repro.analysis.perf import run_workload
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
-from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig
-from repro.dram.device import Channel
-from repro.mem.block_kernel import run_block_loop, same_bank_runs
-from repro.mem.controller import MemoryController
-from repro.mem.request import MemoryRequest
-from repro.mem.system import SystemSimulator
+from repro.mem.system import SystemConfig, SystemSimulator
 from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 from repro.mitigations.graphene import Graphene
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import PARA
 from repro.mitigations.trr import TargetedRowRefresh
+from repro.obs import Observability
 from repro.workloads.suites import get_workload
-from repro.workloads.trace import TRACE_BLOCK_DTYPE
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 SCALE = 32
 RECORDS = 1_000
@@ -74,31 +60,18 @@ def _factories(scale=SCALE):
     }
 
 
-def _run(factory, block, workload="hmmer", records=RECORDS, seed=0,
-         env=None, with_faults=False):
-    saved = {}
-    updates = {"REPRO_BLOCK_CONTROLLER": "1" if block else "0"}
-    if env:
-        updates.update(env)
-    for key, value in updates.items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
-    try:
-        return run_workload(
-            get_workload(workload),
-            factory(),
-            scale=SCALE,
-            records_per_core=records,
-            cores=CORES,
-            seed=seed,
-            with_faults=with_faults,
-        )
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def _run(factory, workload="hmmer", records=RECORDS, seed=0,
+         with_faults=False, obs=None):
+    return run_workload(
+        get_workload(workload),
+        factory(),
+        scale=SCALE,
+        records_per_core=records,
+        cores=CORES,
+        seed=seed,
+        with_faults=with_faults,
+        obs=obs,
+    )
 
 
 class TestBlockLoopEquivalence:
@@ -106,178 +79,111 @@ class TestBlockLoopEquivalence:
 
     @pytest.mark.parametrize("name", sorted(_factories()))
     @pytest.mark.parametrize("workload", ["hmmer", "stream"])
-    def test_full_run_bit_identical(self, name, workload):
+    def test_full_run_bit_identical(self, name, workload, scalar_loop):
         factory = _factories()[name]
-        block = _run(factory, block=True, workload=workload)
-        scalar = _run(factory, block=False, workload=workload)
+        block = _run(factory, workload=workload)
+        with scalar_loop():
+            scalar = _run(factory, workload=workload)
         assert block.to_dict() == scalar.to_dict()
 
     @pytest.mark.parametrize("workload", ["bzip2", "gromacs"])
-    def test_remaining_suite_workloads_bit_identical(self, workload):
+    def test_remaining_suite_workloads_bit_identical(self, workload, scalar_loop):
         factory = _factories()["rrs"]
-        block = _run(factory, block=True, workload=workload)
-        scalar = _run(factory, block=False, workload=workload)
+        block = _run(factory, workload=workload)
+        with scalar_loop():
+            scalar = _run(factory, workload=workload)
         assert block.to_dict() == scalar.to_dict()
 
     @pytest.mark.parametrize("name", ["none", "rrs", "para"])
-    def test_sanitized_run_bit_identical(self, name):
+    def test_sanitized_run_bit_identical(self, name, scalar_loop, monkeypatch):
         """REPRO_SANITIZE=1 chains observers onto every bank, forcing
         the kernel's per-request replay path; results must not move."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         factory = _factories()[name]
-        env = {"REPRO_SANITIZE": "1"}
-        block = _run(factory, block=True, env=env)
-        scalar = _run(factory, block=False, env=env)
+        block = _run(factory)
+        with scalar_loop():
+            scalar = _run(factory)
         assert block.to_dict() == scalar.to_dict()
 
-    def test_sanitized_equals_unsanitized(self):
+    def test_sanitized_equals_unsanitized(self, monkeypatch):
         """The sanitizer itself must be observationally invisible."""
         factory = _factories()["rrs"]
-        plain = _run(factory, block=True)
-        sanitized = _run(factory, block=True, env={"REPRO_SANITIZE": "1"})
+        plain = _run(factory)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = _run(factory)
         assert plain.to_dict() == sanitized.to_dict()
 
-    def test_faulted_run_bit_identical(self):
+    def test_faulted_run_bit_identical(self, scalar_loop):
         """A fault model removes banks from the kernel's inline set;
         they are serviced through Bank.access instead."""
         factory = _factories()["rrs"]
-        block = _run(factory, block=True, with_faults=True)
-        scalar = _run(factory, block=False, with_faults=True)
+        block = _run(factory, with_faults=True)
+        with scalar_loop():
+            scalar = _run(factory, with_faults=True)
         assert block.to_dict() == scalar.to_dict()
 
     @pytest.mark.parametrize("seed", [1, 3])
-    def test_seed_variation_bit_identical(self, seed):
+    def test_seed_variation_bit_identical(self, seed, scalar_loop):
         factory = _factories()["rrs"]
-        block = _run(factory, block=True, seed=seed)
-        scalar = _run(factory, block=False, seed=seed)
+        block = _run(factory, seed=seed)
+        with scalar_loop():
+            scalar = _run(factory, seed=seed)
         assert block.to_dict() == scalar.to_dict()
 
-    def test_env_toggle_selects_the_loop(self, monkeypatch):
-        """The dispatch itself: REPRO_BLOCK_CONTROLLER=0 must route to
-        _run_scalar, the default to run_block_loop."""
+
+class TestLoopDispatch:
+    """The loop and the batch path follow only from what the run
+    itself shows: observability, trace form, and the mitigation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Record which loop each run takes, still running it."""
         calls = []
-        monkeypatch.setattr(
-            SystemSimulator,
-            "_run_scalar",
-            lambda self, cores: calls.append("scalar"),
-        )
-        monkeypatch.setattr(
-            "repro.mem.system.run_block_loop",
-            lambda sim, cores: calls.append("block"),
-        )
-        factory = _factories()["none"]
-        _run(factory, block=True, records=200)
-        _run(factory, block=False, records=200)
-        assert calls == ["block", "scalar"]
+        scalar = SystemSimulator._run_scalar
+        block = system_module.run_block_loop
 
+        def spy_scalar(sim, cores, stop_at=-1):
+            calls.append("scalar")
+            return scalar(sim, cores, stop_at)
 
-class TestServiceBlockEquivalence:
-    """MemoryController.service_block vs service (controller-service)."""
+        def spy_block(sim, cores, stop_at=-1):
+            calls.append("block")
+            return block(sim, cores, stop_at)
 
-    def _controllers(self, mitigation_factory):
+        monkeypatch.setattr(SystemSimulator, "_run_scalar", spy_scalar)
+        monkeypatch.setattr(system_module, "run_block_loop", spy_block)
+        return calls
+
+    def test_observed_run_takes_the_scalar_loop(self, calls):
+        _run(NoMitigation, records=200, obs=Observability(tracer=None))
+        assert calls == ["scalar"]
+
+    def test_record_iterator_run_takes_the_scalar_loop(self, calls):
         dram = _dram()
-        mapper = AddressMapper(dram)
-        build = lambda: MemoryController(
-            dram, Channel(dram), mitigation_factory(), mapper
-        )
-        return dram, mapper, build(), build()
+        sim = SystemSimulator(SystemConfig(dram=dram, cores=CORES))
+        spec = get_workload("hmmer")
+        traces = [
+            SyntheticTraceGenerator(
+                spec.component_for_core(core_id),
+                core_id=core_id,
+                cores=CORES,
+                config=dram,
+            ).records(200)
+            for core_id in range(CORES)
+        ]
+        sim.run(traces)
+        assert calls == ["scalar"]
 
-    def _fuzz_block(self, dram, mapper, rng, n):
-        banks = dram.banks_per_rank
-        # Short same-bank bursts with occasional row changes: exercises
-        # the vector hit path, the miss replay, and run segmentation.
-        bank = rng.integers(0, banks, size=n)
-        repeat = rng.integers(1, 12, size=n)
-        bank = np.repeat(bank, repeat)[:n]
-        if len(bank) < n:
-            bank = np.concatenate(
-                [bank, rng.integers(0, banks, size=n - len(bank))]
-            )
-        row = rng.integers(0, 4, size=n) * rng.integers(0, 2, size=n)
-        row = np.cumsum(row) % dram.rows_per_bank
-        block = np.empty(n, dtype=TRACE_BLOCK_DTYPE)
-        block["address"] = mapper.encode_batch(
-            channel=np.zeros(n, dtype=np.int64),
-            rank=np.zeros(n, dtype=np.int64),
-            bank=bank.astype(np.int64),
-            row=row.astype(np.int64),
-            column=rng.integers(0, dram.lines_per_row, size=n),
-        )
-        block["gap"] = 0
-        block["is_write"] = rng.integers(0, 5, size=n) == 0
-        return block
+    def test_env_cannot_select_the_oracle_paths(self, calls, monkeypatch):
+        """A plain columnar run takes the block loop and RRS batches,
+        even with the retired loop and batch selector variables set.
+        The names are spelled in pieces so that they appear nowhere
+        else in the tree."""
+        for name in ("BLOCK_CONTROLLER", "BATCH_MITIGATION"):
+            monkeypatch.setenv("REPRO_" + name, "0")
+        _run(NoMitigation, records=200)
+        assert calls == ["block"]
+        rrs = _factories()["rrs"]()
+        sim = SystemSimulator(SystemConfig(dram=_dram(), cores=CORES), rrs)
+        assert all(c._batch is not None for c in sim.controllers)
 
-    @pytest.mark.parametrize("name", ["none", "rrs"])
-    @pytest.mark.parametrize("cadence", ["uncoupled", "coupled", "mixed"])
-    def test_fuzzed_blocks_bit_identical(self, name, cadence):
-        dram, mapper, blocked, oracle = self._controllers(_factories()[name])
-        rng = np.random.default_rng(hash((name, cadence)) & 0xFFFF)
-        start = 0.0
-        for round_index in range(4):
-            n = int(rng.integers(64, 512))
-            block = self._fuzz_block(dram, mapper, rng, n)
-            slack = dram.t_cas + dram.line_transfer_ns
-            if cadence == "uncoupled":
-                gaps = slack + rng.random(n) * slack
-            elif cadence == "coupled":
-                gaps = rng.random(n) * 2.0
-            else:
-                gaps = rng.random(n) * 2.0 * slack
-            arrivals = start + np.cumsum(gaps)
-            start = float(arrivals[-1]) + 100.0
-            completions = blocked.service_block(block, arrival_ns=arrivals)
-            scalar = [
-                oracle.service(
-                    MemoryRequest(
-                        address=int(block["address"][i]),
-                        is_write=bool(block["is_write"][i]),
-                        core_id=0,
-                        arrival_ns=float(arrivals[i]),
-                    )
-                )
-                for i in range(n)
-            ]
-            assert completions.tolist() == scalar
-            assert blocked.stats == oracle.stats
-        # Bank timing state must also converge, not just the totals.
-        for left, right in zip(blocked._bank_table, oracle._bank_table):
-            assert left.timing.snapshot_state() == right.timing.snapshot_state()
-            assert left.window_act_counts == right.window_act_counts
-
-    def test_interval_cadence_matches_explicit_arrivals(self):
-        dram, mapper, blocked, oracle = self._controllers(NoMitigation)
-        rng = np.random.default_rng(7)
-        block = self._fuzz_block(dram, mapper, rng, 256)
-        interval = dram.t_cas + dram.line_transfer_ns + 1.0
-        arrivals = 5.0 + np.arange(256, dtype=np.float64) * interval
-        via_interval = blocked.service_block(
-            block, interval_ns=interval, start_ns=5.0
-        )
-        via_arrivals = oracle.service_block(block, arrival_ns=arrivals)
-        assert via_interval.tolist() == via_arrivals.tolist()
-        assert blocked.stats == oracle.stats
-
-
-flat_bank_streams = st.lists(
-    st.integers(min_value=0, max_value=6), min_size=0, max_size=200
-)
-
-
-@given(flat_banks=flat_bank_streams)
-@settings(max_examples=200, deadline=None)
-def test_same_bank_runs_segmentation_property(flat_banks):
-    """same_bank_runs partitions the block into maximal constant runs:
-    concatenating them reproduces the input, every run is constant,
-    and adjacent runs differ (maximality)."""
-    starts, ends = same_bank_runs(flat_banks)
-    assert len(starts) == len(ends)
-    flat = np.asarray(flat_banks)
-    covered = []
-    for k in range(len(starts)):
-        begin, end = int(starts[k]), int(ends[k])
-        assert begin < end
-        run = flat[begin:end]
-        assert (run == run[0]).all()
-        if k:
-            assert flat[begin] != flat[begin - 1]
-        covered.extend(range(begin, end))
-    assert covered == list(range(len(flat_banks)))

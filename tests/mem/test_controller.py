@@ -42,6 +42,18 @@ def test_row_buffer_hit_detected(small_dram):
     assert controller.stats.activations == 1
 
 
+def test_write_is_serviced_inline(small_dram):
+    """Writes take the same DRAM path as reads: serviced at once, and a
+    write to a closed row activates it."""
+    controller = _controller(small_dram)
+    request = _request(0, arrival=5.0, is_write=True)
+    completion = controller.service(request)
+    assert completion > 5.0
+    assert controller.stats.writes == 1
+    assert controller.stats.activations == 1
+    assert controller.channel.bank(0, 0).timing.open_row == request.physical_row
+
+
 def test_wrong_channel_rejected(paper_dram):
     channel = Channel(paper_dram, index=0)
     controller = MemoryController(paper_dram, channel, NoMitigation())

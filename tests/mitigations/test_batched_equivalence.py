@@ -4,11 +4,10 @@ The controller's batched path (deferral credits, run-grouped
 ``on_activation_batch`` flushes, bulk tracker updates, the sparse
 forward-dict route view and the run-tally opt-out) must be
 *observationally invisible*: for every mitigation, a full simulation
-with ``REPRO_BATCH_MITIGATION=1`` must produce the same ``SimMetrics``
-dict — hence the same cache keys — as the scalar reference path.
+on the batched path must produce the same ``SimMetrics`` dict — hence
+the same cache keys — as the scalar reference path, which a run selects
+by setting ``batch_scope = None`` on the mitigation instance it built.
 """
-
-import os
 
 import pytest
 
@@ -56,31 +55,19 @@ def _factories(scale=SCALE):
 
 
 def _run(factory, batched, workload="hmmer", scale=SCALE, records=RECORDS,
-         seed=0, env=None, cores=CORES):
-    saved = {}
-    updates = {"REPRO_BATCH_MITIGATION": "1" if batched else "0"}
-    if env:
-        updates.update(env)
-    for key, value in updates.items():
-        saved[key] = os.environ.get(key)
-        os.environ[key] = value
-    try:
-        mitigation = factory()
-        metrics = run_workload(
-            get_workload(workload),
-            mitigation,
-            scale=scale,
-            records_per_core=records,
-            cores=cores,
-            seed=seed,
-        )
-        return metrics, mitigation
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+         seed=0, cores=CORES):
+    mitigation = factory()
+    if not batched:
+        mitigation.batch_scope = None
+    metrics = run_workload(
+        get_workload(workload),
+        mitigation,
+        scale=scale,
+        records_per_core=records,
+        cores=cores,
+        seed=seed,
+    )
+    return metrics, mitigation
 
 
 class TestBatchedScalarEquivalence:
@@ -116,15 +103,15 @@ class TestBatchedScalarEquivalence:
         )
         assert batched.to_dict() == scalar.to_dict()
 
-    def test_sanitized_run_bit_identical(self):
+    def test_sanitized_run_bit_identical(self, monkeypatch):
         """REPRO_SANITIZE=1 installs the DDR4 protocol auditor (which
         also disables the controller's inline timing fast path), so
         this pins batched == scalar on the observer-laden slow path
         while the sanitizer checks every command it sees."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
         factory = _factories()["rrs"]
-        env = {"REPRO_SANITIZE": "1"}
-        batched, _ = _run(factory, batched=True, env=env)
-        scalar, _ = _run(factory, batched=False, env=env)
+        batched, _ = _run(factory, batched=True)
+        scalar, _ = _run(factory, batched=False)
         assert batched.to_dict() == scalar.to_dict()
 
 

@@ -98,8 +98,6 @@ def test_scalar_fallback_pins_batched_speedup():
     opt out of the batched activation path entirely, so the "batched"
     bench configuration runs the identical scalar code and its speedup
     is 1.0 by construction."""
-    import os
-
     from repro.dram.address import AddressMapper
     from repro.dram.config import DRAMConfig
     from repro.dram.device import Channel
@@ -109,15 +107,7 @@ def test_scalar_fallback_pins_batched_speedup():
     assert BlockHammer.batch_scope is None
 
     dram = DRAMConfig().scaled(32)
-    previous = os.environ.get("REPRO_BATCH_MITIGATION")
-    os.environ["REPRO_BATCH_MITIGATION"] = "1"
-    try:
-        controller = MemoryController(
-            dram, Channel(dram), _blockhammer(), AddressMapper(dram)
-        )
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_MITIGATION", None)
-        else:
-            os.environ["REPRO_BATCH_MITIGATION"] = previous
+    controller = MemoryController(
+        dram, Channel(dram), _blockhammer(), AddressMapper(dram)
+    )
     assert controller._batch is None

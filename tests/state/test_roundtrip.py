@@ -11,6 +11,7 @@ cut-before-the-first-request (0) and cut-after-the-last-request
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import subprocess
@@ -74,6 +75,11 @@ def _mitigation(name: str):
         return RandomizedRowSwap(
             RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE), dram
         )
+    if name == "rrs_scalar":
+        # RRS on the scalar on_activation oracle instead of batching.
+        mitigation = _mitigation("rrs")
+        mitigation.batch_scope = None
+        return mitigation
     if name == "para":
         return PARA(probability=0.02, rows_per_bank=rows, seed=SEED)
     if name == "graphene":
@@ -173,25 +179,21 @@ def test_roundtrip_under_sanitizer(monkeypatch):
         _scratch.cache_clear()
 
 
-def test_roundtrip_with_scalar_mitigation_path(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_MITIGATION", "0")
-    _scratch.cache_clear()
-    try:
-        baseline, resumed = _resume("rrs", 257)
-        assert resumed == baseline
-    finally:
-        _scratch.cache_clear()
+def test_roundtrip_with_scalar_mitigation_path():
+    baseline, resumed = _resume("rrs_scalar", 257)
+    assert resumed == baseline
+    assert baseline == _scratch("rrs")[0]
 
 
-def test_roundtrip_matches_block_controller_loop(monkeypatch):
+def test_roundtrip_matches_block_controller_loop(scalar_loop):
     """Checkpointed runs take the same loop as plain runs; a resume
-    under either block-controller setting must be bit-identical to the
-    plain run under either (scalar == block is pinned by tests/mem)."""
+    under either loop must be bit-identical to the plain run under
+    either (scalar == block is pinned by tests/mem)."""
     baseline, _ = _scratch("rrs")
-    for toggle in ("1", "0"):
-        monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
-        _, resumed = _resume("rrs", 257)
-        plain = _run("rrs")
+    for forced in (contextlib.nullcontext, scalar_loop):
+        with forced():
+            _, resumed = _resume("rrs", 257)
+            plain = _run("rrs")
         assert plain == baseline == resumed
 
 
@@ -206,14 +208,13 @@ def _cut_texts(name: str) -> dict:
 
 
 @pytest.mark.parametrize("name", MITIGATIONS)
-def test_cut_payloads_match_across_loops(name, monkeypatch):
+def test_cut_payloads_match_across_loops(name, scalar_loop):
     """The block loop stops with exactly the state the scalar oracle
     has between the same two requests: every cut serializes to the
     same text under either loop."""
-    monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", "1")
     block = _cut_texts(name)
-    monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", "0")
-    scalar = _cut_texts(name)
+    with scalar_loop():
+        scalar = _cut_texts(name)
     assert sorted(block) == sorted(CUT_GRID)
     for cut in CUT_GRID:
         assert block[cut] == scalar[cut], f"cut {cut} differs"
@@ -263,28 +264,32 @@ def _small_block_run(session=None):
 SMALL_RECORDS = (160, 97)
 
 
-def test_cuts_at_every_request_match_across_loops(monkeypatch):
+def test_cuts_at_every_request_match_across_loops(scalar_loop):
     """A cut after every request of a run with 16-record blocks covers
     stops on a block's last record, on a core's last record and at the
     end of the run: the loops agree on each, and resumes from either
     loop's cuts finish bit-identically under the other."""
+    loops = {"block": contextlib.nullcontext, "scalar": scalar_loop}
     texts = {}
-    for toggle in ("1", "0"):
-        monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
-        cuts = texts[toggle] = {}
+    for loop, forced in loops.items():
+        cuts = texts[loop] = {}
         session = CheckpointSession(
             every=1,
             cuts=(0,),
             sink=lambda ckpt: cuts.setdefault(ckpt.serviced, ckpt.dumps()),
         )
-        baseline = _small_block_run(session)
-    assert sorted(texts["1"]) == list(range(sum(SMALL_RECORDS) + 1))
-    assert texts["1"] == texts["0"]
-    for toggle, cut in (("1", 16), ("0", 17), ("1", 200), ("0", 257)):
-        monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
-        reloaded = SimCheckpoint.loads(texts[toggle][cut])
-        resumed = _small_block_run(CheckpointSession(resume=reloaded))
-        assert resumed == baseline, (toggle, cut)
+        with forced():
+            baseline = _small_block_run(session)
+    assert sorted(texts["block"]) == list(range(sum(SMALL_RECORDS) + 1))
+    assert texts["block"] == texts["scalar"]
+    for source, cut in (
+        ("block", 16), ("scalar", 17), ("block", 200), ("scalar", 257)
+    ):
+        other = "scalar" if source == "block" else "block"
+        reloaded = SimCheckpoint.loads(texts[source][cut])
+        with loops[other]():
+            resumed = _small_block_run(CheckpointSession(resume=reloaded))
+        assert resumed == baseline, (source, cut)
 
 
 def test_checkpointed_run_dispatches_block_loop(monkeypatch):
@@ -292,7 +297,6 @@ def test_checkpointed_run_dispatches_block_loop(monkeypatch):
     each cut with the distance to the next one, then run to the end."""
     from repro.mem import system as system_module
 
-    monkeypatch.delenv("REPRO_BLOCK_CONTROLLER", raising=False)
     real = system_module.run_block_loop
     stops = []
 
