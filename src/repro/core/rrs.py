@@ -308,10 +308,11 @@ class RandomizedRowSwap(BankBatchedMitigation):
                 )
             else:
                 # Array-state HRT: Figure-3 semantics with slot storage
-                # and a defined tie-break. At Invariant-1 sizing the
-                # spill counter never reaches the bucket minimum, so no
-                # eviction (hence no tie-break) ever fires and results
-                # match the set-based reference bit-for-bit.
+                # and a defined lowest-slot tie-break. Invariant-1 sizing
+                # bounds the spill counter below T, not below the minimum
+                # counter, so a window touching more distinct rows than
+                # the table holds evicts; there the victim can differ
+                # from the reference tracker's (see track/array_state.py).
                 tracker = ArrayMisraGries(entries=self.config.tracker_entries)
             state = _BankState(
                 tracker=tracker,

@@ -7,26 +7,37 @@ controller's batched ``on_activation`` path:
 * Counters live in stable *slots* (parallel ``_rows``/``_counts``
   arrays) instead of dict churn — an eviction reuses the victim's slot,
   so slot identity is as stable as a hardware CAM entry.
-* ``observe_block`` applies a run of guaranteed-noop activations as
-  bulk counter additions: each touched slot moves buckets once per
-  block instead of once per activation.
+* The eviction minimum comes from one heap of ``(count, slot)`` pairs
+  that bumps never touch: within a window counts only grow, so a stale
+  entry is a lower bound on its slot's count, and a full-table miss
+  corrects stale entries at the top until the top is exact — O(log N)
+  per correction instead of a scan of the minimum-count entries.
+* ``observe_block`` replays a run of activations in one inlined loop;
+  only a miss on a full table leaves it, for the same helper
+  ``observe`` uses.
 * ``noop_horizon`` computes how many *future* activations are provably
   unable to land any counter on a threshold multiple — the credit the
   controller uses to defer scalar mitigation calls (DESIGN.md §9).
 
-Tie-break policy: the reference tracker evicts an arbitrary member of
-the minimum-count bucket (CPython set iteration order); this tracker
-evicts the *lowest slot index*, a defined rule that is reproducible
-from any implementation. Invariant 1 holds for any tie-break, and the
-property tests treat tie-break differences as allowed (as they already
-do for the CAT tracker). For RRS-sized trackers (Invariant-1 sizing)
-the spill counter never catches the minimum, so evictions never happen
-and results are bit-identical to the reference tracker.
+Tie-break policy: the reference tracker evicts the minimum-count entry
+that reached that count first (its buckets are insertion-ordered);
+this tracker evicts the *lowest slot index* among the minimum-count
+entries, a defined rule that is reproducible from any implementation.
+The two rules pick different victims whenever the tied entries reached
+the minimum in other than slot order (rows A, B in slots 0, 1 hit in
+the order A B B A tie at 2 with B first). Invariant 1 holds for either
+rule, and the property tests treat tie-break differences as allowed
+(as they already do for the CAT tracker). Invariant-1 sizing keeps the
+spill counter below T, not below the minimum counter: evictions fire
+whenever a window touches more distinct rows than the table has
+entries, which the memory-intensive Figure-6 workloads do thousands of
+times per window.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from heapq import heapify, heapreplace
+from typing import Dict, List, Optional, Set, Tuple
 
 
 # repro-oracle: tracker-misra-gries -- kernel
@@ -34,8 +45,7 @@ class ArrayMisraGries:
     """Misra-Gries tracker with slot storage and block-apply support."""
 
     __slots__ = ("entries", "spill", "_rows", "_counts", "_slot_of",
-                 "_buckets", "_min_count", "_residue_t", "_residue_hist",
-                 "_residue_max")
+                 "_heap", "_residue_t", "_residue_hist", "_residue_max")
 
     def __init__(self, entries: int) -> None:
         if entries <= 0:
@@ -45,15 +55,11 @@ class ArrayMisraGries:
         self._rows: List[int] = []  # slot -> row id
         self._counts: List[int] = []  # slot -> estimate
         self._slot_of: Dict[int, int] = {}  # row -> slot
-        # Count buckets are consulted only by the full-tracker decisions
-        # (spill gate, eviction tie-break), so they are built lazily on
-        # the first structural event after the table fills. Until then
-        # — the entire run, for Invariant-1 sized trackers over
-        # workloads whose per-window row footprint fits the table —
-        # installs and bumps skip all bucket/set maintenance, which
-        # profiling shows dominates tracker cost on the hot path.
-        self._buckets: Optional[Dict[int, Set[int]]] = None  # count -> slots
-        self._min_count = 0
+        # One (count lower bound, slot) entry per slot. Only full-table
+        # misses read it, so it is built at the first of them (never, in
+        # a window whose row footprint fits the table), and bumps never
+        # touch it: _full_miss corrects stale entries when they surface.
+        self._heap: Optional[List[Tuple[int, int]]] = None
         # Residue histogram for O(1) noop_horizon: once a threshold T is
         # seen, ``_residue_hist[r]`` counts live slots with count % T ==
         # r and ``_residue_max`` upper-bounds the largest populated
@@ -85,17 +91,7 @@ class ArrayMisraGries:
 
         if len(self._slot_of) < self.entries:
             return self._install(row, self.spill + 1)
-
-        if self._buckets is None:
-            self._build_buckets()
-        if self.spill < self._min_count:
-            self.spill += 1
-            return 0
-
-        # Tie: replace the lowest-indexed minimum-count slot.
-        victim = min(self._buckets[self._min_count])
-        self._evict(victim)
-        return self._install(row, self.spill + 1, reuse_slot=victim)
+        return self._full_miss(row)
 
     def estimate(self, row: int) -> int:
         """Current estimate for a row (0 if untracked)."""
@@ -119,8 +115,7 @@ class ArrayMisraGries:
         self._rows.clear()
         self._counts.clear()
         self._slot_of.clear()
-        self._buckets = None
-        self._min_count = 0
+        self._heap = None
         self._residue_t = 0
         self._residue_hist = None
         self._residue_max = 0
@@ -135,13 +130,13 @@ class ArrayMisraGries:
     # Batched path
     # ------------------------------------------------------------------
     def observe_block(self, rows, count: int) -> None:
-        """Apply the first ``count`` activations of ``rows`` in bulk.
+        """Apply the first ``count`` activations of ``rows`` in order.
 
-        Exactness: increments of already-tracked rows commute, so they
-        accumulate per slot and apply as one bucket move; any structural
-        event (install / spill / eviction) flushes the accumulated
-        increments first and replays scalar, preserving the reference
-        operation order bit-for-bit.
+        Bumps and installs update counts and the residue histogram
+        inline (``_residue_max`` stays an upper bound the horizon query
+        tightens lazily); a miss on a full table goes through
+        ``_full_miss`` exactly as ``observe`` sends it, so the result is
+        the scalar one bit-for-bit.
         """
         slot_of = self._slot_of
         slot_rows = self._rows
@@ -152,77 +147,40 @@ class ArrayMisraGries:
         t = self._residue_t
         hist = self._residue_hist
         get = slot_of.get
-        i = 0
-        if self._buckets is None:
-            # Filling phase: no bucket structure exists, so bumps and
-            # installs are plain count/histogram updates applied
-            # directly — the pending-dict accumulation below only pays
-            # off when each touched slot saves a bucket move. Stepwise
-            # histogram updates telescope to the same final histogram
-            # as one bulk addition (intermediate residues cancel), and
-            # _residue_max stays what it always is: an upper bound the
-            # horizon query tightens lazily.
-            rmax = self._residue_max
-            while i < count:
-                row = rows[i]
-                slot = get(row)
-                if slot is not None:
-                    old = counts[slot]
-                    counts[slot] = old + 1
-                    if t:
-                        old_residue = old % t
-                        hist[old_residue] -= 1
-                        # new = old + 1, so the new residue is the old
-                        # one stepped once around the ring.
-                        residue = old_residue + 1
-                        if residue == t:
-                            residue = 0
-                        hist[residue] += 1
-                        if residue > rmax:
-                            rmax = residue
-                elif len(slot_of) < entries:
-                    estimate = self.spill + 1
-                    slot_of[row] = len(slot_rows)
-                    # repro-check: HOT002 -- installs happen at most `entries` times per window, not per activation
-                    slot_rows.append(row)
-                    counts.append(estimate)  # repro-check: HOT002 -- same bound as the row install above
-                    if t:
-                        residue = estimate % t
-                        hist[residue] += 1
-                        if residue > rmax:
-                            rmax = residue
-                else:
-                    # The table just filled: switch to the full-table
-                    # loop below without consuming this row.
-                    break
-                i += 1
-            self._residue_max = rmax
-            if i >= count:
-                return
-        pending: Dict[int, int] = {}
-        for i in range(i, count):
+        rmax = self._residue_max
+        for i in range(count):
             row = rows[i]
             slot = get(row)
             if slot is not None:
-                pending[slot] = pending.get(slot, 0) + 1
-                continue
-            if pending:
-                self._apply_pending(pending)
-                pending = {}
-            # Structural event: replay through the scalar path.
-            if len(slot_of) < entries:
-                self._install(row, self.spill + 1)
+                old = counts[slot]
+                counts[slot] = old + 1
+                if t:
+                    old_residue = old % t
+                    hist[old_residue] -= 1
+                    # new = old + 1, so the new residue is the old
+                    # one stepped once around the ring.
+                    residue = old_residue + 1
+                    if residue == t:
+                        residue = 0
+                    hist[residue] += 1
+                    if residue > rmax:
+                        rmax = residue
+            elif len(slot_of) < entries:
+                estimate = self.spill + 1
+                slot_of[row] = len(slot_rows)
+                # repro-check: HOT002 -- installs happen at most `entries` times per window, not per activation
+                slot_rows.append(row)
+                counts.append(estimate)  # repro-check: HOT002 -- same bound as the row install above
+                if t:
+                    residue = estimate % t
+                    hist[residue] += 1
+                    if residue > rmax:
+                        rmax = residue
             else:
-                if self._buckets is None:
-                    self._build_buckets()
-                if self.spill < self._min_count:
-                    self.spill += 1
-                else:
-                    victim = min(self._buckets[self._min_count])
-                    self._evict(victim)
-                    self._install(row, self.spill + 1, reuse_slot=victim)
-        if pending:
-            self._apply_pending(pending)
+                self._residue_max = rmax
+                self._full_miss(row)
+                rmax = self._residue_max
+        self._residue_max = rmax
 
     def noop_horizon(self, threshold: int) -> int:
         """Activations guaranteed not to land any estimate on a
@@ -264,30 +222,31 @@ class ArrayMisraGries:
 
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): slots, the spill counter, and whether
-    # the lazy bucket structure has materialized. Buckets and the
-    # residue histogram are derived views — rebuilt on restore so a
-    # restored tracker makes the same lazy/eager transitions at the
-    # same points an uninterrupted one would.
+    # the lazy eviction heap has materialized. The heap and the residue
+    # histogram are derived views — rebuilt on restore so a restored
+    # tracker makes the same lazy/eager transitions at the same points
+    # an uninterrupted one would. A heap rebuilt from exact counts picks
+    # the same victims as one holding stale lower bounds: the settled
+    # top is the minimum (count, slot) pair either way.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
             self.spill,
             list(self._rows),
             list(self._counts),
-            self._buckets is not None,
+            self._heap is not None,
             self._residue_t,
         )
 
     def restore_state(self, state: tuple) -> None:
-        spill, rows, counts, buckets_built, residue_t = state
+        spill, rows, counts, heap_built, residue_t = state
         self.spill = spill
         self._rows = list(rows)
         self._counts = list(counts)
         self._slot_of = {row: slot for slot, row in enumerate(self._rows)}
-        self._buckets = None
-        self._min_count = 0
-        if buckets_built:
-            self._build_buckets()
+        self._heap = None
+        if heap_built:
+            self._build_heap()
         self._residue_t = 0
         self._residue_hist = None
         self._residue_max = 0
@@ -297,85 +256,55 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _build_buckets(self) -> None:
-        """Materialize the count buckets once the table is full.
+    def _build_heap(self) -> List[Tuple[int, int]]:
+        """Materialize the eviction heap once the table is full (every
+        slot is live: evictions cannot precede the first build)."""
+        heap = [(count, slot) for slot, count in enumerate(self._counts)]
+        heapify(heap)
+        self._heap = heap
+        return heap
 
-        Every slot is live at this point (evictions cannot have
-        happened before the first build), so the buckets are exactly
-        the eager structure the maintenance paths keep from here on.
+    def _full_miss(self, row: int) -> int:
+        """Figure 3 for an untracked row on a full table: spill while
+        the spill counter is below the minimum count, else replace the
+        lowest slot among the minimum-count entries.
+
+        Every heap entry is at most its slot's true count, and the top
+        is at most every entry, so once the top is exact no slot has a
+        smaller (count, slot) pair: it is the minimum count and, among
+        the slots holding it, the lowest.
         """
-        buckets: Dict[int, Set[int]] = {}
-        for slot, count in enumerate(self._counts):
-            target = buckets.get(count)
-            if target is None:
-                buckets[count] = {slot}  # repro-check: HOT001 -- runs once per full-table event, not per activation
-            else:
-                target.add(slot)
-        self._buckets = buckets
-        self._min_count = min(buckets) if buckets else 0
-
-    def _apply_pending(self, pending: Dict[int, int]) -> None:
-        """Bulk counter additions: one bucket move per touched slot."""
+        heap = self._heap
+        if heap is None:
+            heap = self._build_heap()
         counts = self._counts
-        buckets = self._buckets
+        low, slot = heap[0]
+        count = counts[slot]
+        while count != low:
+            heapreplace(heap, (count, slot))
+            low, slot = heap[0]
+            count = counts[slot]
+        if self.spill < count:
+            self.spill += 1
+            return 0
+        estimate = self.spill + 1
+        heapreplace(heap, (estimate, slot))
+        del self._slot_of[self._rows[slot]]
+        self._rows[slot] = row
+        counts[slot] = estimate
+        self._slot_of[row] = slot
         t = self._residue_t
-        hist = self._residue_hist
-        if buckets is None:
-            # Filling phase: no bucket structure to maintain yet.
-            residue_max = self._residue_max
-            for slot, add in pending.items():
-                old = counts[slot]
-                new = old + add
-                counts[slot] = new
-                if t:
-                    hist[old % t] -= 1
-                    residue = new % t
-                    hist[residue] += 1
-                    if residue > residue_max:
-                        residue_max = residue
-            self._residue_max = residue_max
-            return
-        min_count = self._min_count
-        min_emptied = False
-        for slot, add in pending.items():
-            old = counts[slot]
-            new = old + add
-            counts[slot] = new
-            bucket = buckets[old]
-            bucket.discard(slot)
-            if not bucket:
-                del buckets[old]
-                if old == min_count:
-                    min_emptied = True
-            target = buckets.get(new)
-            if target is None:
-                buckets[new] = {slot}
-            else:
-                target.add(slot)
-            if t:
-                hist[old % t] -= 1
-                residue = new % t
-                hist[residue] += 1
-                if residue > self._residue_max:
-                    self._residue_max = residue
-        if min_emptied:
-            self._min_count = min(buckets) if buckets else 0
+        if t:
+            hist = self._residue_hist
+            hist[count % t] -= 1
+            residue = estimate % t
+            hist[residue] += 1
+            if residue > self._residue_max:
+                self._residue_max = residue
+        return estimate
 
     def _bump(self, slot: int, old: int, new: int) -> None:
         self._counts[slot] = new
-        buckets = self._buckets
-        if buckets is not None:
-            bucket = buckets[old]
-            bucket.discard(slot)
-            if not bucket:
-                del buckets[old]
-            target = buckets.get(new)
-            if target is None:
-                buckets[new] = {slot}
-            else:
-                target.add(slot)
-            if old == self._min_count and old not in buckets:
-                self._min_count = min(buckets) if buckets else 0
         t = self._residue_t
         if t:
             hist = self._residue_hist
@@ -385,25 +314,10 @@ class ArrayMisraGries:
             if residue > self._residue_max:
                 self._residue_max = residue
 
-    def _install(self, row: int, count: int, reuse_slot: int = -1) -> int:
-        if reuse_slot >= 0:
-            slot = reuse_slot
-            self._rows[slot] = row
-            self._counts[slot] = count
-        else:
-            slot = len(self._rows)
-            self._rows.append(row)
-            self._counts.append(count)
-        self._slot_of[row] = slot
-        buckets = self._buckets
-        if buckets is not None:
-            target = buckets.get(count)
-            if target is None:
-                buckets[count] = {slot}
-            else:
-                target.add(slot)
-            if len(self._slot_of) == 1 or count < self._min_count:
-                self._min_count = count
+    def _install(self, row: int, count: int) -> int:
+        self._slot_of[row] = len(self._rows)
+        self._rows.append(row)
+        self._counts.append(count)
         t = self._residue_t
         if t:
             residue = count % t
@@ -411,15 +325,3 @@ class ArrayMisraGries:
             if residue > self._residue_max:
                 self._residue_max = residue
         return count
-
-    def _evict(self, slot: int) -> None:
-        count = self._counts[slot]
-        del self._slot_of[self._rows[slot]]
-        bucket = self._buckets[count]
-        bucket.discard(slot)
-        if not bucket:
-            del self._buckets[count]
-            if count == self._min_count:
-                self._min_count = min(self._buckets) if self._buckets else 0
-        if self._residue_t:
-            self._residue_hist[count % self._residue_t] -= 1
