@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check check-flow checkpoint-smoke bench bench-smoke bench-gate trace-smoke report-smoke profile experiments clean-cache
+.PHONY: test lint check check-flow checkpoint-smoke bench bench-smoke bench-gate perfbench-smoke trace-smoke report-smoke profile experiments clean-cache
 
 test:  ## tier-1 suite (unit/integration/property)
 	$(PYTHON) -m pytest -x -q
@@ -29,6 +29,12 @@ bench-smoke:  ## throughput microbenchmark with a tiny request budget
 
 bench-gate:  ## fail when serial throughput regresses vs the committed baseline
 	$(PYTHON) scripts/bench_gate.py
+
+perfbench-smoke:  ## benchmark self-tests + pinned full-scale digests on the held-out seed
+	$(PYTHON) -m pytest perfbench -q
+	out=$$($(PYTHON) perfbench/run.py --workload fullscale_security --seed 7919 --seconds 1) && \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; line = sys.stdin.read(); \
+		sys.exit(0 if json.loads(line).get('correct') is True else 'result not correct: ' + line)"
 
 trace-smoke:  ## tiny traced run; validates the Perfetto JSON it writes
 	$(PYTHON) -m repro trace hmmer rrs --records 2000 --out trace-smoke.json

@@ -72,6 +72,10 @@ class BucketsAndBalls:
             throws += np.arange(n, dtype=np.int64)[:, None] * buckets
             counts = np.bincount(throws.ravel(), minlength=n * buckets)
             window_max = counts.reshape(n, buckets).max(axis=1)
+            # Free the counts before the next draw: the peak then holds
+            # two chunks of throws, not also a chunk of counts, and the
+            # next counts reuse the freed throws' memory.
+            del counts
             hits += int((window_max >= self.target_balls).sum())
             remaining -= n
         return hits / trials

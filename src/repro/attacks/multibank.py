@@ -26,6 +26,7 @@ class MultiBankResult:
     swaps: int = 0
     elapsed_ns: float = 0.0
     per_bank_activations: Dict[int, int] = field(default_factory=dict)
+    t_rc_ns: float = DRAMConfig.t_rc
 
     @property
     def duty_cycle(self) -> float:
@@ -40,7 +41,7 @@ class MultiBankResult:
         per_bank = sum(self.per_bank_activations.values()) / len(
             self.per_bank_activations
         )
-        return min(1.0, per_bank * 45.0 / self.elapsed_ns)
+        return min(1.0, per_bank * self.t_rc_ns / self.elapsed_ns)
 
 
 class MultiBankAttackHarness:
@@ -74,7 +75,7 @@ class MultiBankAttackHarness:
         blocking from any bank's swap stalls every bank.
         """
         rng = DeterministicRng(seed, "multibank")
-        result = MultiBankResult()
+        result = MultiBankResult(t_rc_ns=self.dram.t_rc)
         now = 0.0
         # Per-bank attack state: (current target row, remaining acts).
         targets: List[List[int]] = []
@@ -84,6 +85,14 @@ class MultiBankAttackHarness:
         channel_free_ns = 0.0
 
         while result.activations < max_activations:
+            rounds = self._credited_rounds(
+                targets, now, channel_free_ns,
+                (max_activations - result.activations) // self.banks,
+            )
+            if rounds:
+                self._skip_rounds(rounds, targets, bank_free_ns, result)
+                now = min(bank_free_ns)
+                continue
             for bank in range(self.banks):
                 if result.activations >= max_activations:
                     break
@@ -111,3 +120,53 @@ class MultiBankAttackHarness:
             now = min(bank_free_ns)
         result.elapsed_ns = max(max(bank_free_ns), channel_free_ns)
         return result
+
+    def _credited_rounds(
+        self,
+        targets: List[List[int]],
+        now: float,
+        channel_free_ns: float,
+        whole_rounds: int,
+    ) -> int:
+        """Round-robin rounds that may be skipped in bulk: every bank
+        keeps its target and has run credit for them, and the channel
+        is free, so each ACT issues the moment its bank is free."""
+        if whole_rounds <= 0 or channel_free_ns > now:
+            return 0
+        rounds = whole_rounds
+        for bank, (row, remaining) in enumerate(targets):
+            key = (0, 0, bank)
+            credit = self.mitigation.run_credit(
+                key, row, self.mitigation.route(key, row), now
+            )
+            rounds = min(rounds, remaining, credit)
+            if rounds <= 0:
+                return 0
+        return rounds
+
+    def _skip_rounds(
+        self,
+        rounds: int,
+        targets: List[List[int]],
+        bank_free_ns: List[float],
+        result: MultiBankResult,
+    ) -> None:
+        """Apply ``rounds`` credited rounds: each bank's clock takes one
+        tRC add per ACT (the order the per-round loop adds in) and its
+        tracker one run."""
+        t_rc = self.dram.t_rc
+        for bank, target in enumerate(targets):
+            free = bank_free_ns[bank]
+            for _ in range(rounds):
+                free += t_rc
+            bank_free_ns[bank] = free
+            key = (0, 0, bank)
+            row = target[0]
+            self.mitigation.on_activation_run(
+                key, row, self.mitigation.route(key, row), rounds
+            )
+            target[1] -= rounds
+            result.per_bank_activations[bank] = (
+                result.per_bank_activations.get(bank, 0) + rounds
+            )
+        result.activations += rounds * self.banks

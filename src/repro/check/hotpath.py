@@ -210,11 +210,16 @@ def check_hotpath(
         for finding in raw
         if baseline_key(finding, owners[id(finding)]) not in known
     ]
-    # Honor the shared `# repro-check: <RULE> -- why` suppression
-    # contract (repro.check.findings) — the linter and entropy passes
-    # already do; hot-path advisories are no different.
+    return sort_findings(_unsuppressed(graph, kept))
+
+
+def _unsuppressed(graph: ProjectGraph, findings: List[Finding]) -> List[Finding]:
+    """Honor the shared `# repro-check: <RULE> -- why` suppression
+    contract (repro.check.findings) — the linter and entropy passes
+    already do; hot-path advisories are no different. Bare suppressions
+    come back as RRS008 findings."""
     by_path: Dict[str, List[Finding]] = {}
-    for finding in kept:
+    for finding in findings:
         by_path.setdefault(finding.path, []).append(finding)
     final: List[Finding] = []
     for path, group in by_path.items():
@@ -224,7 +229,7 @@ def check_hotpath(
             final.extend(group)
             continue
         final.extend(apply_suppressions(group, source, path))
-    return sort_findings(final)
+    return final
 
 
 def _collect(graph: ProjectGraph):
@@ -251,10 +256,17 @@ def load_baseline(baseline_path: Optional[Path] = None) -> Set[str]:
 def write_baseline(
     graph: ProjectGraph, baseline_path: Optional[Path] = None
 ) -> Path:
-    """Bless every current advisory so only future ones surface."""
+    """Bless every current unsuppressed advisory so only future ones
+    surface (a justified suppression already answers its advisory)."""
     path = Path(baseline_path) if baseline_path else default_baseline_path()
     raw, owners = _collect(graph)
-    keys = sorted({baseline_key(f, owners[id(f)]) for f in raw})
+    keys = sorted(
+        {
+            baseline_key(f, owners[id(f)])
+            for f in _unsuppressed(graph, raw)
+            if id(f) in owners
+        }
+    )
     path.write_text(
         json.dumps({"advisories": keys}, indent=2, sort_keys=True) + "\n"
     )

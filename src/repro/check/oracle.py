@@ -10,8 +10,9 @@ invalidating that proof tomorrow. This pass does.
 
 Pair discovery
 --------------
-* **Declared**: a marker comment on the ``def``/``class`` line (or the
-  line directly above it)::
+* **Declared**: a marker comment on the ``def``/``class`` line (or in
+  the comment block directly above it; a definition may carry several
+  markers, one per pair)::
 
       # repro-oracle: mitigation-activation -- oracle
       def on_activation(self, ...):
@@ -134,13 +135,18 @@ def _short(qualname: str) -> str:
     return qualname[len("repro."):] if qualname.startswith("repro.") else qualname
 
 
-def _marker_lines_for(node: ast.AST) -> List[int]:
-    """Source lines where a marker may claim this definition."""
-    lines = [node.lineno, node.lineno - 1]
+def _marker_lines_for(node: ast.AST, source_lines: List[str]) -> List[int]:
+    """Source lines where a marker may claim this definition: its
+    ``def``/``class`` line and the comment block directly above it (or
+    above its decorators), so one definition can carry several markers
+    — a scalar oracle with more than one kernel."""
+    lines = [node.lineno]
     decorators = getattr(node, "decorator_list", [])
-    if decorators:
-        first = min(d.lineno for d in decorators)
-        lines.append(first - 1)
+    above = min(d.lineno for d in decorators) if decorators else node.lineno
+    above -= 1
+    while 1 <= above and source_lines[above - 1].lstrip().startswith("#"):
+        lines.append(above)
+        above -= 1
     return lines
 
 
@@ -163,16 +169,13 @@ def discover_pairs(graph: ProjectGraph) -> Dict[str, OraclePair]:
     # Pass 1: explicit markers.
     for info in definitions:
         source_lines = graph.source_lines(info.module)
-        for lineno in _marker_lines_for(info.node):
-            if not (1 <= lineno <= len(source_lines)):
-                continue
+        for lineno in _marker_lines_for(info.node, source_lines):
             match = _MARKER_RE.search(source_lines[lineno - 1])
             if match is None:
                 continue
             table = markers.setdefault(match.group("id"), {})
             table[match.group("role")] = sides[info.qualname]
             claimed[info.qualname] = match.group("id")
-            break
 
     pairs: Dict[str, OraclePair] = {}
     for pair_id, table in markers.items():

@@ -200,6 +200,13 @@ class RandomizedRowSwap(BankBatchedMitigation):
             state = self._bank(bank_key)
         state.tracker.observe_block(rows, count)
 
+    def on_activation_run(self, bank_key, row, physical_row, count):
+        """Credited activations: the tracker counts the logical row."""
+        state = self._banks.get(bank_key)
+        if state is None:
+            state = self._bank(bank_key)
+        state.tracker.observe_run(row, count)
+
     def _batch_credit(self, bank_key):
         state = self._banks.get(bank_key)
         if state is None:

@@ -23,10 +23,29 @@ which is why the paper counts activations per 64 ms window.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, List
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
+from typing import Iterable, List, Tuple
 
 import numpy as np
+
+# Longest run :meth:`DisturbanceModel.on_activate_run` applies in one
+# call: bounds its per-call lists whatever the caller's run length.
+RUN_CHUNK = 4096
+
+
+def _running_sums(start: float, amount: float, count: int, threshold: float):
+    """``start`` plus ``amount`` added ``count`` times, one add at a
+    time: the final value when it stays below ``threshold``, else the
+    list of all ``count + 1`` running values (non-decreasing, so the
+    first to reach ``threshold`` is a bisection away)."""
+    final = reduce(add, repeat(amount, count), start)
+    if final < threshold:
+        return final
+    return list(accumulate(repeat(amount, count), initial=start))
 
 
 @dataclass(frozen=True)
@@ -79,6 +98,7 @@ class DisturbanceModel:
     # ------------------------------------------------------------------
     # Event application
     # ------------------------------------------------------------------
+    # repro-oracle: disturbance-activate-run -- oracle
     def on_activate(self, row: int, count: int = 1, cause: str = "activate") -> None:
         """Apply ``count`` back-to-back activations of a physical row."""
         self._check_row(row)
@@ -91,8 +111,82 @@ class DisturbanceModel:
             self._disturb(row - 2, count * self.distance2_coupling, cause)
             self._disturb(row + 2, count * self.distance2_coupling, cause)
 
+    # repro-oracle: disturbance-activate-run -- kernel
+    def on_activate_run(self, row: int, count: int) -> int:
+        """Apply up to ``count`` back-to-back single activations of
+        ``row``, stopping after the first one that records a flip;
+        returns how many were applied (at most :data:`RUN_CHUNK`).
+
+        Bit-identical to that many ``on_activate(row)`` calls: each
+        neighbour's value is the running sum of ``amt`` added one at a
+        time, as the scalar path adds it (one ``count * amt`` add would
+        round differently, and distance-1 neighbours also hold
+        fractional values). Flips of the stopping activation are
+        recorded in the scalar neighbour order (-1, +1, -2, +2).
+        """
+        self._check_row(row)
+        count = min(count, RUN_CHUNK)
+        if count <= 0:
+            return 0
+        disturbance = self._disturbance
+        flipped = self._flipped_this_window
+        t_rh = self.t_rh
+        disturbance[row] = 0.0
+        runs = []
+        applied = count
+        for neighbour, amount in self._neighbour_amounts(row):
+            start = float(disturbance[neighbour])
+            sums = _running_sums(start, amount, count, t_rh)
+            if isinstance(sums, list) and not flipped[neighbour]:
+                applied = min(applied, max(bisect_left(sums, t_rh), 1))
+            runs.append((neighbour, amount, start, sums))
+        for neighbour, amount, start, sums in runs:
+            if isinstance(sums, list):
+                value = sums[applied]
+            elif applied == count:
+                value = sums
+            else:
+                value = reduce(add, repeat(amount, applied), start)
+            disturbance[neighbour] = value
+            if value >= t_rh and not flipped[neighbour]:
+                flipped[neighbour] = True
+                self.flips.append(
+                    BitFlipEvent(
+                        row=neighbour,
+                        window=self.window,
+                        disturbance=value,
+                        cause="activate",
+                    )
+                )
+        return applied
+
+    def activations_to_flip(self, row: int, limit: int) -> int:
+        """The position (1-based) of the first of the next ``limit``
+        single activations of ``row`` that would record a flip, or 0 if
+        none would (``limit`` is at most :data:`RUN_CHUNK`). Changes
+        nothing."""
+        first = 0
+        for neighbour, amount in self._neighbour_amounts(row):
+            if self._flipped_this_window[neighbour]:
+                continue
+            start = float(self._disturbance[neighbour])
+            # Rounding over <= RUN_CHUNK positive adds stays far inside
+            # this margin: only a neighbour the run may carry over the
+            # threshold needs its exact sums.
+            if (start + limit * amount) * (1.0 + 1e-9) < self.t_rh:
+                continue
+            sums = _running_sums(start, amount, limit, self.t_rh)
+            if isinstance(sums, list):
+                hit = max(bisect_left(sums, self.t_rh), 1)
+                if not first or hit < first:
+                    first = hit
+        return first
+
     def on_activate_many(self, rows: Iterable[int]) -> None:
-        """Vectorized bulk form of :meth:`on_activate` for attack drivers."""
+        """Order-free bulk form of :meth:`on_activate`: applies every
+        activation in ``rows`` at once and records flips afterwards (no
+        caller in the package; the attack harnesses use
+        :meth:`on_activate_run`, which keeps the scalar float order)."""
         row_array = np.asarray(list(rows), dtype=np.int64)
         if row_array.size == 0:
             return
@@ -182,6 +276,15 @@ class DisturbanceModel:
     def _check_row(self, row: int) -> None:
         if not 0 <= row < self.rows:
             raise ValueError(f"row {row} out of range [0, {self.rows})")
+
+    def _neighbour_amounts(self, row: int) -> List[Tuple[int, float]]:
+        """(neighbour, per-ACT disturbance) pairs of one activation of
+        ``row``, in the order :meth:`on_activate` disturbs them."""
+        pairs = [(row - 1, 1.0), (row + 1, 1.0)]
+        if self.distance2_coupling > 0.0:
+            coupling = self.distance2_coupling
+            pairs += [(row - 2, coupling), (row + 2, coupling)]
+        return [(r, amount) for r, amount in pairs if 0 <= r < self.rows]
 
     def _disturb(self, row: int, amount: float, cause: str) -> None:
         if not 0 <= row < self.rows:

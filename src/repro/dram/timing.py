@@ -123,6 +123,42 @@ class BankTimingState:
         self._emit("ACT", row, act_at)
         return act_at
 
+    def activate_run(
+        self, row: int, now_ns: float, step_ns: float, count: int
+    ) -> float:
+        """``count`` bare ACTs of ``row``, the i-th requested at the
+        clock ``now_ns`` advanced by ``step_ns`` i times (one float add
+        per ACT, as the attack harness's clock advances); returns the
+        clock after the last. Same state as ``count`` ``activate_only``
+        calls; only an unobserved bank may take it (no command is
+        emitted)."""
+        last = self.last_act_ns
+        ready = self.ready_ns
+        open_row = self.open_row
+        t_ras = self._t_ras
+        t_rp = self._t_rp
+        t_rc = self._t_rc
+        t_rcd = self._t_rcd
+        for _ in range(count):
+            now_ns += step_ns
+            start = ready if ready > now_ns else now_ns
+            act = start
+            if open_row >= 0:
+                pre = last + t_ras
+                if start > pre:
+                    pre = start
+                act = pre + t_rp
+            earliest = last + t_rc
+            if earliest > act:
+                act = earliest
+            open_row = row
+            last = act
+            ready = act + t_rcd
+        self.open_row = open_row
+        self.last_act_ns = last
+        self.ready_ns = ready
+        return now_ns
+
     def precharge(self, now_ns: float) -> float:
         """Close the row buffer; returns when the bank is idle again."""
         start = self.earliest_start(now_ns)

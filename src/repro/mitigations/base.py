@@ -14,6 +14,10 @@ where real hardware defenses sit in the pipeline:
 4. :meth:`Mitigation.on_window_end` — epoch rollover (tracker resets,
    RIT lock-bit clearing).
 
+The attack harnesses add a run contract on top: :meth:`run_credit`
+proves how many further activations of one row are noops, and
+:meth:`on_activation_run` applies that many in one call.
+
 Mitigations are *per-rank* objects managing per-bank state internally,
 matching the paper's per-bank HRT/RIT sizing (Table 5).
 """
@@ -143,6 +147,30 @@ class Mitigation:
 
     def on_window_end(self, window_index: int) -> None:
         """Refresh-window (epoch) rollover."""
+
+    # ------------------------------------------------------------------
+    # Run contract (attack harnesses; DESIGN.md §9.7). A credit of ``k``
+    # promises that the next ``k`` activations of ``row`` — with no
+    # other activation and no window end in between — are all noops:
+    # no action, no ``pre_activate_delay_ns`` and an unchanged
+    # ``route``. The harness then charges them in one
+    # ``on_activation_run`` call instead of ``k`` ``on_activation``
+    # calls. The default 0 keeps every activation on the scalar hook.
+    # ------------------------------------------------------------------
+    def run_credit(
+        self, bank_key: BankKey, row: int, physical_row: int, now_ns: float
+    ) -> int:
+        """Activations of ``row`` from now on that are guaranteed noops."""
+        return 0
+
+    def on_activation_run(
+        self, bank_key: BankKey, row: int, physical_row: int, count: int
+    ) -> None:
+        """Apply ``count`` credited activations of ``row``: the state
+        ``count`` noop ``on_activation`` calls would leave."""
+        raise NotImplementedError(
+            f"{type(self).__name__} grants run credit without applying runs"
+        )
 
     def storage_bits_per_bank(self, rows_per_bank: int) -> int:
         """SRAM bits this defense needs per bank (0 for stateless)."""

@@ -29,6 +29,7 @@ from repro.mitigations.base import (
     ChannelBatchState,
     Mitigation,
     MitigationOutcome,
+    NO_DEADLINE,
 )
 
 
@@ -97,6 +98,13 @@ class BankBatchedMitigation(Mitigation):
         state.credits[index] = credit
         state.deadlines[index] = deadline
         return outcome
+
+    def run_credit(self, bank_key, row, physical_row, now_ns):
+        """The bank's guaranteed-noop horizon (``_batch_credit``) when it
+        has no time deadline; a deadline-bound bank (TRR) stays on the
+        per-activation hook."""
+        credit, deadline = self._batch_credit(bank_key)
+        return credit if deadline == NO_DEADLINE else 0
 
     # ------------------------------------------------------------------
     # Subclass hooks

@@ -95,6 +95,10 @@ class Graphene(BankBatchedMitigation):
     def _apply_deferred(self, bank_key, rows, times, count):
         self._tracker(bank_key).observe_block(rows, count)
 
+    def on_activation_run(self, bank_key, row, physical_row, count):
+        """Credited activations: the tracker counts the physical row."""
+        self._tracker(bank_key).observe_run(physical_row, count)
+
     def _batch_credit(self, bank_key):
         return self._tracker(bank_key).noop_horizon(self.threshold), NO_DEADLINE
 

@@ -65,6 +65,16 @@ class IdealVictimRefresh(Mitigation):
         self.refreshes_issued += len(victims)
         return MitigationOutcome(refresh_rows=victims)
 
+    def run_credit(self, bank_key, row, physical_row, now_ns):
+        """Activations of ``physical_row`` before its count next lands
+        on a threshold multiple."""
+        counts = self._counts.get(bank_key)
+        hits = 0 if counts is None else counts.get(physical_row, 0)
+        return self.threshold - hits % self.threshold - 1
+
+    def on_activation_run(self, bank_key, row, physical_row, count):
+        self._counts.setdefault(bank_key, Counter())[physical_row] += count
+
     def on_window_end(self, window_index: int) -> None:
         """Counts are per refresh window."""
         self._counts.clear()

@@ -14,7 +14,8 @@ controller's batched ``on_activation`` path:
   per correction instead of a scan of the minimum-count entries.
 * ``observe_block`` replays a run of activations in one inlined loop;
   only a miss on a full table leaves it, for the same helper
-  ``observe`` uses.
+  ``observe`` uses. ``observe_run`` applies ``count`` activations of
+  one row with a single counter bump once the row holds a slot.
 * ``noop_horizon`` computes how many *future* activations are provably
   unable to land any counter on a threshold multiple — the credit the
   controller uses to defer scalar mitigation calls (DESIGN.md §9).
@@ -81,6 +82,8 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Scalar path (the oracle's tracker operations)
     # ------------------------------------------------------------------
+    # repro-oracle: tracker-observe-block -- oracle
+    # repro-oracle: tracker-observe-run -- oracle
     def observe(self, row: int) -> int:
         """Record one activation of ``row``; returns its new estimate."""
         slot = self._slot_of.get(row)
@@ -129,6 +132,7 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Batched path
     # ------------------------------------------------------------------
+    # repro-oracle: tracker-observe-block -- kernel
     def observe_block(self, rows, count: int) -> None:
         """Apply the first ``count`` activations of ``rows`` in order.
 
@@ -181,6 +185,29 @@ class ArrayMisraGries:
                 self._full_miss(row)
                 rmax = self._residue_max
         self._residue_max = rmax
+
+    # repro-oracle: tracker-observe-run -- kernel
+    def observe_run(self, row: int, count: int) -> int:
+        """Apply ``count`` consecutive activations of ``row``; returns
+        its final estimate (as the last ``observe`` would).
+
+        Activations go through ``observe`` until the row holds a slot —
+        a spill or eviction on a full table is the scalar one — and the
+        rest of the run is one counter bump: within a window nothing but
+        this row's own hits moves its count.
+        """
+        slot_of = self._slot_of
+        estimate = 0
+        while count > 0:
+            slot = slot_of.get(row)
+            if slot is not None:
+                old = self._counts[slot]
+                estimate = old + count
+                self._bump(slot, old, estimate)
+                break
+            estimate = self.observe(row)
+            count -= 1
+        return estimate
 
     def noop_horizon(self, threshold: int) -> int:
         """Activations guaranteed not to land any estimate on a

@@ -100,6 +100,14 @@ class CATMisraGriesTracker:
         for i in range(count):
             self.observe(rows[i])
 
+    def observe_run(self, row: int, count: int) -> int:
+        """Apply ``count`` consecutive activations of ``row``; returns
+        its final estimate."""
+        estimate = 0
+        for _ in range(count):
+            estimate = self.observe(row)
+        return estimate
+
     def noop_horizon(self, threshold: int) -> int:
         """Activations guaranteed not to land any estimate on a
         non-zero multiple of ``threshold`` (see ArrayMisraGries)."""

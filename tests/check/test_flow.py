@@ -315,6 +315,30 @@ class TestOracleDiscovery:
         assert not conv.declared
         assert conv.oracle.qualname == "repro.kernels.decode"
 
+    def test_one_oracle_may_carry_several_markers(self, tmp_path):
+        source = (
+            "# repro-oracle: pair-a -- oracle\n"
+            "# repro-oracle: pair-b -- oracle\n"
+            "def step(x):\n"
+            "    return x + 1\n"
+            "\n"
+            "# repro-oracle: pair-a -- kernel\n"
+            "def step_many(xs):\n"
+            "    return [x + 1 for x in xs]\n"
+            "\n"
+            "# a comment block above a marker still reaches the def\n"
+            "# repro-oracle: pair-b -- kernel\n"
+            "def step_run(x, k):\n"
+            "    return x + k\n"
+        )
+        tests = {"test_steps.py": "from repro.steps import step, step_many, step_run\n"}
+        graph = ProjectGraph.build(_tree(tmp_path, {"steps.py": source}, tests))
+        pairs = discover_pairs(graph)
+        assert set(pairs) == {"pair-a", "pair-b"}
+        for pair_id, kernel in (("pair-a", "step_many"), ("pair-b", "step_run")):
+            assert pairs[pair_id].oracle.qualname == "repro.steps.step"
+            assert pairs[pair_id].kernel.qualname == f"repro.steps.{kernel}"
+
     def test_fingerprint_ignores_comments_and_moves(self, tmp_path):
         _, graph = _oracle_tree(tmp_path)
         before = discover_pairs(graph)["demo-pair"].oracle.fingerprint
@@ -486,6 +510,26 @@ class TestHotPath:
         fresh = check_hotpath(ProjectGraph.build(root), baseline)
         assert [f.rule for f in fresh] == ["HOT002"]
         assert "hot2.py" in fresh[0].path
+
+    def test_suppressed_advisory_never_lands_in_baseline(self, tmp_path):
+        suppressed = _HOT.replace(
+            "            out.append(r + 1)\n",
+            "            # repro-check: HOT002 -- bounded by the block length\n"
+            "            out.append(r + 1)\n",
+        )
+        root = _tree(tmp_path, {"hot.py": suppressed})
+        graph = ProjectGraph.build(root)
+        baseline = tmp_path / "baseline.json"
+        write_baseline(graph, baseline)
+        keys = json.loads(baseline.read_text())["advisories"]
+        assert len(keys) == 2
+        assert not any("HOT002" in key for key in keys)
+        assert check_hotpath(graph, baseline) == []
+        # Dropping the suppression surfaces the advisory again: the
+        # baseline never blessed it.
+        (root / "src" / "repro" / "hot.py").write_text(_HOT)
+        fresh = check_hotpath(ProjectGraph.build(root), baseline)
+        assert [f.rule for f in fresh] == ["HOT002"]
 
     def test_repo_baseline_is_current(self, repo_graph):
         assert check_hotpath(repo_graph) == []
