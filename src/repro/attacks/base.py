@@ -27,11 +27,15 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMConfig
-from repro.dram.faults import RUN_CHUNK, BitFlipEvent, DisturbanceModel
+from repro.dram.faults import BitFlipEvent, DisturbanceModel
 from repro.mitigations.base import Mitigation
 from repro.mitigations.none import NoMitigation
 
 ATTACK_BANK_KEY = (0, 0, 0)
+
+# Longest run the harness charges in one step: bounds the fault model's
+# per-run lists whatever the mitigation's credit.
+RUN_CHUNK = 4096
 
 # End of the attack's row stream.
 _END = object()
@@ -161,17 +165,9 @@ class AttackHarness:
             if max_activations is not None:
                 limit = min(limit, max_activations - result.activations)
             limit = self._window_fit(limit, window_ns)
-            if stop_on_flip:
-                flip_at = disturbance.activations_to_flip(wordline, limit)
-                if flip_at:
-                    limit = flip_at
+            limit = disturbance.activations_to_flip(wordline, limit) or limit
             count, logical_next = _read_run(stream, logical_row, limit)
-            if count == 1:
-                # A lone credited activation: the step is exact for it
-                # and cheaper than setting up a run.
-                self._activate(logical_row, physical_row)
-            else:
-                self._activate_run(logical_row, physical_row, wordline, count)
+            self._activate_run(logical_row, physical_row, wordline, count)
             if stop_on_flip and disturbance.flips:
                 break
             logical_row = next(stream, _END) if logical_next is None else logical_next
@@ -308,16 +304,15 @@ class AttackHarness:
         self, logical_row: int, physical_row: int, wordline: int, count: int
     ) -> None:
         """``count`` credited activations of one row in one step: the
-        state ``count`` per-activation steps with noop outcomes leave."""
+        state ``count`` per-activation steps with noop outcomes leave.
+        A flip may only come on the last of them."""
         bank = self.bank
         self.now_ns = bank.timing.activate_run(
             wordline, self.now_ns, 0.0 + self.dram.t_rc, count
         )
         bank.window_act_counts[wordline] += count
         bank.total_activations += count
-        applied = 0
-        while applied < count:
-            applied += self.disturbance.on_activate_run(wordline, count - applied)
+        self.disturbance.on_activate_run(wordline, count)
         self.mitigation.on_activation_run(
             ATTACK_BANK_KEY, logical_row, physical_row, count
         )

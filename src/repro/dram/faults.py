@@ -32,19 +32,10 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-# Longest run :meth:`DisturbanceModel.on_activate_run` applies in one
-# call: bounds its per-call lists whatever the caller's run length.
-RUN_CHUNK = 4096
-
-
-def _running_sums(start: float, amount: float, count: int, threshold: float):
-    """``start`` plus ``amount`` added ``count`` times, one add at a
-    time: the final value when it stays below ``threshold``, else the
-    list of all ``count + 1`` running values (non-decreasing, so the
-    first to reach ``threshold`` is a bisection away)."""
-    final = reduce(add, repeat(amount, count), start)
-    if final < threshold:
-        return final
+def _running_sums(start: float, amount: float, count: int) -> List[float]:
+    """``start`` and its ``count`` successors, adding ``amount`` one add
+    at a time (non-decreasing, so the first to reach a threshold is a
+    bisection away)."""
     return list(accumulate(repeat(amount, count), initial=start))
 
 
@@ -115,41 +106,26 @@ class DisturbanceModel:
     def on_activate_run(self, row: int, count: int) -> int:
         """Apply up to ``count`` back-to-back single activations of
         ``row``, stopping after the first one that records a flip;
-        returns how many were applied (at most :data:`RUN_CHUNK`).
+        returns how many were applied.
 
         Bit-identical to that many ``on_activate(row)`` calls: each
-        neighbour's value is the running sum of ``amt`` added one at a
-        time, as the scalar path adds it (one ``count * amt`` add would
-        round differently, and distance-1 neighbours also hold
-        fractional values). Flips of the stopping activation are
-        recorded in the scalar neighbour order (-1, +1, -2, +2).
+        neighbour's value is ``amt`` added one add at a time, as the
+        scalar path adds it (one ``count * amt`` add would round
+        differently, and distance-1 neighbours also hold fractional
+        values). Flips of the stopping activation are recorded in the
+        scalar neighbour order (-1, +1, -2, +2).
         """
         self._check_row(row)
-        count = min(count, RUN_CHUNK)
         if count <= 0:
             return 0
+        applied = self.activations_to_flip(row, count) or count
         disturbance = self._disturbance
-        flipped = self._flipped_this_window
-        t_rh = self.t_rh
         disturbance[row] = 0.0
-        runs = []
-        applied = count
         for neighbour, amount in self._neighbour_amounts(row):
-            start = float(disturbance[neighbour])
-            sums = _running_sums(start, amount, count, t_rh)
-            if isinstance(sums, list) and not flipped[neighbour]:
-                applied = min(applied, max(bisect_left(sums, t_rh), 1))
-            runs.append((neighbour, amount, start, sums))
-        for neighbour, amount, start, sums in runs:
-            if isinstance(sums, list):
-                value = sums[applied]
-            elif applied == count:
-                value = sums
-            else:
-                value = reduce(add, repeat(amount, applied), start)
+            value = reduce(add, repeat(amount, applied), float(disturbance[neighbour]))
             disturbance[neighbour] = value
-            if value >= t_rh and not flipped[neighbour]:
-                flipped[neighbour] = True
+            if value >= self.t_rh and not self._flipped_this_window[neighbour]:
+                self._flipped_this_window[neighbour] = True
                 self.flips.append(
                     BitFlipEvent(
                         row=neighbour,
@@ -163,23 +139,22 @@ class DisturbanceModel:
     def activations_to_flip(self, row: int, limit: int) -> int:
         """The position (1-based) of the first of the next ``limit``
         single activations of ``row`` that would record a flip, or 0 if
-        none would (``limit`` is at most :data:`RUN_CHUNK`). Changes
-        nothing."""
+        none would. Changes nothing; builds ``limit``-long lists only
+        for a neighbour the run may carry over ``T_RH``."""
         first = 0
         for neighbour, amount in self._neighbour_amounts(row):
             if self._flipped_this_window[neighbour]:
                 continue
             start = float(self._disturbance[neighbour])
-            # Rounding over <= RUN_CHUNK positive adds stays far inside
+            # Rounding over up to millions of positive adds stays inside
             # this margin: only a neighbour the run may carry over the
             # threshold needs its exact sums.
             if (start + limit * amount) * (1.0 + 1e-9) < self.t_rh:
                 continue
-            sums = _running_sums(start, amount, limit, self.t_rh)
-            if isinstance(sums, list):
-                hit = max(bisect_left(sums, self.t_rh), 1)
-                if not first or hit < first:
-                    first = hit
+            sums = _running_sums(start, amount, limit)
+            hit = max(bisect_left(sums, self.t_rh), 1)
+            if hit <= limit and (not first or hit < first):
+                first = hit
         return first
 
     def on_activate_many(self, rows: Iterable[int]) -> None:

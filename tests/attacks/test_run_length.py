@@ -15,7 +15,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.attacks.base import AttackHarness
+from repro.attacks.base import RUN_CHUNK, AttackHarness
 from repro.attacks.multibank import MultiBankAttackHarness
 from repro.attacks.patterns import (
     DoubleSidedAttack,
@@ -298,7 +298,7 @@ def test_tracker_evictions_inside_runs():
         lambda: ManySidedAttack([10 * i for i in range(1, 9)]),
         max_activations=3_000,
     )
-    assert runs == []  # round-robin over 8 rows: no run is longer than one
+    assert runs and set(runs) == {1}  # round-robin over 8 rows
     runs, _ = _assert_equivalent(
         lambda: _rrs(tracker_entries=3, t_rrs=40),
         lambda: _Repeat([10 * i for i in range(1, 9)], 30),
@@ -327,6 +327,24 @@ def test_second_run_after_a_flip():
         max_activations=1_000,
     )
     assert runs == [T_RH]
+
+
+def test_runs_are_capped_at_the_chunk():
+    runs, _ = _assert_equivalent(
+        NoMitigation,
+        ATTACKS["single"],
+        harness_kwargs={"t_rh": 1e9},
+        max_activations=2 * RUN_CHUNK + 10,
+    )
+    assert runs == [RUN_CHUNK, RUN_CHUNK, 10]
+
+
+def test_flip_ends_a_run_without_stop_on_flip():
+    runs, results = _assert_equivalent(
+        NoMitigation, ATTACKS["single"], max_activations=400, stop_on_flip=False
+    )
+    assert runs == [T_RH, 400 - T_RH]
+    assert len(results[0][5]) == 2  # rows 99 and 101 flip on activation T_RH
 
 
 def test_finite_stream_ends_mid_run():

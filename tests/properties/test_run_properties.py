@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dram.config import DRAMConfig
-from repro.dram.faults import RUN_CHUNK, DisturbanceModel
+from repro.dram.faults import DisturbanceModel
 from repro.dram.timing import BankTimingState
 from repro.track.array_state import ArrayMisraGries
 
@@ -110,12 +110,6 @@ def test_on_activate_run_equals_single_activations(coupling, t_rh, events):
             assert applied == want
             assert flip_at == (applied if len(oracle.flips) > flips else 0)
         assert _fault_state(kernel) == _fault_state(oracle)
-
-
-def test_on_activate_run_caps_one_call():
-    model = DisturbanceModel(rows=8, t_rh=1e9)
-    assert model.on_activate_run(3, RUN_CHUNK + 10) == RUN_CHUNK
-    assert model.disturbance_of(2) == float(RUN_CHUNK)
 
 
 @given(
