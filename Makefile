@@ -10,10 +10,10 @@ lint:  ## ruff + mypy (configs in pyproject.toml)
 	ruff check src tests
 	mypy
 
-check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow engine
+check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow passes
 	$(PYTHON) -m repro check
 
-check-flow:  ## flow engine only: entropy, oracle drift, hot-path, snapshot coverage
+check-flow:  ## flow passes only: snapshot coverage, oracle pairs
 	$(PYTHON) -m repro check --flow
 
 checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs (block loop)

@@ -1,12 +1,12 @@
 """Static and runtime analysis guarding the reproduction's invariants.
 
-Three pillars, surfaced through ``python -m repro check``:
+Four pillars, surfaced through ``python -m repro check``:
 
 * :mod:`repro.check.linter` — an AST determinism linter with
   project-specific rules (RRS001...): every simulation result must be a
   pure function of its :class:`~repro.exec.runner.SweepPoint`, so any
-  entropy, wall-clock, or ordering hazard inside the simulation
-  packages is flagged unless it flows through
+  entropy, wall-clock, or ordering hazard inside the simulation and
+  analysis packages is flagged unless it flows through
   :class:`repro.utils.rng.DeterministicRng`.
 * :mod:`repro.check.sanitizer` — an opt-in (``REPRO_SANITIZE=1``)
   runtime DDR4 protocol checker hooked into the banks' command streams
@@ -14,87 +14,14 @@ Three pillars, surfaced through ``python -m repro check``:
   :class:`~repro.check.sanitizer.ProtocolViolation` on the first break.
 * :mod:`repro.check.salt` — the cache-salt drift detector: the
   ``CACHE_SALT`` policy of :mod:`repro.exec.cache` enforced by hashing
-  every simulation-relevant source file against a committed manifest.
+  every simulation-relevant source file against a committed manifest,
+  the only manifest this package keeps.
+* ``--flow`` — two passes over one shared
+  :class:`~repro.check.callgraph.ProjectGraph`:
+  :mod:`repro.check.statecheck` (STA001/STA002 snapshot coverage) and
+  :mod:`repro.check.oracle` (ORA001: every scalar-oracle/batched-kernel
+  pair has both sides and an equivalence test).
 
-Plus the interprocedural flow engine (``--flow``), three passes over a
-shared :class:`~repro.check.callgraph.ProjectGraph`:
-
-* :mod:`repro.check.entropy` — RNG provenance dataflow (FLW001-003):
-  every ``numpy.random.Generator`` reaching simulation state must be
-  derived from the seeded root, never consumed in unordered iteration,
-  and handed across modules explicitly.
-* :mod:`repro.check.oracle` — scalar-oracle/batched-kernel pair
-  registry and drift detection (ORA001-003) against the committed
-  ``oracle_manifest.json``.
-* :mod:`repro.check.hotpath` — advisory allocation lint (HOT001-003)
-  over everything reachable from the batched activation path,
-  baselined in ``flow_baseline.json``.
+Import the submodules directly; this package re-exports nothing, so
+importing :mod:`repro.check.findings` loads no analyser.
 """
-
-from repro.check.callgraph import ProjectGraph
-from repro.check.entropy import check_entropy
-from repro.check.findings import (
-    Finding,
-    Reporter,
-    RULES,
-    SEVERITIES,
-    apply_suppressions,
-    error_count,
-    rule_severity,
-    severity_counts,
-    sort_findings,
-)
-from repro.check.hotpath import check_hotpath, load_baseline, write_baseline
-from repro.check.oracle import (
-    check_oracles,
-    discover_pairs,
-    write_oracle_manifest,
-)
-from repro.check.linter import DeterminismLinter, lint_paths, lint_tree
-from repro.check.salt import (
-    SaltDrift,
-    check_salt,
-    compute_manifest,
-    simulation_relevant_files,
-    write_manifest,
-)
-from repro.check.sanitizer import (
-    BankCommandChecker,
-    ProtocolSanitizer,
-    ProtocolViolation,
-    audit_rit,
-    sanitize_enabled,
-)
-
-__all__ = [
-    "RULES",
-    "SEVERITIES",
-    "BankCommandChecker",
-    "DeterminismLinter",
-    "Finding",
-    "ProjectGraph",
-    "ProtocolSanitizer",
-    "ProtocolViolation",
-    "Reporter",
-    "SaltDrift",
-    "apply_suppressions",
-    "audit_rit",
-    "check_entropy",
-    "check_hotpath",
-    "check_oracles",
-    "check_salt",
-    "compute_manifest",
-    "discover_pairs",
-    "error_count",
-    "lint_paths",
-    "lint_tree",
-    "load_baseline",
-    "rule_severity",
-    "sanitize_enabled",
-    "severity_counts",
-    "simulation_relevant_files",
-    "sort_findings",
-    "write_baseline",
-    "write_manifest",
-    "write_oracle_manifest",
-]

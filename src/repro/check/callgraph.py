@@ -1,10 +1,9 @@
 """Project-wide symbol table and call graph for the flow passes.
 
-The three ``repro.check.flow`` analyses (entropy flow, oracle-pair
-drift, hot-path allocation lint) all need the same substrate: every
-module under ``src/repro`` parsed once, every function and class
-indexed by qualified name, imports resolved to project symbols, and a
-conservative call graph over them.
+The ``--flow`` passes (snapshot coverage, oracle-pair discovery) share
+one substrate: every module under ``src/repro`` parsed once, every
+function and class indexed by qualified name, imports resolved to
+project symbols, and a conservative call graph over them.
 
 Resolution strategy (deliberately over-approximate — this feeds lint
 passes, not a compiler):

@@ -8,13 +8,10 @@ Runs up to four pillars and folds everything into one exit code:
   re-blesses the tree after an I/O-only change or a salt bump);
 * ``--sanitize`` — a short smoke simulation with the DDR4 protocol
   sanitizer installed, proving the command streams it emits are legal;
-* ``--flow``  — the interprocedural flow engine: entropy provenance
-  (FLW...), oracle-pair drift against the committed
-  ``oracle_manifest.json`` (ORA..., re-blessed by ``--update-oracles``),
-  the advisory hot-path allocation lint (HOT..., baselined in
-  ``flow_baseline.json``, re-blessed by ``--update-baseline``), and the
-  snapshot-coverage pass (STA...: mutable-sim-state classes missing the
-  ``repro.state`` Snapshotable protocol).
+* ``--flow``  — the project-graph passes: snapshot coverage (STA...:
+  mutable-sim-state classes missing the ``repro.state`` Snapshotable
+  protocol) and oracle-pair completeness (ORA001: every
+  scalar-oracle/batched-kernel pair has both sides and a test).
 
 With no pillar flag, all four run. ``--format json`` emits a single
 machine-readable findings document. The exit code reflects only the
@@ -28,11 +25,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.check.callgraph import ProjectGraph
-from repro.check.entropy import check_entropy
 from repro.check.findings import Finding, Reporter, error_count
-from repro.check.hotpath import check_hotpath, write_baseline
 from repro.check.linter import lint_paths, lint_tree
-from repro.check.oracle import check_oracles, write_oracle_manifest
+from repro.check.oracle import check_oracles
 from repro.check.salt import check_salt, find_repo_root, write_manifest
 from repro.check.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.check.statecheck import check_statecheck
@@ -124,16 +119,11 @@ def _run_sanitize_smoke(verbose: bool, records: int = 8000) -> List[Finding]:
     return []
 
 
-def _run_flow(
-    root: Optional[Path],
-    update_oracles: bool,
-    update_baseline: bool,
-    verbose: bool,
-) -> List[Finding]:
+def _run_flow(root: Optional[Path]) -> List[Finding]:
     if root is None:
         return [
             Finding(
-                rule="FLW001",
+                rule="STA001",
                 path="<repo>",
                 line=1,
                 message="cannot locate the repository root (no "
@@ -141,20 +131,7 @@ def _run_flow(
             )
         ]
     graph = ProjectGraph.build(root)
-    if update_oracles:
-        path = write_oracle_manifest(graph)
-        if verbose:
-            print(f"oracle manifest refreshed: {path}")
-    if update_baseline:
-        path = write_baseline(graph)
-        if verbose:
-            print(f"hot-path advisory baseline refreshed: {path}")
-    findings: List[Finding] = []
-    findings.extend(check_entropy(graph))
-    findings.extend(check_oracles(graph))
-    findings.extend(check_hotpath(graph))
-    findings.extend(check_statecheck(graph))
-    return findings
+    return check_statecheck(graph) + check_oracles(graph)
 
 
 def run_check(args) -> int:
@@ -176,14 +153,7 @@ def run_check(args) -> int:
     if run_sanitize:
         findings.extend(_run_sanitize_smoke(verbose))
     if run_flow:
-        findings.extend(
-            _run_flow(
-                root,
-                getattr(args, "update_oracles", False),
-                getattr(args, "update_baseline", False),
-                verbose,
-            )
-        )
+        findings.extend(_run_flow(root))
 
     print(Reporter(args.format).render(findings))
     return 1 if error_count(findings) else 0

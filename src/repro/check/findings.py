@@ -1,7 +1,8 @@
 """Finding records, the rule table, severity tiers, and the reporters.
 
 Every check in :mod:`repro.check` — linter rules, the flow passes, salt
-drift, sanitizer smoke results — reports through the same
+drift, sanitizer smoke results — and the ledger drift detector in
+:mod:`repro.obs.regress` report through the same
 :class:`Finding` shape so the CLI can merge them into one exit code and
 one ``--format json`` stream.
 
@@ -9,11 +10,10 @@ Severity tiers
 --------------
 * ``error``  — breaks a reproducibility or equivalence invariant; the
   CLI exit code reflects *only* this tier.
-* ``warn``   — suspicious but not provably wrong (e.g. a generator
-  shared across module boundaries); printed, never fails the build.
-* ``advice`` — performance guidance from the hot-path pass; filtered
-  against the committed baseline (``flow_baseline.json``) so only new
-  advisories surface.
+* ``warn``   — suspicious but not provably wrong (e.g. a ledger metric
+  outside its warn horizon); printed, never fails the build.
+* ``advice`` — context, not a defect (e.g. too little ledger history
+  to judge drift); printed, never fails the build.
 
 Suppression syntax (linter and flow passes)
 -------------------------------------------
@@ -111,66 +111,11 @@ RULES: Dict[str, RuleInfo] = {
         "repro.utils.rng.DeterministicRng so the stream is a pure "
         "function of the SweepPoint seed",
     ),
-    # Flow engine (repro.check.flow): interprocedural entropy analysis.
-    "FLW001": RuleInfo(
-        "unseeded-generator-flow",
-        "a numpy Generator value not derived from the seeded root "
-        "(default_rng(seed) / DeterministicRng / .child() / .spawn() "
-        "chains) flows into simulation state; tracked through "
-        "assignments, calls, attributes, and containers — strictly "
-        "stronger than the syntactic RRS010",
-    ),
-    "FLW002": RuleInfo(
-        "generator-unordered-iteration",
-        "random generators consumed in unordered (set) iteration; the "
-        "per-process hash salt reorders which stream services which "
-        "consumer, so results stop being a pure function of the seed",
-    ),
-    "FLW003": RuleInfo(
-        "cross-module-stream-sharing",
-        "a generator bound at module level is shared by every importer "
-        "without an explicit handoff (constructor/function parameter); "
-        "import order then dictates stream interleaving",
-        SEVERITY_WARN,
-    ),
-    # Oracle-pair registry and drift detection.
+    # Oracle-pair registry (repro.check.oracle).
     "ORA001": RuleInfo(
         "oracle-pair-incomplete",
         "a declared scalar-oracle/batched-kernel pair is missing one "
         "side or has no equivalence test under tests/ exercising it",
-    ),
-    "ORA002": RuleInfo(
-        "oracle-pair-drift",
-        "one side of a scalar-oracle/batched-kernel pair changed while "
-        "its counterpart and the equivalence tests stayed untouched; "
-        "bit-identical replay is no longer evidenced",
-    ),
-    "ORA003": RuleInfo(
-        "oracle-manifest-stale",
-        "the committed oracle manifest no longer matches the tree "
-        "(pair added/removed, or both sides changed); re-bless with "
-        "`python -m repro check --flow --update-oracles` after the "
-        "equivalence suites pass",
-    ),
-    # Hot-path allocation lint (advisory tier).
-    "HOT001": RuleInfo(
-        "hot-path-allocation",
-        "per-activation container/array allocation inside a loop of a "
-        "function reachable from the batched activation path",
-        SEVERITY_ADVICE,
-    ),
-    "HOT002": RuleInfo(
-        "hot-path-append-loop",
-        "list-append loop over array-able data on the batched "
-        "activation path; a vectorized numpy construction avoids the "
-        "per-element interpreter round trip",
-        SEVERITY_ADVICE,
-    ),
-    "HOT003": RuleInfo(
-        "hot-path-repeated-lookup",
-        "the same global/attribute chain resolved repeatedly inside a "
-        "hot loop; hoist it into a local before the loop",
-        SEVERITY_ADVICE,
     ),
     # Snapshot-coverage pass (repro.check.statecheck): every class with
     # run-evolving state must join the repro.state Snapshotable protocol.

@@ -9,7 +9,8 @@ order, mutable default arguments, and missing ``__slots__`` on the
 hot-path classes the sweep executor's throughput depends on.
 
 Scope: the simulation packages
-``src/repro/{core,dram,mem,mitigations,attacks,track,workloads}``.
+``src/repro/{core,dram,mem,mitigations,attacks,track,workloads}`` plus
+``src/repro/analysis``, which holds the seeded Monte Carlo.
 ``repro.utils.rng`` is the sanctioned entropy funnel and is exempt (it
 is outside the linted set by construction). RRS009 (no bare ``print``)
 applies to the silent subset ``{mem,dram,core,mitigations,track}`` —
@@ -38,6 +39,7 @@ TARGET_PACKAGES: Tuple[str, ...] = (
     "attacks",
     "track",
     "workloads",
+    "analysis",
 )
 
 # Packages where RRS009 bans bare print(): the simulation data path.

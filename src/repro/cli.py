@@ -17,9 +17,8 @@ Nine subcommands cover the library's main entry points:
   :mod:`repro.state`)
 * ``info``     — list available workloads, defenses, and attacks
 * ``check``    — determinism linter, cache-salt drift detector, a DDR4
-  protocol-sanitizer smoke run, and the interprocedural flow engine
-  (entropy provenance, oracle-pair drift, hot-path advisories; see
-  :mod:`repro.check`)
+  protocol-sanitizer smoke run, and the project-graph passes (snapshot
+  coverage, oracle-pair completeness; see :mod:`repro.check`)
 """
 
 from __future__ import annotations
@@ -763,10 +762,9 @@ def build_parser() -> argparse.ArgumentParser:
             "all four run: the determinism linter (--rules), the "
             "cache-salt drift detector (--salt), a protocol-"
             "sanitizer smoke simulation (--sanitize), and the "
-            "interprocedural flow engine (--flow: entropy provenance, "
-            "oracle-pair drift, hot-path advisories). Exit code is "
-            "non-zero only when an error-tier finding is reported; "
-            "warn and advice findings never fail the build."
+            "project-graph passes (--flow: snapshot coverage, oracle "
+            "pairs). Exit code is non-zero only when an error-tier "
+            "finding is reported."
         ),
     )
     check.add_argument(
@@ -780,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--flow", action="store_true",
-        help="run only the interprocedural flow engine (entropy/oracle/hot-path)",
+        help="run only the snapshot-coverage and oracle-pair passes",
     )
     check.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -793,15 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--update-salt", action="store_true",
         help="re-bless the tree: rewrite the salt manifest before checking",
-    )
-    check.add_argument(
-        "--update-oracles", action="store_true",
-        help="re-bless oracle pairs: rewrite oracle_manifest.json before checking",
-    )
-    check.add_argument(
-        "--update-baseline", action="store_true",
-        help="re-bless hot-path advisories: rewrite flow_baseline.json "
-        "before checking",
     )
     check.add_argument(
         "--root", default=None,

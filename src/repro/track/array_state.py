@@ -172,9 +172,8 @@ class ArrayMisraGries:
             elif len(slot_of) < entries:
                 estimate = self.spill + 1
                 slot_of[row] = len(slot_rows)
-                # repro-check: HOT002 -- installs happen at most `entries` times per window, not per activation
                 slot_rows.append(row)
-                counts.append(estimate)  # repro-check: HOT002 -- same bound as the row install above
+                counts.append(estimate)
                 if t:
                     residue = estimate % t
                     hist[residue] += 1

@@ -124,11 +124,12 @@ def test_check_sanitize_smoke_exit_zero(capsys):
 
 def test_check_parser_accepts_flow_flags():
     parser = build_parser()
-    args = parser.parse_args(
-        ["check", "--flow", "--update-oracles", "--update-baseline"]
-    )
-    assert args.flow and args.update_oracles and args.update_baseline
+    assert parser.parse_args(["check", "--flow"]).flow
     assert not parser.parse_args(["check"]).flow
+    # --update-salt is the only re-bless verb.
+    for retired in ("--update-oracles", "--update-baseline"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["check", "--flow", retired])
 
 
 def test_check_flow_clean_tree_exit_zero(capsys):
@@ -142,67 +143,19 @@ def test_check_flow_json_reports_severity_counts(capsys):
     assert payload["counts"] == {"error": 0, "warn": 0, "advice": 0}
 
 
-def test_check_flow_error_finding_fails(capsys, monkeypatch, tmp_path):
-    import repro.check.hotpath as hotpath_module
-    import repro.check.oracle as oracle_module
-
-    monkeypatch.setattr(
-        oracle_module,
-        "default_oracle_manifest_path",
-        lambda: tmp_path / "oracle_manifest.json",
-    )
-    monkeypatch.setattr(
-        hotpath_module,
-        "default_baseline_path",
-        lambda: tmp_path / "flow_baseline.json",
-    )
+def test_check_flow_error_finding_fails(capsys, tmp_path):
     (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
-    bad = tmp_path / "src" / "repro" / "streams.py"
-    bad.parent.mkdir(parents=True)
-    bad.write_text(
-        "import numpy as np\n"
-        "def fresh():\n"
-        "    return np.random.default_rng()\n"
+    lonely = tmp_path / "src" / "repro" / "lonely.py"
+    lonely.parent.mkdir(parents=True)
+    lonely.write_text(
+        "# repro-oracle: lonely -- oracle\n"
+        "def slow(x):\n"
+        "    return x\n"
     )
-    code = main(
-        ["check", "--flow", "--update-oracles", "--update-baseline",
-         "--root", str(tmp_path)]
-    )
+    code = main(["check", "--flow", "--root", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FLW001" in out and "[error]" in out
-
-
-def test_check_flow_advice_never_fails(capsys, monkeypatch, tmp_path):
-    import repro.check.hotpath as hotpath_module
-    import repro.check.oracle as oracle_module
-
-    monkeypatch.setattr(
-        oracle_module,
-        "default_oracle_manifest_path",
-        lambda: tmp_path / "oracle_manifest.json",
-    )
-    # Baseline path exists but is never written: advisories stay visible.
-    monkeypatch.setattr(
-        hotpath_module,
-        "default_baseline_path",
-        lambda: tmp_path / "flow_baseline.json",
-    )
-    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
-    hot = tmp_path / "src" / "repro" / "hot.py"
-    hot.parent.mkdir(parents=True)
-    hot.write_text(
-        "class Engine:\n"
-        "    def on_activation_batch(self, rows):\n"
-        "        acc = []\n"
-        "        for r in rows:\n"
-        "            acc.append(r)\n"
-        "        return acc\n"
-    )
-    code = main(["check", "--flow", "--update-oracles", "--root", str(tmp_path)])
-    out = capsys.readouterr().out
-    assert code == 0  # advice tier never drives the exit code
-    assert "HOT002" in out and "[advice]" in out
+    assert "ORA001" in out and "[error]" in out
 
 
 # ----------------------------------------------------------------------
