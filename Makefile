@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint check check-flow checkpoint-smoke bench bench-smoke bench-gate perfbench-smoke trace-smoke report-smoke profile experiments clean-cache
+.PHONY: test lint kernel-check check check-flow checkpoint-smoke bench bench-smoke bench-gate perfbench-smoke trace-smoke report-smoke profile experiments clean-cache
 
 test:  ## tier-1 suite (unit/integration/property)
 	$(PYTHON) -m pytest -x -q
@@ -9,6 +9,11 @@ test:  ## tier-1 suite (unit/integration/property)
 lint:  ## ruff + mypy (configs in pyproject.toml)
 	ruff check src tests
 	mypy
+
+kernel-check:  ## compile the block loop's C source with every warning an error
+	mkdir -p build/kernel-check
+	$(CC) -O2 -ffp-contract=off -std=c99 -fPIC -Wall -Wextra -Werror \
+		-c src/repro/mem/block_loop.c -o build/kernel-check/block_loop.o
 
 check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow passes
 	$(PYTHON) -m repro check

@@ -27,9 +27,11 @@ its **minimum** wall time, the standard noise-robust estimator
 being faster). The cache phases stay single-shot because the cache
 state itself is what they measure.
 
-Each run also appends one entry to the ``history`` array kept inside
-``BENCH_throughput.json`` — git SHA, date, and the three headline
-throughputs — so the file doubles as the repo's perf trajectory.
+Each run also appends one entry per phase to the ``history`` array kept
+inside ``BENCH_throughput.json`` — phase, ``records_per_core``, git
+SHA, date, and the phase's throughput — so the file doubles as the
+repo's perf trajectory and ``scripts/bench_gate.py`` can compare
+like with like.
 """
 
 from __future__ import annotations
@@ -152,18 +154,27 @@ def _timed_attack_run(records: int, batched: bool) -> tuple:
 
 
 def _git_sha() -> str:
-    try:
-        probe = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """HEAD's short SHA, suffixed ``-dirty`` when the measured tree has
+    uncommitted changes (the entry then describes a change on top of
+    that commit, not the commit itself)."""
+    def git(*args):
+        return subprocess.run(
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10,
             cwd=Path(__file__).resolve().parent,
         )
+
+    try:
+        probe = git("rev-parse", "--short", "HEAD")
+        status = git("status", "--porcelain", "--untracked-files=no")
     except OSError:
         return "unknown"
     sha = probe.stdout.strip()
-    return sha if probe.returncode == 0 and sha else "unknown"
+    if probe.returncode != 0 or not sha:
+        return "unknown"
+    return sha + "-dirty" if status.stdout.strip() else sha
 
 
 def _measure():
@@ -304,34 +315,42 @@ def _measure():
     }
 
 
+# History phases: (phase, requests/second field, extra fields kept).
+HISTORY_PHASES = (
+    ("serial", "serial_requests_per_second", ()),
+    ("parallel", "parallel_requests_per_second", ("jobs",)),
+    ("traced", "tracer_enabled_requests_per_second", ("tracer_enabled_slowdown",)),
+    ("attack", "attack_serial_requests_per_second", ("attack_batched_speedup",)),
+)
+
+
 def _append_history(data: dict, target: Path) -> None:
     """Fold this run into the ``history`` trajectory the results file
-    carries across runs: prior entries are preserved, and the headline
-    numbers (plus SHA and date, so a regression can be bisected from
-    the file alone) are appended as one compact record."""
+    carries across runs: prior entries are preserved, and each phase's
+    throughput is appended as one entry keyed by (``phase``,
+    ``records_per_core``) — the run length of the sweep, which the
+    attack phase multiplies by 4 — plus SHA and date, so a regression
+    can be bisected from the file alone and only like is compared with
+    like. A skipped phase (no parallel pool) records nothing."""
     history = []
     if target.exists():
         try:
             history = json.loads(target.read_text()).get("history", [])
         except (json.JSONDecodeError, AttributeError):
             history = []
-    history.append(
-        {
-            "git_sha": _git_sha(),
-            "date": time.strftime("%Y-%m-%d"),
+    stamp = {"git_sha": _git_sha(), "date": time.strftime("%Y-%m-%d")}
+    for phase, field, extras in HISTORY_PHASES:
+        rate = data[field]
+        if rate is None:
+            continue
+        entry = {
+            "phase": phase,
             "records_per_core": data["records_per_core"],
-            "serial_requests_per_second": data["serial_requests_per_second"],
-            "parallel_requests_per_second": data["parallel_requests_per_second"],
-            "tracer_enabled_requests_per_second": data[
-                "tracer_enabled_requests_per_second"
-            ],
-            "tracer_enabled_slowdown": data["tracer_enabled_slowdown"],
-            "attack_serial_requests_per_second": data[
-                "attack_serial_requests_per_second"
-            ],
-            "attack_batched_speedup": data["attack_batched_speedup"],
+            "requests_per_second": rate,
+            **stamp,
         }
-    )
+        entry.update((name, data[name]) for name in extras)
+        history.append(entry)
     data["history"] = history
 
 

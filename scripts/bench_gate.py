@@ -5,8 +5,8 @@ Two gated baselines, both compared against the committed version of
 the results file at ``HEAD`` (so the gate works after a bench run has
 overwritten the working-tree copy):
 
-* ``BENCH_throughput.json`` — the ``serial_requests_per_second``
-  headline from ``bench_throughput.py``;
+* ``BENCH_throughput.json`` — the serial sweep's requests/second from
+  ``bench_throughput.py``;
 * ``BENCH_mitigation.json`` — per-mitigation
   ``batched_activations_per_second`` from ``bench_mitigation.py``
   (skipped with a note when either side lacks the file, so the gate
@@ -20,11 +20,14 @@ band is attributable to the code. Genuine hot-path regressions land
 far beyond 20%; see the ``history`` array in the results files for the
 trajectory.
 
-Both runs must use the same ``records_per_core`` — requests/second is
-a rate, but short runs amortize startup differently, so comparing
-mismatched run lengths would make the gate flaky. Run the bench with
-``REPRO_BENCH_RECORDS`` matching the baseline (the CI workflow reads
-it from the committed file).
+Only like is compared with like. The throughput file's ``history``
+holds one entry per (phase, ``records_per_core``) measurement, and the
+fresh serial rate is gated against the newest committed ``serial``
+entry with the fresh run's ``records_per_core`` — requests/second is a
+rate, but short runs amortize startup differently, so comparing
+mismatched run lengths would make the gate flaky. With no such entry
+the gate is skipped with a note. The mitigation file has no history;
+its two runs must use the same ``records_per_core``.
 
 ``--ledger`` switches the gate to a third, statistical mode: instead
 of comparing bench files, it judges the newest sweep recorded in the
@@ -46,7 +49,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS = REPO_ROOT / "benchmarks" / "results" / "BENCH_throughput.json"
 MITIGATION_RESULTS = REPO_ROOT / "benchmarks" / "results" / "BENCH_mitigation.json"
-METRIC = "serial_requests_per_second"
+METRIC = "requests_per_second"
+PHASE = "serial"
 MITIGATION_METRIC = "batched_activations_per_second"
 
 
@@ -63,6 +67,17 @@ def _committed_baseline(path: Path = RESULTS) -> dict:
             f"bench-gate: cannot read committed baseline: {probe.stderr.strip()}"
         )
     return json.loads(probe.stdout)
+
+
+def latest_entry(history: list, phase: str, records_per_core: int) -> dict | None:
+    """The newest history entry measured in ``phase`` at this run length."""
+    for entry in reversed(history):
+        if (
+            entry.get("phase") == phase
+            and entry.get("records_per_core") == records_per_core
+        ):
+            return entry
+    return None
 
 
 def _committed_mitigation_baseline() -> dict | None:
@@ -251,19 +266,24 @@ def main(argv=None) -> int:
             "run benchmarks/bench_throughput.py first"
         )
     fresh = json.loads(fresh_path.read_text())
-
-    if fresh["records_per_core"] != baseline["records_per_core"]:
-        raise SystemExit(
-            "bench-gate: run lengths differ — baseline records_per_core="
-            f"{baseline['records_per_core']}, fresh="
-            f"{fresh['records_per_core']}; rerun the bench with "
-            f"REPRO_BENCH_RECORDS={baseline['records_per_core']}"
-        )
+    records = fresh["records_per_core"]
+    base_entry = latest_entry(baseline.get("history", []), PHASE, records)
 
     print(f"bench-gate: throughput baseline {baseline_name}")
-    ok = _gate(
-        f"serial {METRIC}", baseline[METRIC], fresh[METRIC], args.tolerance
-    )
+    if base_entry is None:
+        print(
+            f"bench-gate: no {PHASE} entry at records_per_core={records} "
+            "in the baseline history — skipping the throughput gate"
+        )
+        ok = True
+    else:
+        ok = _gate(
+            f"{PHASE} {METRIC} at records_per_core={records} "
+            f"(baseline {base_entry.get('git_sha', '?')})",
+            base_entry[METRIC],
+            fresh[f"{PHASE}_{METRIC}"],
+            args.tolerance,
+        )
     ok &= _gate_mitigations(args)
     if not ok:
         return 1

@@ -28,10 +28,12 @@ from repro.exec.cache import CACHE_SALT
 # the CACHE_SALT policy in exec/cache.py describes: DRAM timing and
 # geometry, the memory system, mitigations, trackers, attacks, trace
 # generation, the RRS core, the deterministic RNG, and the perf harness
-# that turns traces into metrics.
+# that turns traces into metrics. The compiled block loop's C source
+# counts too: it computes the same results as the Python it replaced.
 SIM_RELEVANT_GLOBS = (
     "src/repro/dram/*.py",
     "src/repro/mem/*.py",
+    "src/repro/mem/*.c",
     "src/repro/mitigations/*.py",
     "src/repro/attacks/*.py",
     "src/repro/track/*.py",

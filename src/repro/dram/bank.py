@@ -112,11 +112,11 @@ class Bank:
 
     @property
     def kernel_inlineable(self) -> bool:
-        """Whether the block kernel may run this bank on its flat SoA
+        """Whether the compiled block loop may run this bank on its flat
         timing arrays: nothing is watching the command stream and no
-        fault model needs per-ACT callbacks. Observed or faulted banks
-        are serviced through :meth:`access` inside the kernel so every
-        command still reaches its consumers."""
+        fault model needs per-ACT callbacks. A run with any observed or
+        faulted bank takes the scalar loop, so every command still
+        reaches its consumers."""
         return self.timing.observer is None and self.disturbance is None
 
     # ------------------------------------------------------------------

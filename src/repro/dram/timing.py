@@ -174,12 +174,12 @@ class BankTimingState:
         self.ready_ns = max(self.ready_ns, until_ns)
 
     # ------------------------------------------------------------------
-    # Snapshotable (repro.state) — also the block-kernel state exchange
-    # (repro.mem.block_kernel): the fused kernel evolves these three
+    # Snapshotable (repro.state) — also the block-loop state exchange
+    # (repro.mem.block_kernel): the compiled loop evolves these three
     # scalars on flat arrays and hands them back via
-    # :meth:`restore_state`. The kernel never inlines a bank whose
-    # command stream has an observer attached, so the exchange is only
-    # ever applied to unobserved open-page banks.
+    # :meth:`restore_state`. It only runs when no bank has an observer
+    # attached, so the exchange is only ever applied to unobserved
+    # open-page banks.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> "tuple[int, float, float]":
         """``(open_row, last_act_ns, ready_ns)`` — the full open-page

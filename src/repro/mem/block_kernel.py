@@ -1,471 +1,636 @@
-"""Fused block-level simulation kernel (DESIGN.md §12).
+"""Compiled block-level system loop (DESIGN.md §12).
 
 :func:`run_block_loop` is the full-system hot loop
 (:meth:`~repro.mem.system.SystemSimulator._run_scalar` is the
-registered oracle). One Python iteration per request, but with every
-per-request object hop fused away: bank timing lives in flat SoA lists,
-refresh is advanced inline on those lists, mitigation deferral runs
-against the shared :class:`ChannelBatchState` buffers, and core issue
-times come from per-block numpy precompute (``(gap / retire_width) *
-cycle_ns`` and the instruction-index cumsum are elementwise IEEE-754
-operations, so the values match the scalar per-record arithmetic bit
-for bit). Checkpoint cuts stop it between any two requests; it
-re-enters from the state it leaves.
+registered oracle). The per-request recurrence runs in C
+(``block_loop.c``, loaded through :mod:`ctypes`): the
+``(issue_at, core_id)`` heap, the refresh gate with its tREFI bursts,
+the route lookup, open-page bank timing, the channel bus, the stats
+folds, each core's ROB window and the mitigation's credit fast path.
+The C routine returns to the Python event loop below only for events that
+need Python objects, and is re-entered after each:
 
-Why the loop stays one request at a time
-----------------------------------------
-The DDR timing recurrence is ``start_i = max(floor_i, ready_{i-1})``
-followed by a chain of adds. ``max``-then-add chains cannot be
-reassociated in floating point, so blanket vectorization would drift by
-ulps, and an ACT can fire mitigation actions (victim refreshes, swaps,
-channel blocks) that rewrite the very state a lookahead would have
-read. ROB feedback pins the system loop to one-at-a-time issue as well:
-with a 192-entry window and trace gaps larger than the window, request
-k+1's issue time depends on request k's completion, so there is no
-exact batch boundary to vectorize across. The win here is
-constant-factor — no request/outcome objects, no method dispatch, no
-attribute traffic — which profiling shows is where the serial time
-actually goes.
+* an activation the mitigation must see (credit exhausted or deadline
+  passed, the bank opted out, the mitigation is unbatched) and each
+  ``route`` / ``pre_activate_delay_ns`` call of a mitigation with no
+  route tables or with a throttle;
+* a refresh-window end, whose callbacks run in Python;
+* the end of a core's trace block (the next one is generated, decoded
+  and precomputed here);
+* ``stop_at`` (a checkpoint cut), the end of the run, and a full
+  activation log or deferral buffer, which are drained into their
+  Python homes.
+
+All loop state lives in numpy arrays shared with C; the Python side writes
+mitigation actions straight into them. Every double operation keeps
+the oracle's order and ``max`` tie-breaks, and the library is built
+with ``-O2 -ffp-contract=off`` (no fused multiply-add, no fast math),
+so results are bit-identical to the scalar loop.
+
+Why one request at a time: the DDR recurrence
+``start_i = max(floor_i, ready_{i-1})`` followed by a chain of adds
+cannot be reassociated in floating point, an ACT can fire actions that
+rewrite the state a lookahead would have read, and ROB feedback makes
+request k+1's issue time depend on request k's completion.
+
+Build and cache: the shared object is compiled on the first
+:func:`load` (never at import), named by a hash of the source and the
+flags, cached under this package's ``__pycache__`` (or the temp
+directory when that is read-only) and renamed into place atomically,
+so parallel sweep workers never see a partial file. With no C
+compiler or a failed build, :func:`load` returns None and
+``SystemSimulator`` takes ``_run_scalar``: slower, same results.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import operator
-import sys
-from typing import List, Tuple
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import tempfile
+import warnings
+from collections import deque
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["run_block_loop"]
+__all__ = ["load", "run_block_loop"]
+
+SOURCE = Path(__file__).with_name("block_loop.c")
+CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+
+# Slot layout of block_loop.c (the enums at its top).
+(I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
+ I_LOGCAP, I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
+ I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
+ I_KIND, I_IN, I_COUNT) = range(24)
+(D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
+ D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
+ D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
+(P_I, P_D, P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
+ P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_LOG_N,
+ P_LOG_ROWS, P_RT_MASK, P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_MODE,
+ P_CH_TABLES, P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES,
+ P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP,
+ P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_COUNT) = range(40)
+(EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
+ EV_BLOCK, EV_BAD_ROW) = range(9)
+MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK = range(4)
+KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL = range(3)
+# Per-channel stats columns: int64 (reads, writes, activations,
+# row-buffer hits) and double (swap-blocked, throttle, latency ns).
+S_N, S_D = 4, 3
+
+# Per-bank capacity of the deferral buffers and of the per-window
+# activation log. When one fills, every buffer and log is drained into
+# its Python list or Counter; small capacities keep peak memory flat.
+BUFFER_CAPACITY = 256
+LOG_CAPACITY = 512
+
+_UNRESOLVED = object()
+_library = _UNRESOLVED
 
 
-def _adopt_block(core, inst_issued: int, first: int) -> Tuple[list, list]:
-    """Issue-time precompute for the core's currently loaded block.
+def load():
+    """The compiled loop library, built on first use; None when this
+    host cannot build or load it (the simulator then runs the scalar
+    loop)."""
+    global _library
+    if _library is _UNRESOLVED:
+        import subprocess
 
-    The instruction cumsum is rebased so record ``first`` (the pending
-    one, mid-block after a cut) continues from ``inst_issued``.
-    ``(gap / retire_width) * cycle_ns`` and the instruction cumsum are
-    elementwise, so the numpy results equal the scalar per-record
-    expressions exactly (integer division and multiply are both
-    correctly rounded in IEEE-754 double).
-    """
-    gaps = core._block["gap"]
-    deltas = ((gaps / core._retire_width) * core._cycle_ns).tolist()
-    steps = np.cumsum(gaps.astype(np.int64) + 1)
-    if first:
-        inst_issued -= int(steps[first - 1])
-    return deltas, (inst_issued + steps).tolist()
+        try:
+            _library = _build_and_load()
+        except (OSError, subprocess.SubprocessError) as exc:
+            warnings.warn(
+                f"compiled block loop unavailable ({exc}); running the "
+                "slower scalar loop",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            _library = None
+    return _library
+
+
+def _build_and_load():
+    source = SOURCE.read_bytes()
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        raise OSError("no C compiler on PATH")
+    digest = hashlib.sha256(
+        source + " ".join(CFLAGS).encode() + platform.machine().encode()
+    ).hexdigest()[:16]
+    name = f"block_loop-{digest}.so"
+    for directory in (
+        SOURCE.parent / "__pycache__",
+        Path(tempfile.gettempdir()) / "repro-kernel",
+    ):
+        path = _compiled(compiler, directory, name)
+        if path is not None:
+            break
+    else:
+        raise OSError("no writable directory for the compiled block loop")
+    library = ctypes.CDLL(str(path))
+    library.rk_layout.restype = ctypes.c_int64
+    library.rk_layout.argtypes = (ctypes.c_int64,)
+    layout = [library.rk_layout(which) for which in range(3)]
+    if layout != [I_COUNT, D_COUNT, P_COUNT]:
+        raise OSError(f"{path.name}: slot layout {layout} does not match")
+    library.rk_run.restype = ctypes.c_int64
+    library.rk_run.argtypes = (ctypes.c_void_p,)
+    library.rk_route_build.restype = None
+    library.rk_route_build.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64,
+    )
+    return library
+
+
+def _compiled(compiler: str, directory: Path, name: str) -> Optional[Path]:
+    """The cached shared object in ``directory``, compiling it if absent
+    (into a temporary name, then renamed into place); None when the
+    directory cannot be written."""
+    import subprocess
+
+    path = directory / name
+    if path.exists():
+        return path
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, scratch = tempfile.mkstemp(prefix=name + ".", dir=directory)
+    except OSError:
+        return None
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [compiler, *CFLAGS, "-o", scratch, str(SOURCE)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        if done.returncode != 0:
+            raise OSError(f"{compiler} failed: {done.stderr.strip()[:500]}")
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+    return path
+
+
+def _address(array: np.ndarray) -> int:
+    return array.ctypes.data
 
 
 # repro-oracle: system-loop -- kernel
 def run_block_loop(sim, cores, stop_at: int = -1) -> int:
-    """Fused system loop over columnar cores; mutates ``sim`` in place.
+    """Run ``sim`` over columnar ``cores`` on the compiled loop.
 
-    Bit-identical to ``SystemSimulator._run_scalar`` (the oracle): the
-    heap discipline, refresh cadence, controller arithmetic, mitigation
-    deferral, and stats folds are replicated operation for operation —
-    only the object plumbing between them is fused away. Banks with a
-    command observer or a fault model (``REPRO_SANITIZE=1`` chains
-    observers onto every bank) are serviced through ``Bank.access`` so
-    protocol checks still see every command; unobserved open-page banks
-    run on flat SoA timing lists. Eligibility is decided by
-    ``SystemSimulator._block_loop_eligible``.
-    Returns the requests serviced, stopping at ``stop_at`` (-1: never)
-    with every live object written back as the oracle leaves it between
-    two requests, so a cut can be taken and either loop re-entered.
+    Bit-identical to ``SystemSimulator._run_scalar`` (the oracle).
+    Eligibility (compiled library present, unobserved open-page banks
+    without fault models, columnar cores, no postponed refresh) is
+    decided by ``SystemSimulator._block_loop_eligible``. Returns the
+    requests serviced, stopping at ``stop_at`` (-1: never) with every
+    live object written back as the oracle leaves it between two
+    requests, so a cut can be taken and either loop re-entered.
     """
+    lib = load()
     config = sim.config.dram
     mitigation = sim.mitigation
     channels = sim.channels
     controllers = sim.controllers
     refresh = sim.refresh
+    mapper = sim.mapper
 
-    key_table = sim.mapper.bank_key_table
+    key_table = mapper.bank_key_table
     n_banks = len(key_table)
+    n_channels = len(channels)
     banks_per_rank = config.banks_per_rank
+    bank_objs = [channels[ch].bank(rank, bank) for ch, rank, bank in key_table]
+    chan_of = [ch for ch, _, _ in key_table]
+    local_of = [rank * banks_per_rank + bank for _, rank, bank in key_table]
 
-    # ---- flat bank state (global flat index = mapper's flat_bank) ----
-    bank_objs = []
-    chan_of: List[int] = []
-    local_of: List[int] = []
-    for ch, rank, bank in key_table:
-        bank_objs.append(channels[ch].bank(rank, bank))
-        chan_of.append(ch)
-        local_of.append(rank * banks_per_rank + bank)
-    timing_objs = [b.timing for b in bank_objs]
-    inline_timing = config.page_policy != "closed"
-    amode = [inline_timing and b.kernel_inlineable for b in bank_objs]
-    open_row: List[int] = []
-    last_act: List[float] = []
-    ready: List[float] = []
-    for timing in timing_objs:
-        orow, act_ns, ready_at = timing.snapshot_state()
-        open_row.append(orow)
-        last_act.append(act_ns)
-        ready.append(ready_at)
-    counts = [b.window_act_counts for b in bank_objs]
-    total_acts = [b.total_activations for b in bank_objs]
-    bus_free = [c.bus_free_ns for c in channels]
-    banks_of_channel = [
-        [fb for fb in range(n_banks) if chan_of[fb] == ch]
-        for ch in range(len(channels))
-    ]
+    I = np.zeros(I_COUNT, np.int64)
+    D = np.zeros(D_COUNT, np.float64)
+    P = np.zeros(P_COUNT, np.uint64)
+    iv = memoryview(I)
+    dv = memoryview(D)
+    keep = []  # every array C points into stays referenced here
 
-    # ---- controller/mitigation scalars (shared across channels) ----
+    def point(slot: int, array: np.ndarray) -> np.ndarray:
+        keep.append(array)
+        P[slot] = _address(array)
+        return array
+
+    point(P_I, I)
+    point(P_D, D)
+
+    # ---- banks ----
+    timing = [bank.timing.snapshot_state() for bank in bank_objs]
+    open_row = point(P_OPEN_ROW, np.array([t[0] for t in timing], np.int64))
+    last_act = point(P_LAST_ACT, np.array([t[1] for t in timing], np.float64))
+    ready = point(P_READY, np.array([t[2] for t in timing], np.float64))
+    ready_v = memoryview(ready)
+    point(P_CHAN, np.array(chan_of, np.int64))
+    total = point(
+        P_TOTAL, np.array([b.total_activations for b in bank_objs], np.int64)
+    )
+    log_capacity = LOG_CAPACITY
+    log_n = point(P_LOG_N, np.zeros(n_banks, np.int64))
+    log_rows = point(P_LOG_ROWS, np.empty(n_banks * log_capacity, np.int64))
+
+    # ---- mitigation hand-off: modes, credits, buffers, route tables ----
     c0 = controllers[0]
-    lookup_ns = c0._lookup_ns
-    has_route = c0._has_route
-    has_pre_delay = c0._has_pre_delay
-    mitigates_acts = c0._mitigates_acts
-    batch_global = c0._batch_global
-    t_cas = c0._t_cas
-    t_rcd = c0._t_rcd
-    t_rp = c0._t_rp
-    t_rc = c0._t_rc
-    t_ras = c0._t_ras
-    rows_per_bank = c0._rows_per_bank
-    line_transfer = c0._line_transfer_ns
-    route_tables_by_ch = [c._route_tables for c in controllers]
-    batches = [c._batch for c in controllers]
-    # Batch-state columns, hoisted per channel: ChannelBatchState only
-    # ever mutates these lists in place (window resets rewrite
-    # credits[i], never rebind the attribute), so the references stay
-    # live for the whole run and the deferral fast path pays list
-    # indexing instead of attribute chains.
-    b_credits = [b.credits if b is not None else None for b in batches]
-    b_deadlines = [b.deadlines if b is not None else None for b in batches]
-    b_rows_ch = [b.rows if b is not None else None for b in batches]
-    b_times_ch = [b.times if b is not None else None for b in batches]
-    sanitizers = [c.sanitizer for c in controllers]
     route = mitigation.route
     pre_delay = mitigation.pre_activate_delay_ns
     on_act = mitigation.on_activation
     on_act_batch = mitigation.on_activation_batch
+    batches = [c._batch for c in controllers]
+    route_tables = [c._route_tables for c in controllers]
+    modes = []
+    cells = []  # distinct global credit cells (channels may share one)
+    cell_of = []
+    for controller, batch in zip(controllers, batches):
+        if batch is None:
+            modes.append(MODE_SCALAR if controller._mitigates_acts else MODE_NONE)
+            cell_of.append(0)
+        elif controller._batch_global:
+            modes.append(MODE_GLOBAL)
+            slot = next(
+                (i for i, cell in enumerate(cells) if cell is batch.credits),
+                len(cells),
+            )
+            if slot == len(cells):
+                cells.append(batch.credits)
+            cell_of.append(slot)
+        else:
+            modes.append(MODE_BANK)
+            cell_of.append(0)
+    point(P_CH_MODE, np.array(modes, np.int64))
+    point(P_CELL, np.array(cell_of, np.int64))
+    credits = point(P_CREDITS, np.zeros(n_banks + max(len(cells), 1), np.int64))
+    deadlines = point(P_DEADLINES, np.full(n_banks, np.inf))
+    credits_v = memoryview(credits)
+    deadlines_v = memoryview(deadlines)
+    bank_mode = MODE_BANK in modes
+    buffer_capacity = BUFFER_CAPACITY if bank_mode else 1
+    buf_n = point(P_BUF_N, np.zeros(n_banks, np.int64))
+    buf_rows = point(P_BUF_ROWS, np.empty(n_banks * buffer_capacity, np.int64))
+    buf_times = point(P_BUF_TIMES, np.empty(n_banks * buffer_capacity))
+    buf_n_v = memoryview(buf_n)
+    rt_mask = point(P_RT_MASK, np.full(n_banks, -1, np.int64))
+    rt_ptr = point(P_RT_PTR, np.zeros(n_banks, np.uint64))
+    rt_arrays: list = [None] * n_banks
+    point(
+        P_CH_TABLES,
+        np.array([tables is not None for tables in route_tables], np.int64),
+    )
 
-    # ---- per-channel stats accumulators (folded back at the end) ----
-    st_reads = [c.stats.reads for c in controllers]
-    st_writes = [c.stats.writes for c in controllers]
-    st_acts = [c.stats.activations for c in controllers]
-    st_hits = [c.stats.row_buffer_hits for c in controllers]
-    st_victims = [c.stats.victim_refreshes for c in controllers]
-    st_swaps = [c.stats.swaps for c in controllers]
-    st_swap_blocked = [c.stats.swap_blocked_ns for c in controllers]
-    st_throttle = [c.stats.throttle_delay_ns for c in controllers]
-    st_latency = [c.stats.total_latency_ns for c in controllers]
+    def credits_from_py(gfb: int) -> None:
+        batch = batches[chan_of[gfb]]
+        lfb = local_of[gfb]
+        credits_v[gfb] = batch.credits[lfb]
+        deadlines_v[gfb] = float(batch.deadlines[lfb])
 
-    # ---- refresh locals (RefreshScheduler.advance_to, inlined) ----
-    next_refi = refresh._next_refi_ns
-    next_window = refresh._next_window_ns
-    refresh_due = refresh.next_due_ns
-    cfg_t_refi = config.t_refi
-    t_rfc = config.t_rfc
-    cfg_window_ns = config.refresh_window_ns
-    refresh_observer = refresh.observer
-    pre_window_callbacks = refresh.pre_window_callbacks
-    window_callbacks = refresh.window_callbacks
+    def all_credits_from_py() -> None:
+        for gfb in range(n_banks):
+            if modes[chan_of[gfb]] == MODE_BANK:
+                credits_from_py(gfb)
+        for slot, cell in enumerate(cells):
+            credits_v[n_banks + slot] = cell[0]
 
-    def _apply_action(action, gfb: int, ch: int, now_ns: float) -> None:
-        # MemoryController._apply, operating on the SoA state.
-        bank = bank_objs[gfb]
+    def credits_to_py() -> None:
+        values = credits.tolist()
+        for gfb in range(n_banks):
+            if modes[chan_of[gfb]] == MODE_BANK:
+                batches[chan_of[gfb]].credits[local_of[gfb]] = values[gfb]
+        for slot, cell in enumerate(cells):
+            cell[0] = values[n_banks + slot]
+
+    def drain_buffers() -> None:
+        # The logical buffer is the Python list followed by C's suffix.
+        for gfb, n in enumerate(buf_n.tolist()):
+            if n:
+                batch = batches[chan_of[gfb]]
+                lfb = local_of[gfb]
+                offset = gfb * buffer_capacity
+                batch.rows[lfb].extend(buf_rows[offset:offset + n].tolist())
+                batch.times[lfb].extend(buf_times[offset:offset + n].tolist())
+                buf_n_v[gfb] = 0
+
+    def fold_logs() -> None:
+        # Counter.update counts in log order, so each bank's
+        # window_act_counts keeps the oracle's insertion order.
+        for gfb, n in enumerate(log_n.tolist()):
+            if n:
+                offset = gfb * log_capacity
+                bank_objs[gfb].window_act_counts.update(
+                    log_rows[offset:offset + n].tolist()
+                )
+                log_n[gfb] = 0
+
+    def sync_route(gfb: int) -> None:
+        """Mirror one bank's RIT forward dict into its C hash table."""
+        forward = route_tables[chan_of[gfb]][local_of[gfb]]
+        if not forward:
+            rt_mask[gfb] = -1
+            return
+        n = len(forward)
+        slots = 1 << max(4, (2 * n).bit_length())
+        table = rt_arrays[gfb]
+        if table is None or len(table) < 2 * slots:
+            table = rt_arrays[gfb] = np.empty(2 * slots, np.int64)
+            rt_ptr[gfb] = _address(table)
+        keys = np.fromiter(forward.keys(), np.int64, n)
+        values = np.fromiter(forward.values(), np.int64, n)
+        lib.rk_route_build(
+            _address(table), slots - 1, _address(keys), _address(values), n
+        )
+        rt_mask[gfb] = slots - 1
+
+    def sync_all_routes() -> None:
+        for gfb in range(n_banks):
+            if route_tables[chan_of[gfb]] is not None:
+                sync_route(gfb)
+
+    all_credits_from_py()
+    sync_all_routes()
+
+    # ---- channels ----
+    bus = point(P_BUS, np.array([c.bus_free_ns for c in channels], np.float64))
+    bus_v = memoryview(bus)
+    stats = [c.stats for c in controllers]
+    st_i = point(P_ST_I, np.array(
+        [(s.reads, s.writes, s.activations, s.row_buffer_hits) for s in stats],
+        np.int64,
+    ).ravel())
+    st_d = point(P_ST_D, np.array(
+        [(s.swap_blocked_ns, s.throttle_delay_ns, s.total_latency_ns) for s in stats],
+        np.float64,
+    ).ravel())
+    st_d_v = memoryview(st_d)
+    victims = [s.victim_refreshes for s in stats]
+    swaps = [s.swaps for s in stats]
+    rows_per_bank = c0._rows_per_bank
+    t_rc = c0._t_rc
+    banks_of_channel = [
+        [fb for fb in range(n_banks) if chan_of[fb] == ch]
+        for ch in range(n_channels)
+    ]
+
+    def apply_action(action, gfb: int, now_ns: float) -> None:
+        # MemoryController._apply on the shared arrays (compiled runs
+        # have no fault model, sanitizer or observer to notify).
+        ch = chan_of[gfb]
         refresh_rows = action.refresh_rows
         if refresh_rows:
+            bank = bank_objs[gfb]
             for victim_row in refresh_rows:
                 if 0 <= victim_row < rows_per_bank:
                     bank.refresh_row(victim_row)
-                    st_victims[ch] += 1
+                    victims[ch] += 1
             end = now_ns + len(refresh_rows) * t_rc
-            if amode[gfb]:
-                if ready[gfb] < end:
-                    ready[gfb] = end
-            else:
-                timing_objs[gfb].block_until(end)
+            if ready_v[gfb] < end:
+                ready_v[gfb] = end
         if action.swaps:
-            st_swaps[ch] += len(action.swaps)
-            if bank.disturbance is not None:
-                for row_a, row_b in action.swaps:
-                    bank.disturbance.on_activate(row_a, count=2)
-                    bank.disturbance.on_activate(row_b, count=2)
-        if action.refresh_all_bank and bank.disturbance is not None:
-            bank.disturbance.refresh_all()
+            swaps[ch] += len(action.swaps)
         if action.channel_block_ns > 0.0:
-            st_swap_blocked[ch] += action.channel_block_ns
-            bus = bus_free[ch]
-            end = (now_ns if now_ns >= bus else bus) + action.channel_block_ns
-            bus_free[ch] = end
+            st_d_v[ch * S_D] += action.channel_block_ns
+            bus_free = bus_v[ch]
+            end = (now_ns if now_ns >= bus_free else bus_free) + action.channel_block_ns
+            bus_v[ch] = end
             for fb in banks_of_channel[ch]:
-                if amode[fb]:
-                    if ready[fb] < end:
-                        ready[fb] = end
-                else:
-                    timing_objs[fb].block_until(end)
-        if sanitizers[ch] is not None and action.swaps:
-            sanitizers[ch].audit_mitigation(mitigation)
+                if ready_v[fb] < end:
+                    ready_v[fb] = end
 
-    # ---- per-core SoA state ----
+    # ---- cores ----
     n_cores = len(cores)
-    c_time = [core.time_ns for core in cores]
-    c_inst = [core._inst_issued for core in cores]
-    c_retired = [core.instructions_retired for core in cores]
-    c_out = [core._outstanding for core in cores]
-    c_rob = [core._rob_size for core in cores]
-    c_idx = [core._idx for core in cores]
-    c_len = [core._len for core in cores]
-    c_writes: list = [None] * n_cores
-    c_rows: list = [None] * n_cores
-    c_flats: list = [None] * n_cores
-    c_deltas: list = [None] * n_cores
-    c_inst_after: list = [None] * n_cores
+    # Issue times first: computing one pops satisfied ROB entries.
+    pending = sorted(
+        (core.next_issue_time(), core_id)
+        for core_id, core in enumerate(cores)
+        if core._has_pending
+    )
+    rob_capacity = 2 + max(
+        core._rob_size + len(core._outstanding) for core in cores
+    ) if cores else 2
+    c_time = point(P_TIME, np.array([c.time_ns for c in cores], np.float64))
+    c_inst = point(P_INST, np.array([c._inst_issued for c in cores], np.int64))
+    c_retired = point(
+        P_RETIRED, np.array([c.instructions_retired for c in cores], np.int64)
+    )
+    point(P_ROB, np.array([c._rob_size for c in cores], np.int64))
+    c_idx = point(P_IDX, np.array([c._idx for c in cores], np.int64))
+    c_len = point(P_LEN, np.zeros(n_cores, np.int64))
+    col_ptrs = {
+        slot: point(slot, np.zeros(n_cores, np.uint64))
+        for slot in (P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER)
+    }
+    rob_idx = point(P_ROB_IDX, np.zeros(n_cores * rob_capacity, np.int64))
+    rob_cmp = point(P_ROB_CMP, np.zeros(n_cores * rob_capacity, np.float64))
+    rob_head = point(P_ROB_HEAD, np.zeros(n_cores, np.int64))
+    rob_n = point(P_ROB_N, np.zeros(n_cores, np.int64))
+    block_refs: list = [None] * n_cores
 
-    heap = []
+    def adopt(core_id: int, block, inst_issued: int, first: int) -> None:
+        """Issue-time precompute for a core's block, rebased so record
+        ``first`` (the pending one, mid-block after a cut) continues
+        from ``inst_issued``. ``(gap / retire_width) * cycle_ns`` and
+        the instruction cumsum are elementwise IEEE-754 operations, so
+        they equal the scalar per-record expressions exactly."""
+        core = cores[core_id]
+        gaps = block["gap"]
+        steps = np.cumsum(gaps.astype(np.int64) + 1)
+        if first:
+            inst_issued -= int(steps[first - 1])
+        columns = mapper.decode_batch(block["address"])
+        arrays = {
+            P_WRITES: block["is_write"].astype(np.uint8),
+            P_ROWS: np.ascontiguousarray(columns.row, np.int64),
+            P_FLATS: np.ascontiguousarray(columns.flat_bank, np.int64),
+            P_DELTAS: (gaps / core._retire_width) * core._cycle_ns,
+            P_INST_AFTER: inst_issued + steps,
+        }
+        block_refs[core_id] = arrays
+        for slot, array in arrays.items():
+            col_ptrs[slot][core_id] = _address(array)
+        c_len[core_id] = len(block)
+
     for core_id, core in enumerate(cores):
-        if not core._has_pending:
-            continue
-        c_writes[core_id] = core._writes
-        c_rows[core_id] = core._rows
-        c_flats[core_id] = core._flats
-        deltas, inst_after = _adopt_block(core, c_inst[core_id], core._idx)
-        c_deltas[core_id] = deltas
-        c_inst_after[core_id] = inst_after
-        heap.append((core.next_issue_time(), core_id))
-    heapq.heapify(heap)
+        outstanding = core._outstanding
+        for k, (index, completion) in enumerate(outstanding):
+            rob_idx[core_id * rob_capacity + k] = index
+            rob_cmp[core_id * rob_capacity + k] = completion
+        rob_n[core_id] = len(outstanding)
+        if core._has_pending:
+            adopt(core_id, core._block, core._inst_issued, core._idx)
 
-    heappop = heapq.heappop
-    heappushpop = heapq.heappushpop
+    heap_t = point(P_HEAP_T, np.zeros(max(n_cores, 1), np.float64))
+    heap_c = point(P_HEAP_C, np.zeros(max(n_cores, 1), np.int64))
+    # A sorted list is a valid heap; the first entry is served next.
+    for k, (issue_at, core_id) in enumerate(pending[1:]):
+        heap_t[k] = issue_at
+        heap_c[k] = core_id
+    I[I_HEAP_N] = max(len(pending) - 1, 0)
+    I[I_CUR_CORE] = pending[0][1] if pending else -1
+    D[D_CUR_T] = pending[0][0] if pending else 0.0
 
-    # The scalar loop pops at the top and pushes the core's next issue
-    # at the bottom; fusing the two into one heappushpop halves the
-    # sift work, and when the just-serviced core is still the earliest
-    # (its tuple sorts below the root) the C call returns it without
-    # touching the heap at all. Pop order is decided purely by the
-    # (issue_at, core_id) tuples, so the discipline is unchanged. One
-    # iteration per request of a repeat() counter bounds the run at
-    # stop_at with no per-request work of its own (running out of
-    # cores breaks out); its remaining count tells how many ran.
-    limit = (stop_at if stop_at >= 0 else sys.maxsize) if heap else 0
-    requests = itertools.repeat(None, limit)
-    item = heappop(heap) if heap else None
-    for _ in requests:
-        arrival, core_id = item
-        idx = c_idx[core_id]
-        c_time[core_id] = arrival
-        inst_index = c_inst_after[core_id][idx]
-        c_inst[core_id] = inst_index
-        is_write = c_writes[core_id][idx]
-        row = c_rows[core_id][idx]
-        gfb = c_flats[core_id][idx]
+    # ---- scalars ----
+    I[I_NB] = n_banks
+    I[I_ROWS] = rows_per_bank
+    I[I_PRE_DELAY] = c0._has_pre_delay
+    I[I_ROUTE_CALL] = c0._has_route
+    I[I_RCAP] = rob_capacity
+    I[I_BUFCAP] = buffer_capacity
+    I[I_LOGCAP] = log_capacity
+    I[I_STOP] = stop_at
+    I[I_BANK] = -1
+    D[D_LOOKUP] = c0._lookup_ns
+    D[D_TCAS] = c0._t_cas
+    D[D_TRCD] = c0._t_rcd
+    D[D_TRP] = c0._t_rp
+    D[D_TRC] = c0._t_rc
+    D[D_TRAS] = c0._t_ras
+    D[D_LINE] = c0._line_transfer_ns
+    D[D_TREFI] = config.t_refi
+    D[D_TRFC] = config.t_rfc
+    D[D_WINDOW] = config.refresh_window_ns
+    D[D_NEXT_REFI] = refresh._next_refi_ns
+    D[D_NEXT_WINDOW] = refresh._next_window_ns
+    D[D_DUE] = refresh.next_due_ns
 
-        # -- refresh gate (RefreshScheduler.advance_to, max_postponed=0)
-        if arrival >= refresh_due:
-            while next_refi <= arrival:
-                start = next_refi
-                if refresh_observer is not None:
-                    refresh_observer(start, 1)
-                end = start + t_rfc
-                for fb in range(n_banks):
-                    if amode[fb]:
-                        if ready[fb] < end:
-                            ready[fb] = end
-                    else:
-                        timing_objs[fb].block_until(end)
-                refresh.refresh_bursts += 1
-                next_refi += cfg_t_refi
-            while next_window <= arrival:
-                completed = refresh.windows_completed
-                for callback in pre_window_callbacks:
-                    callback(completed)
-                for channel in channels:
-                    channel.end_window()
-                for callback in window_callbacks:
-                    callback(completed)
-                refresh.windows_completed = completed + 1
-                next_window += cfg_window_ns
-            refresh_due = next_refi if next_refi <= next_window else next_window
-
-        # -- MemoryController.service, fused --
-        ch = chan_of[gfb]
-        lfb = local_of[gfb]
-        rt = route_tables_by_ch[ch]
-        if rt is not None:
-            table = rt[lfb]
-            physical_row = row if table is None else table.get(row, row)
-        elif has_route:
-            physical_row = route(key_table[gfb], row)
-        else:
-            physical_row = row
-
-        start_floor = arrival + lookup_ns
-        if has_pre_delay:
-            cur_open = open_row[gfb] if amode[gfb] else timing_objs[gfb].open_row
-            if cur_open != physical_row:
-                delay = pre_delay(key_table[gfb], physical_row, start_floor)
-                if delay > 0.0:
-                    st_throttle[ch] += delay
-                    start_floor += delay
-
-        if amode[gfb] and 0 <= physical_row < rows_per_bank:
-            b_ready = ready[gfb]
-            start = start_floor if start_floor > b_ready else b_ready
-            orow = open_row[gfb]
-            if orow == physical_row:
-                data = start + t_cas
-                ready[gfb] = data
-                hit = True
-                activated = False
+    # ---- the event loop ----
+    run = lib.rk_run
+    table = ctypes.c_void_p(_address(P))
+    while True:
+        event = run(table)
+        if event == EV_ACT:
+            gfb = iv[I_BANK]
+            now = dv[D_COMPLETION]
+            kind = iv[I_KIND]
+            key = key_table[gfb]
+            if kind == KIND_FLUSH:
+                batch = batches[chan_of[gfb]]
+                lfb = local_of[gfb]
+                rows = batch.rows[lfb]
+                times = batch.times[lfb]
+                n = buf_n_v[gfb]
+                if n:
+                    offset = gfb * buffer_capacity
+                    rows.extend(buf_rows[offset:offset + n].tolist())
+                    times.extend(buf_times[offset:offset + n].tolist())
+                    buf_n_v[gfb] = 0
+                rows.append(iv[I_ROW])
+                times.append(now)
+                action = on_act_batch(key, rows, times)
+                rows.clear()
+                times.clear()
+                credits_from_py(gfb)
+            elif kind == KIND_SCALAR:
+                action = on_act(key, iv[I_ROW], iv[I_PROW], now)
+                if modes[chan_of[gfb]] == MODE_BANK:
+                    credits_from_py(gfb)
             else:
-                la = last_act[gfb]
-                if orow >= 0:
-                    pre_at = la + t_ras
-                    if start >= pre_at:
-                        pre_at = start
-                    act_at = pre_at + t_rp
-                    floor = la + t_rc
-                    if floor > act_at:
-                        act_at = floor
-                else:
-                    act_at = la + t_rc
-                    if start >= act_at:
-                        act_at = start
-                data = act_at + t_rcd + t_cas
-                open_row[gfb] = physical_row
-                last_act[gfb] = act_at
-                ready[gfb] = data
-                hit = False
-                activated = True
-                cnts = counts[gfb]
-                cnts[physical_row] = cnts.get(physical_row, 0) + 1
-                total_acts[gfb] += 1
-        else:
-            outcome = bank_objs[gfb].access(physical_row, start_floor)
-            data = outcome.data_ns
-            hit = outcome.row_buffer_hit
-            activated = outcome.activated
-
-        bus = bus_free[ch]
-        data_start = data if data >= bus else bus
-        completion = data_start + line_transfer
-        bus_free[ch] = completion
-
-        if is_write:
-            st_writes[ch] += 1
-        else:
-            st_reads[ch] += 1
-        st_latency[ch] += completion - arrival
-        if hit:
-            st_hits[ch] += 1
-        if activated:
-            st_acts[ch] += 1
-            credits = b_credits[ch]
-            if (
-                credits is not None
-                and not batch_global
-                and credits[lfb] > 0
-                and completion < b_deadlines[ch][lfb]
-            ):
-                credits[lfb] -= 1
-                b_rows_ch[ch][lfb].append(row)
-                b_times_ch[ch][lfb].append(completion)
-            else:
-                # MemoryController._note_activation, fused.
-                action = None
-                if credits is None:
-                    if mitigates_acts:
-                        action = on_act(
-                            key_table[gfb], row, physical_row, completion
-                        )
-                elif batch_global:
-                    if credits[0] > 0:
-                        credits[0] -= 1
-                    else:
-                        action = on_act_batch(
-                            key_table[gfb], (physical_row,), (completion,)
-                        )
-                elif credits[lfb] < 0:
-                    # Opted-out bank: straight to the scalar oracle.
-                    action = on_act(
-                        key_table[gfb], row, physical_row, completion
-                    )
-                else:
-                    b_rows = b_rows_ch[ch][lfb]
-                    b_times = b_times_ch[ch][lfb]
-                    b_rows.append(row)
-                    b_times.append(completion)
-                    action = on_act_batch(key_table[gfb], b_rows, b_times)
-                    b_rows.clear()
-                    b_times.clear()
-                if action is not None and not action.is_noop:
-                    _apply_action(action, gfb, ch, completion)
-
-        # -- Core.complete + next_issue_time, fused --
-        if inst_index > c_retired[core_id]:
-            c_retired[core_id] = inst_index
-        out = c_out[core_id]
-        if not is_write:
-            out.append((inst_index, completion))
-
-        nxt = idx + 1
-        if nxt >= c_len[core_id]:
+                action = on_act_batch(key, (iv[I_PROW],), (now,))
+                slot = cell_of[chan_of[gfb]]
+                credits_v[n_banks + slot] = cells[slot][0]
+            if action is not None and not action.is_noop:
+                apply_action(action, gfb, now)
+                if route_tables[chan_of[gfb]] is not None:
+                    sync_route(gfb)
+        elif event == EV_ROUTE:
+            gfb = iv[I_BANK]
+            iv[I_IN] = route(key_table[gfb], iv[I_ROW])
+        elif event == EV_DELAY:
+            gfb = iv[I_BANK]
+            dv[D_IN] = float(pre_delay(key_table[gfb], iv[I_PROW], dv[D_FLOOR]))
+        elif event == EV_BLOCK:
+            core_id = iv[I_CORE]
             core = cores[core_id]
-            if not core._load_block_lean():
-                if not heap:
-                    item = None
-                    break
-                item = heappop(heap)
-                continue
-            c_writes[core_id] = core._writes
-            c_rows[core_id] = core._rows
-            c_flats[core_id] = core._flats
-            c_len[core_id] = core._len
-            deltas, inst_after = _adopt_block(core, inst_index, 0)
-            c_deltas[core_id] = deltas
-            c_inst_after[core_id] = inst_after
-            nxt = 0
-        c_idx[core_id] = nxt
-        issue_at = arrival + c_deltas[core_id][nxt]
-        next_index = c_inst_after[core_id][nxt]
-        rob_size = c_rob[core_id]
-        while out:
-            oldest_index, oldest_completion = out[0]
-            if next_index - oldest_index < rob_size:
-                break
-            if oldest_completion > issue_at:
-                issue_at = oldest_completion
-            out.popleft()
-        item = heappushpop(heap, (issue_at, core_id))
+            block = core._pull_block()
+            if block is None:
+                iv[I_IN] = 0
+            else:
+                core._block = block
+                adopt(core_id, block, iv[I_INST], 0)
+                iv[I_IN] = 1
+        elif event == EV_WINDOW:
+            drain_buffers()
+            credits_to_py()
+            fold_logs()
+            refresh.refresh_bursts += iv[I_BURSTS]
+            iv[I_BURSTS] = 0
+            completed = refresh.windows_completed
+            for callback in refresh.pre_window_callbacks:
+                callback(completed)
+            for channel in channels:
+                channel.end_window()
+            for callback in refresh.window_callbacks:
+                callback(completed)
+            refresh.windows_completed = completed + 1
+            all_credits_from_py()
+            sync_all_routes()
+        elif event == EV_SPILL:
+            drain_buffers()
+            fold_logs()
+            iv[I_SPILL] = 0
+        elif event == EV_BAD_ROW:
+            raise ValueError(
+                f"row {iv[I_PROW]} out of range [0, {rows_per_bank})"
+            )
+        else:
+            break
 
     # ---- write everything back to the live objects ----
-    for fb in range(n_banks):
-        if amode[fb]:
-            timing_objs[fb].restore_state(
-                (open_row[fb], last_act[fb], ready[fb])
-            )
-            bank_objs[fb].total_activations = total_acts[fb]
-    for ch, channel in enumerate(channels):
-        channel.bus_free_ns = bus_free[ch]
-        stats = controllers[ch].stats
-        stats.reads = st_reads[ch]
-        stats.writes = st_writes[ch]
-        stats.activations = st_acts[ch]
-        stats.row_buffer_hits = st_hits[ch]
-        stats.victim_refreshes = st_victims[ch]
-        stats.swaps = st_swaps[ch]
-        stats.swap_blocked_ns = st_swap_blocked[ch]
-        stats.throttle_delay_ns = st_throttle[ch]
-        stats.total_latency_ns = st_latency[ch]
+    drain_buffers()
+    credits_to_py()
+    fold_logs()
+    for fb, state in enumerate(
+        zip(open_row.tolist(), last_act.tolist(), ready.tolist())
+    ):
+        bank_objs[fb].timing.restore_state(state)
+    for bank, count in zip(bank_objs, total.tolist()):
+        bank.total_activations = count
+    counts = st_i.tolist()
+    times = st_d.tolist()
+    for ch, (channel, s) in enumerate(zip(channels, stats)):
+        channel.bus_free_ns = bus_v[ch]
+        s.reads, s.writes, s.activations, s.row_buffer_hits = (
+            counts[ch * S_N:(ch + 1) * S_N]
+        )
+        s.swap_blocked_ns, s.throttle_delay_ns, s.total_latency_ns = (
+            times[ch * S_D:(ch + 1) * S_D]
+        )
+        s.victim_refreshes = victims[ch]
+        s.swaps = swaps[ch]
+    next_refi = dv[D_NEXT_REFI]
+    next_window = dv[D_NEXT_WINDOW]
     refresh._next_refi_ns = next_refi
     refresh._next_window_ns = next_window
     refresh.next_due_ns = min(next_refi, next_window)
+    refresh.refresh_bursts += iv[I_BURSTS]
     # Pending cores keep their cached issue time, as in the oracle.
-    queued = {core_id: issue_at for issue_at, core_id in heap}
-    if item is not None:
-        queued[item[1]] = item[0]
+    queued = dict(zip(heap_c[: iv[I_HEAP_N]].tolist(), heap_t[: iv[I_HEAP_N]].tolist()))
+    if iv[I_CUR_CORE] >= 0:
+        queued[iv[I_CUR_CORE]] = dv[D_CUR_T]
+    heads = rob_head.tolist()
+    sizes = rob_n.tolist()
     for core_id, core in enumerate(cores):
-        core.time_ns = c_time[core_id]
-        core.instructions_retired = c_retired[core_id]
-        core._inst_issued = c_inst[core_id]
-        core._idx = idx = c_idx[core_id]
+        core.time_ns = float(c_time[core_id])
+        core.instructions_retired = int(c_retired[core_id])
+        core._inst_issued = int(c_inst[core_id])
+        core._idx = idx = int(c_idx[core_id])
         if core._block is not None:
             core._pending_gap = int(core._block["gap"][idx])
         core._pending_issue_ns = queued.get(core_id)
-    return limit - operator.length_hint(requests)
+        base = core_id * rob_capacity
+        ring = [
+            base + (heads[core_id] + k) % rob_capacity
+            for k in range(sizes[core_id])
+        ]
+        core._outstanding = deque(
+            zip(rob_idx[ring].tolist(), rob_cmp[ring].tolist())
+        )
+    return iv[I_SERVICED]

@@ -1,0 +1,463 @@
+/*
+ * Compiled per-request recurrence of the block-level system loop
+ * (DESIGN.md section 12; driven by repro/mem/block_kernel.py).
+ *
+ * rk_run() serves requests until it needs Python, then returns an
+ * event code; block_kernel.py handles the event and calls rk_run() again,
+ * which resumes exactly where it stopped. All state lives in arrays
+ * the Python side owns (numpy buffers), addressed through one table of
+ * pointers, so a return and a re-entry lose nothing.
+ *
+ * Bit-identity with SystemSimulator._run_scalar: every double
+ * operation runs in the oracle's order, every max() is the oracle's
+ * explicit comparison (same tie-break), and the build uses
+ * -ffp-contract=off (no fused multiply-add) without -ffast-math.
+ */
+#include <stdint.h>
+
+/* int64 scalars: configuration, loop cursors, the request in flight. */
+enum {
+    I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
+    I_LOGCAP, I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
+    I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
+    I_KIND, I_IN, I_COUNT
+};
+
+/* double scalars: timing constants, refresh cursors, request times. */
+enum {
+    D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
+    D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
+    D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT
+};
+
+/* Pointer table slots. Bank arrays are indexed by the mapper's flat
+ * bank; channel arrays by channel; core arrays by core id. */
+enum {
+    P_I, P_D,
+    P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
+    P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_LOG_N,
+    P_LOG_ROWS, P_RT_MASK, P_RT_PTR,
+    P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES,
+    P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
+    P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
+    P_ROB_N, P_HEAP_T, P_HEAP_C, P_COUNT
+};
+
+/* Events returned to Python. */
+enum {
+    EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
+    EV_BLOCK, EV_BAD_ROW
+};
+
+/* Resume points. */
+enum { PH_TOP, PH_WINDOW, PH_ROUTE, PH_DELAY, PH_ACT, PH_BLOCK };
+
+/* How a channel hands activations to the mitigation. */
+enum { MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK };
+
+/* Which mitigation hook an EV_ACT needs. */
+enum { KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL };
+
+/* Per-channel stats slots. */
+enum { S_READS, S_WRITES, S_ACTS, S_HITS, S_N };
+enum { S_THROTTLE = 1, S_LATENCY = 2, S_D = 3 };
+
+/* Slot counts, checked by block_kernel.py against its copy of the enums. */
+int64_t rk_layout(int64_t which)
+{
+    switch (which) {
+    case 0: return I_COUNT;
+    case 1: return D_COUNT;
+    case 2: return P_COUNT;
+    default: return -1;
+    }
+}
+
+/* ---- route tables: open addressing, (key, value) pairs, key -1 empty */
+
+static int64_t route_get(const int64_t *table, int64_t mask, int64_t row)
+{
+    uint64_t h = ((uint64_t)row * 0x9E3779B97F4A7C15ULL) >> 32;
+    for (;;) {
+        int64_t slot = (int64_t)(h & (uint64_t)mask);
+        int64_t key = table[2 * slot];
+        if (key == row)
+            return table[2 * slot + 1];
+        if (key < 0)
+            return row;
+        h++;
+    }
+}
+
+/* Fill a table of mask + 1 slots (mask + 1 > n) from n pairs. */
+void rk_route_build(int64_t *table, int64_t mask, const int64_t *keys,
+                    const int64_t *values, int64_t n)
+{
+    for (int64_t i = 0; i <= mask; i++)
+        table[2 * i] = -1;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t h = ((uint64_t)keys[i] * 0x9E3779B97F4A7C15ULL) >> 32;
+        while (table[2 * (int64_t)(h & (uint64_t)mask)] >= 0)
+            h++;
+        int64_t slot = (int64_t)(h & (uint64_t)mask);
+        table[2 * slot] = keys[i];
+        table[2 * slot + 1] = values[i];
+    }
+}
+
+/* ---- the core heap: (issue_at, core_id) under strict tuple order ---- */
+
+static int before(double t1, int64_t c1, double t2, int64_t c2)
+{
+    return t1 < t2 || (t1 == t2 && c1 < c2);
+}
+
+static void sift_down(double *ht, int64_t *hc, int64_t n, int64_t pos)
+{
+    double t = ht[pos];
+    int64_t c = hc[pos];
+    for (;;) {
+        int64_t child = 2 * pos + 1;
+        if (child >= n)
+            break;
+        if (child + 1 < n
+            && before(ht[child + 1], hc[child + 1], ht[child], hc[child]))
+            child++;
+        if (!before(ht[child], hc[child], t, c))
+            break;
+        ht[pos] = ht[child];
+        hc[pos] = hc[child];
+        pos = child;
+    }
+    ht[pos] = t;
+    hc[pos] = c;
+}
+
+#define PTR(type, slot) ((type *)(uintptr_t)P[slot])
+#define CORE_COL(type, slot, core) ((const type *)(uintptr_t)PTR(uint64_t, slot)[core])
+
+int64_t rk_run(const uint64_t *P)
+{
+    int64_t *I = PTR(int64_t, P_I);
+    double *D = PTR(double, P_D);
+
+    int64_t *open_row = PTR(int64_t, P_OPEN_ROW);
+    double *last_act = PTR(double, P_LAST_ACT);
+    double *ready = PTR(double, P_READY);
+    const int64_t *chan = PTR(int64_t, P_CHAN);
+    int64_t *total = PTR(int64_t, P_TOTAL);
+    int64_t *credits = PTR(int64_t, P_CREDITS);
+    const double *deadlines = PTR(double, P_DEADLINES);
+    const int64_t *cell = PTR(int64_t, P_CELL);
+    int64_t *buf_n = PTR(int64_t, P_BUF_N);
+    int64_t *buf_rows = PTR(int64_t, P_BUF_ROWS);
+    double *buf_times = PTR(double, P_BUF_TIMES);
+    int64_t *log_n = PTR(int64_t, P_LOG_N);
+    int64_t *log_rows = PTR(int64_t, P_LOG_ROWS);
+    const int64_t *rt_mask = PTR(int64_t, P_RT_MASK);
+    const uint64_t *rt_ptr = PTR(uint64_t, P_RT_PTR);
+    double *bus = PTR(double, P_BUS);
+    int64_t *st_i = PTR(int64_t, P_ST_I);
+    double *st_d = PTR(double, P_ST_D);
+    const int64_t *ch_mode = PTR(int64_t, P_CH_MODE);
+    const int64_t *ch_tables = PTR(int64_t, P_CH_TABLES);
+    double *c_time = PTR(double, P_TIME);
+    int64_t *c_inst = PTR(int64_t, P_INST);
+    int64_t *c_retired = PTR(int64_t, P_RETIRED);
+    const int64_t *c_rob = PTR(int64_t, P_ROB);
+    int64_t *c_idx = PTR(int64_t, P_IDX);
+    const int64_t *c_len = PTR(int64_t, P_LEN);
+    int64_t *rob_idx = PTR(int64_t, P_ROB_IDX);
+    double *rob_cmp = PTR(double, P_ROB_CMP);
+    int64_t *rob_head = PTR(int64_t, P_ROB_HEAD);
+    int64_t *rob_n = PTR(int64_t, P_ROB_N);
+    double *heap_t = PTR(double, P_HEAP_T);
+    int64_t *heap_c = PTR(int64_t, P_HEAP_C);
+
+    const int64_t n_banks = I[I_NB];
+    const int64_t rows_per_bank = I[I_ROWS];
+    const int64_t pre_delay = I[I_PRE_DELAY];
+    const int64_t route_call = I[I_ROUTE_CALL];
+    const int64_t rcap = I[I_RCAP];
+    const int64_t bufcap = I[I_BUFCAP];
+    const int64_t logcap = I[I_LOGCAP];
+    const int64_t stop = I[I_STOP];
+    const double lookup = D[D_LOOKUP], t_cas = D[D_TCAS], t_rcd = D[D_TRCD];
+    const double t_rp = D[D_TRP], t_rc = D[D_TRC], t_ras = D[D_TRAS];
+    const double line = D[D_LINE], t_refi = D[D_TREFI], t_rfc = D[D_TRFC];
+    const double window = D[D_WINDOW];
+
+    double next_refi = D[D_NEXT_REFI], next_window = D[D_NEXT_WINDOW];
+    double due = D[D_DUE], cur_t = D[D_CUR_T];
+    int64_t serviced = I[I_SERVICED], bursts = I[I_BURSTS];
+    int64_t spill = I[I_SPILL], heap_n = I[I_HEAP_N], cur_core = I[I_CUR_CORE];
+
+    /* the request in flight */
+    int64_t core = I[I_CORE], idx = I[I_IDX], inst = I[I_INST];
+    int64_t is_write = I[I_WRITE], row = I[I_ROW], gfb = I[I_BANK];
+    int64_t prow = I[I_PROW], kind = 0;
+    double arrival = D[D_ARRIVAL], start_floor = D[D_FLOOR];
+    double completion = D[D_COMPLETION];
+    int64_t ch = gfb >= 0 ? chan[gfb] : 0;
+
+    int64_t ev, phase = PH_TOP, nxt, n, mode, credit, orow, slot;
+    double start, data, la, act_at, pre_at, floor_at, end, bus_free;
+    double issue_at;
+    int hit, activated;
+
+    switch (I[I_PHASE]) {
+    case PH_WINDOW: goto resume_window;
+    case PH_ROUTE: prow = I[I_IN]; goto resume_route;
+    case PH_DELAY: goto resume_delay;
+    case PH_ACT: goto resume_act;
+    case PH_BLOCK: goto resume_block;
+    default: break;
+    }
+
+    for (;;) {
+        if (spill) {
+            ev = EV_SPILL;
+            goto out;
+        }
+        if (cur_core < 0) {
+            ev = EV_DONE;
+            goto out;
+        }
+        if (serviced == stop) {
+            ev = EV_STOP;
+            goto out;
+        }
+        core = cur_core;
+        arrival = cur_t;
+        idx = c_idx[core];
+        c_time[core] = arrival;
+        inst = CORE_COL(int64_t, P_INST_AFTER, core)[idx];
+        c_inst[core] = inst;
+        is_write = CORE_COL(uint8_t, P_WRITES, core)[idx];
+        row = CORE_COL(int64_t, P_ROWS, core)[idx];
+        gfb = CORE_COL(int64_t, P_FLATS, core)[idx];
+
+        /* refresh gate (RefreshScheduler.advance_to, max_postponed=0) */
+        if (arrival >= due) {
+            while (next_refi <= arrival) {
+                end = next_refi + t_rfc;
+                for (int64_t fb = 0; fb < n_banks; fb++)
+                    if (ready[fb] < end)
+                        ready[fb] = end;
+                bursts++;
+                next_refi += t_refi;
+            }
+            while (next_window <= arrival) {
+                ev = EV_WINDOW;
+                phase = PH_WINDOW;
+                goto out;
+            resume_window:
+                next_window += window;
+            }
+            due = next_refi <= next_window ? next_refi : next_window;
+        }
+
+        /* MemoryController.service, fused */
+        ch = chan[gfb];
+        if (ch_tables[ch]) {
+            prow = rt_mask[gfb] < 0
+                ? row
+                : route_get((const int64_t *)(uintptr_t)rt_ptr[gfb],
+                            rt_mask[gfb], row);
+        } else if (route_call) {
+            ev = EV_ROUTE;
+            phase = PH_ROUTE;
+            goto out;
+        } else {
+            prow = row;
+        }
+    resume_route:
+        start_floor = arrival + lookup;
+        if (pre_delay && open_row[gfb] != prow) {
+            ev = EV_DELAY;
+            phase = PH_DELAY;
+            goto out;
+        resume_delay:
+            if (D[D_IN] > 0.0) {
+                st_d[ch * S_D + S_THROTTLE] += D[D_IN];
+                start_floor += D[D_IN];
+            }
+        }
+        if (prow < 0 || prow >= rows_per_bank) {
+            ev = EV_BAD_ROW;
+            goto out;
+        }
+
+        start = start_floor > ready[gfb] ? start_floor : ready[gfb];
+        orow = open_row[gfb];
+        if (orow == prow) {
+            data = start + t_cas;
+            ready[gfb] = data;
+            hit = 1;
+            activated = 0;
+        } else {
+            la = last_act[gfb];
+            if (orow >= 0) {
+                pre_at = la + t_ras;
+                if (start >= pre_at)
+                    pre_at = start;
+                act_at = pre_at + t_rp;
+                floor_at = la + t_rc;
+                if (floor_at > act_at)
+                    act_at = floor_at;
+            } else {
+                act_at = la + t_rc;
+                if (start >= act_at)
+                    act_at = start;
+            }
+            data = act_at + t_rcd + t_cas;
+            open_row[gfb] = prow;
+            last_act[gfb] = act_at;
+            ready[gfb] = data;
+            hit = 0;
+            activated = 1;
+            n = log_n[gfb];
+            log_rows[gfb * logcap + n] = prow;
+            log_n[gfb] = ++n;
+            if (n == logcap)
+                spill = 1;
+            total[gfb]++;
+        }
+
+        bus_free = bus[ch];
+        completion = (data >= bus_free ? data : bus_free) + line;
+        bus[ch] = completion;
+
+        st_i[ch * S_N + (is_write ? S_WRITES : S_READS)]++;
+        st_d[ch * S_D + S_LATENCY] += completion - arrival;
+        if (hit)
+            st_i[ch * S_N + S_HITS]++;
+        if (activated) {
+            st_i[ch * S_N + S_ACTS]++;
+            mode = ch_mode[ch];
+            if (mode == MODE_BANK) {
+                credit = credits[gfb];
+                if (credit > 0 && completion < deadlines[gfb]) {
+                    /* defer: inside the mitigation's noop horizon */
+                    credits[gfb] = credit - 1;
+                    n = buf_n[gfb];
+                    buf_rows[gfb * bufcap + n] = row;
+                    buf_times[gfb * bufcap + n] = completion;
+                    buf_n[gfb] = ++n;
+                    if (n == bufcap)
+                        spill = 1;
+                    mode = MODE_NONE;
+                } else {
+                    kind = credit < 0 ? KIND_SCALAR : KIND_FLUSH;
+                }
+            } else if (mode == MODE_GLOBAL) {
+                slot = n_banks + cell[ch];
+                if (credits[slot] > 0) {
+                    credits[slot]--;
+                    mode = MODE_NONE;
+                } else {
+                    kind = KIND_GLOBAL;
+                }
+            } else if (mode == MODE_SCALAR) {
+                kind = KIND_SCALAR;
+            }
+            if (mode != MODE_NONE) {
+                ev = EV_ACT;
+                phase = PH_ACT;
+                goto out;
+            }
+        }
+    resume_act:
+
+        /* Core.complete + next_issue_time, fused */
+        if (inst > c_retired[core])
+            c_retired[core] = inst;
+        if (!is_write) {
+            slot = rob_head[core] + rob_n[core];
+            if (slot >= rcap)
+                slot -= rcap;
+            rob_idx[core * rcap + slot] = inst;
+            rob_cmp[core * rcap + slot] = completion;
+            rob_n[core]++;
+        }
+        nxt = idx + 1;
+        if (nxt >= c_len[core]) {
+            ev = EV_BLOCK;
+            phase = PH_BLOCK;
+            goto out;
+        resume_block:
+            if (!I[I_IN]) {
+                /* the core's trace is exhausted: it leaves the heap */
+                serviced++;
+                if (heap_n == 0) {
+                    cur_core = -1;
+                } else {
+                    cur_t = heap_t[0];
+                    cur_core = heap_c[0];
+                    heap_n--;
+                    if (heap_n > 0) {
+                        heap_t[0] = heap_t[heap_n];
+                        heap_c[0] = heap_c[heap_n];
+                        sift_down(heap_t, heap_c, heap_n, 0);
+                    }
+                }
+                continue;
+            }
+            nxt = 0;
+        }
+        c_idx[core] = nxt;
+        issue_at = arrival + CORE_COL(double, P_DELTAS, core)[nxt];
+        {
+            const int64_t next_index = CORE_COL(int64_t, P_INST_AFTER, core)[nxt];
+            const int64_t rob_size = c_rob[core];
+            int64_t head = rob_head[core], count = rob_n[core];
+            while (count > 0) {
+                if (next_index - rob_idx[core * rcap + head] < rob_size)
+                    break;
+                if (rob_cmp[core * rcap + head] > issue_at)
+                    issue_at = rob_cmp[core * rcap + head];
+                if (++head == rcap)
+                    head = 0;
+                count--;
+            }
+            rob_head[core] = head;
+            rob_n[core] = count;
+        }
+        serviced++;
+        /* heappushpop: the served core keeps the turn while it is earliest */
+        if (heap_n > 0 && before(heap_t[0], heap_c[0], issue_at, core)) {
+            cur_t = heap_t[0];
+            cur_core = heap_c[0];
+            heap_t[0] = issue_at;
+            heap_c[0] = core;
+            sift_down(heap_t, heap_c, heap_n, 0);
+        } else {
+            cur_t = issue_at;
+            cur_core = core;
+        }
+    }
+
+out:
+    I[I_PHASE] = phase;
+    I[I_SERVICED] = serviced;
+    I[I_BURSTS] = bursts;
+    I[I_SPILL] = spill;
+    I[I_HEAP_N] = heap_n;
+    I[I_CUR_CORE] = cur_core;
+    I[I_CORE] = core;
+    I[I_IDX] = idx;
+    I[I_INST] = inst;
+    I[I_WRITE] = is_write;
+    I[I_ROW] = row;
+    I[I_BANK] = gfb;
+    I[I_PROW] = prow;
+    I[I_KIND] = kind;
+    D[D_NEXT_REFI] = next_refi;
+    D[D_NEXT_WINDOW] = next_window;
+    D[D_DUE] = due;
+    D[D_CUR_T] = cur_t;
+    D[D_ARRIVAL] = arrival;
+    D[D_FLOOR] = start_floor;
+    D[D_COMPLETION] = completion;
+    return ev;
+}

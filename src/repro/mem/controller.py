@@ -8,8 +8,9 @@ the defense requests — targeted victim refreshes or channel-blocking
 row swaps.
 
 :meth:`MemoryController.service` is the scalar per-request oracle: the
-full-system block loop (:func:`repro.mem.block_kernel.run_block_loop`)
-fuses it and must match it bit for bit. Writes are serviced inline,
+compiled full-system block loop
+(:func:`repro.mem.block_kernel.run_block_loop`) fuses it and must match
+it bit for bit. Writes are serviced inline,
 exactly like reads. Activations reach the mitigation either one at a
 time (``Mitigation.on_activation``) or, when the mitigation declares a
 ``batch_scope``, buffered per bank or channel and handed over in runs

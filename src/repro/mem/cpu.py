@@ -395,9 +395,10 @@ class Core:
         the exact values the scalar front end would have produced.
         """
         addresses = block["address"]
-        # The raw block is kept for the block kernel's issue-time
-        # precompute (repro.mem.block_kernel) and for snapshots; the
-        # scalar front end only ever reads the tolist() views below.
+        # The raw block is kept for the compiled block loop, which reads
+        # its columns directly (repro.mem.block_kernel), and for
+        # snapshots; the scalar front end only ever reads the tolist()
+        # views below.
         self._block = block
         self._gaps = block["gap"].tolist()
         self._addrs = addresses.tolist()
@@ -410,26 +411,6 @@ class Core:
         self._cols = columns.column.tolist()
         self._flats = columns.flat_bank.tolist()
         self._len = len(self._gaps)
-
-    def _load_block_lean(self) -> bool:
-        """Block load for the fused block kernel: converts only the
-        columns the kernel reads (write flags, rows, flat banks; it
-        takes gaps from the raw block for its issue-time precompute).
-        The scalar front end's views (_gaps/_addrs/_chans/...) are left
-        stale, so ``issue``/``_fetch`` must not run until a full
-        ``_load_block`` or ``restore_state`` — the kernel drives the
-        core itself, also across checkpoint cuts.
-        """
-        block = self._pull_block()
-        if block is None:
-            return False
-        self._block = block
-        self._writes = block["is_write"].tolist()
-        columns = self._mapper.decode_batch(block["address"])
-        self._rows = columns.row.tolist()
-        self._flats = columns.flat_bank.tolist()
-        self._len = len(self._writes)
-        return True
 
     def _issue_time_for(self, gap: int) -> float:
         """When this record's memory access reaches the memory system.

@@ -19,6 +19,7 @@ from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig
 from repro.dram.device import Channel
 from repro.dram.refresh import RefreshScheduler
+from repro.mem import block_kernel
 from repro.mem.block_kernel import run_block_loop
 from repro.mem.controller import MemoryController
 from repro.mem.cpu import Core, CoreConfig
@@ -276,30 +277,42 @@ class SystemSimulator:
                 return
 
     def _block_loop_eligible(self, cores: List[Core]) -> bool:
-        """Whether this run can take the fused block kernel.
+        """Whether this run can take the compiled block loop.
 
-        The kernel (repro.mem.block_kernel) is bit-identical to
-        ``_run_scalar`` but assumes the configuration the system
-        simulator itself always builds: columnar cores and no postponed
-        refreshes. Observability probes need per-request objects, so
-        traced runs stay scalar; the sanitizer's chained observers are
-        supported (observed banks are serviced through ``Bank.access``
-        inside the kernel), as are checkpoint cuts. Nothing outside the
-        run itself picks the loop, so result-cache keys never depend on
-        which loop ran.
+        The loop (repro.mem.block_kernel) is bit-identical to
+        ``_run_scalar`` but covers only what every Figure run uses:
+        columnar cores, no postponed refresh, and open-page banks with
+        no command observer and no fault model. Observed runs, the
+        sanitizer and ``with_faults`` need per-command callbacks, so
+        they stay scalar, as does a host where the loop cannot be
+        compiled. Checkpoint cuts are supported. Nothing outside the
+        run itself picks the loop, so result-cache keys never depend
+        on which loop ran.
         """
-        if self.obs is not None:
+        if self.obs is not None or self.sanitizer is not None:
             return False
         refresh = self.refresh
         if refresh.max_postponed != 0 or refresh.postponed != 0:
             return False
+        if refresh.observer is not None:
+            return False
+        if self.config.dram.page_policy == "closed":
+            return False
         if not all(core._chunked for core in cores):
             return False
-        return all(controller.obs is None for controller in self.controllers)
+        if any(controller.obs is not None for controller in self.controllers):
+            return False
+        if not all(
+            bank.kernel_inlineable
+            for channel in self.channels
+            for bank in channel.iter_banks()
+        ):
+            return False
+        return block_kernel.load() is not None
 
     # repro-oracle: system-loop -- oracle
     def _run_scalar(self, cores: List[Core], stop_at: int = -1) -> int:
-        """Reference per-request loop (the block kernel's oracle).
+        """Reference per-request loop (the compiled block loop's oracle).
 
         Returns the number of requests serviced, stopping once that
         reaches ``stop_at`` (-1: run to the end).

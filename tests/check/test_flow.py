@@ -106,61 +106,6 @@ class TestSeverities:
 
 
 # ----------------------------------------------------------------------
-# Call graph substrate
-# ----------------------------------------------------------------------
-class TestCallGraph:
-    def test_cross_module_resolution_and_reachability(self, tmp_path):
-        root = _tree(tmp_path, {
-            "alpha.py": (
-                "from repro.beta import helper\n"
-                "def entry():\n"
-                "    return helper()\n"
-            ),
-            "beta.py": (
-                "def helper():\n"
-                "    return leaf()\n"
-                "def leaf():\n"
-                "    return 1\n"
-                "def unreachable():\n"
-                "    return 2\n"
-            ),
-        })
-        graph = ProjectGraph.build(root)
-        assert graph.calls["repro.alpha.entry"] == {"repro.beta.helper"}
-        assert graph.calls["repro.beta.helper"] == {"repro.beta.leaf"}
-        reachable = graph.reachable_from(["repro.alpha.entry"])
-        assert "repro.beta.leaf" in reachable
-        assert "repro.beta.unreachable" not in reachable
-
-    def test_self_method_resolution(self, tmp_path):
-        root = _tree(tmp_path, {
-            "gamma.py": (
-                "class Engine:\n"
-                "    def outer(self):\n"
-                "        return self.inner()\n"
-                "    def inner(self):\n"
-                "        return 0\n"
-            ),
-        })
-        graph = ProjectGraph.build(root)
-        assert graph.calls["repro.gamma.Engine.outer"] == {
-            "repro.gamma.Engine.inner"
-        }
-
-    def test_functions_named(self, tmp_path):
-        root = _tree(tmp_path, {
-            "a.py": "class A:\n    def on_activation_batch(self):\n        pass\n",
-            "b.py": "class B:\n    def on_activation_batch(self):\n        pass\n",
-        })
-        graph = ProjectGraph.build(root)
-        names = {f.qualname for f in graph.functions_named("on_activation_batch")}
-        assert names == {
-            "repro.a.A.on_activation_batch",
-            "repro.b.B.on_activation_batch",
-        }
-
-
-# ----------------------------------------------------------------------
 # Oracle-pair registry and completeness (ORA001)
 # ----------------------------------------------------------------------
 _KERNELS = (

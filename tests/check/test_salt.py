@@ -62,6 +62,22 @@ class TestDriftDetection:
         assert "timing.py" in findings[0].message
         assert "bump CACHE_SALT" in findings[0].message
 
+    def test_edited_c_loop_source_fails(self, tmp_path):
+        """The compiled block loop's C source is simulation code too."""
+        root = _fake_tree(tmp_path)
+        mem = root / "src" / "repro" / "mem"
+        mem.mkdir()
+        (mem / "block_loop.c").write_text("int rk_run(void) { return 0; }\n")
+        manifest_path = tmp_path / "manifest.json"
+        write_manifest(root, manifest_path, salt="v1")
+        assert "src/repro/mem/block_loop.c" in json.loads(
+            manifest_path.read_text()
+        )["files"]
+        (mem / "block_loop.c").write_text("int rk_run(void) { return 1; }\n")
+        findings = check_salt(root, manifest_path, salt="v1")
+        assert [f.rule for f in findings] == ["SALT001"]
+        assert "block_loop.c" in findings[0].message
+
     def test_added_and_removed_files_fail(self, tmp_path):
         root = _fake_tree(tmp_path)
         manifest_path = tmp_path / "manifest.json"

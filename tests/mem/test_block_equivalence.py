@@ -1,6 +1,6 @@
 """Block loop vs the scalar oracle: bit-identical runs.
 
-``run_block_loop`` (the fused system loop) is checked against its
+``run_block_loop`` (the compiled system loop) is checked against its
 registered oracle ``SystemSimulator._run_scalar``: full simulations run
 once as production dispatches them and once forced onto the scalar loop
 (the ``scalar_loop`` fixture), across every mitigation and
@@ -12,6 +12,7 @@ run takes.
 import pytest
 
 import repro.mem.system as system_module
+from repro.mem import block_kernel
 from repro.analysis.perf import run_workload
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
@@ -96,8 +97,8 @@ class TestBlockLoopEquivalence:
 
     @pytest.mark.parametrize("name", ["none", "rrs", "para"])
     def test_sanitized_run_bit_identical(self, name, scalar_loop, monkeypatch):
-        """REPRO_SANITIZE=1 chains observers onto every bank, forcing
-        the kernel's per-request replay path; results must not move."""
+        """REPRO_SANITIZE=1 chains observers onto every bank, which
+        sends the run to the scalar loop; results must not move."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         factory = _factories()[name]
         block = _run(factory)
@@ -114,8 +115,8 @@ class TestBlockLoopEquivalence:
         assert plain.to_dict() == sanitized.to_dict()
 
     def test_faulted_run_bit_identical(self, scalar_loop):
-        """A fault model removes banks from the kernel's inline set;
-        they are serviced through Bank.access instead."""
+        """A fault model needs per-ACT callbacks, which sends the run
+        to the scalar loop; results must not move."""
         factory = _factories()["rrs"]
         block = _run(factory, with_faults=True)
         with scalar_loop():
@@ -187,3 +188,28 @@ class TestLoopDispatch:
         sim = SystemSimulator(SystemConfig(dram=_dram(), cores=CORES), rrs)
         assert all(c._batch is not None for c in sim.controllers)
 
+    def test_columnar_run_takes_the_compiled_loop(self, calls):
+        _run(_factories()["rrs"], records=200)
+        assert calls == ["block"]
+        assert block_kernel.load() is not None
+
+    def test_sanitized_run_takes_the_scalar_loop(self, calls, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        _run(NoMitigation, records=200)
+        assert calls == ["scalar"]
+
+    def test_faulted_run_takes_the_scalar_loop(self, calls):
+        _run(NoMitigation, records=200, with_faults=True)
+        assert calls == ["scalar"]
+
+    def test_unavailable_loop_falls_back_to_scalar(self, calls, monkeypatch):
+        """A host that cannot build the compiled loop runs the scalar
+        oracle, with bit-identical results. No env variable is
+        involved: the loader itself reports the loop unavailable."""
+        factory = _factories()["rrs"]
+        compiled = _run(factory)
+        assert calls == ["block"]
+        monkeypatch.setattr(block_kernel, "load", lambda: None)
+        fallback = _run(factory)
+        assert calls == ["block", "scalar"]
+        assert fallback.to_dict() == compiled.to_dict()
