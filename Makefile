@@ -1,10 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint kernel-check check check-flow checkpoint-smoke bench bench-smoke bench-gate perfbench-smoke trace-smoke report-smoke profile experiments clean-cache
+.PHONY: test examples-smoke lint kernel-check check check-flow checkpoint-smoke bench bench-smoke bench-gate perfbench-smoke trace-smoke report-smoke profile experiments clean-cache
 
 test:  ## tier-1 suite (unit/integration/property)
 	$(PYTHON) -m pytest -x -q
+
+examples-smoke:  ## run the example that replays a TraceRecord file end to end
+	$(PYTHON) examples/trace_pipeline.py
 
 lint:  ## ruff + mypy (configs in pyproject.toml)
 	ruff check src tests

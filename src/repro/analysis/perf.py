@@ -81,8 +81,8 @@ def run_workload(
         generator = SyntheticTraceGenerator(
             core_spec, core_id=core_id, cores=cores, config=dram, seed=seed
         )
-        # Columnar chunks: SystemSimulator.run batch-decodes each block
-        # and pools request objects. Bit-identical to .records().
+        # Columnar chunks: snapshotable, so checkpointed runs can cut
+        # them. Bit-identical to .records().
         traces.append(generator.chunks(records_per_core))
     return sim.run(traces, workload=spec.name, checkpoints=checkpoints)
 

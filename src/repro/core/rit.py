@@ -156,10 +156,7 @@ class RowIndirectionTable:
     #
     # ``_map`` is captured in insertion order: ``_evictable_rows``
     # iterates it and the default eviction policy takes the first
-    # candidate, so the order is part of the observable state. The
-    # ``forward`` dict is restored *in place* — the RRS front end hands
-    # the controller direct references to it as a route view, and those
-    # aliases must keep seeing the restored mapping.
+    # candidate, so the order is part of the observable state.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (

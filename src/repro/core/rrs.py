@@ -125,10 +125,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
         # (existing and lazily created) so per-op swap/unswap telemetry
         # reaches the metrics registry. Read-only, like `tracer`.
         self.engine_observer = None
-        # Batched fast path: per-channel route views (flat bank index
-        # -> the bank RIT's sparse forward dict, or None=identity),
-        # populated lazily the first time a bank swaps.
-        self._route_views: Dict[int, List[Optional[Dict[int, int]]]] = {}
 
     # ------------------------------------------------------------------
     # Mitigation interface
@@ -139,6 +135,11 @@ class RandomizedRowSwap(BankBatchedMitigation):
         if state is None:
             return row
         return state.rit.route(row)
+
+    def route_table(self, bank_key: BankKey) -> Optional[Dict[int, int]]:
+        """The bank's RIT forward dict (only swapped rows appear)."""
+        state = self._banks.get(bank_key)
+        return None if state is None else state.rit.forward
 
     def lookup_latency_ns(self) -> float:
         """The RIT's 4-CPU-cycle critical-path lookup (Section 4.7)."""
@@ -181,19 +182,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
     # ------------------------------------------------------------------
     # Batched activation path (mixin hooks)
     # ------------------------------------------------------------------
-    def make_batch_state(self, channel, bank_keys):
-        state = super().make_batch_state(channel, bank_keys)
-        view: List[Optional[Dict[int, int]]] = [None] * len(state.keys)
-        for i, key in enumerate(state.keys):
-            bank = self._banks.get(key)
-            if bank is not None:
-                view[i] = bank.rit.forward
-        self._route_views[channel] = view
-        return state
-
-    def route_tables(self, channel):
-        return self._route_views.get(channel)
-
     def _apply_deferred(self, bank_key, rows, times, count):
         state = self._banks.get(bank_key)
         if state is None:
@@ -244,10 +232,8 @@ class RandomizedRowSwap(BankBatchedMitigation):
     # ------------------------------------------------------------------
     # Snapshotable (repro.state). Per-bank bundles are rebuilt through
     # ``_bank`` (the seeds are config-derived, so a fresh construction
-    # matches) and restored component-wise. The batched route views are
-    # republished *in place* afterwards — the controller may hold the
-    # view lists by reference — and credits re-primed from the restored
-    # trackers.
+    # matches) and restored component-wise; credits are then re-primed
+    # from the restored trackers.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
@@ -295,11 +281,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
             self.swap_engine(channel).restore_state(engine_state)
         if self.detector is not None and detector_state is not None:
             self.detector.restore_state(detector_state)
-        for channel, view in self._route_views.items():
-            batch = self._batch_states[channel]
-            for i, key in enumerate(batch.keys):
-                bank = self._banks.get(key)
-                view[i] = None if bank is None else bank.rit.forward
         self._reset_batch_credits()
 
     # ------------------------------------------------------------------
@@ -338,16 +319,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
     ) -> MitigationOutcome:
         destination = self._pick_destination(state, row)
         ops = state.rit.swap(row, destination)
-        view = self._route_views.get(bank_key[0])
-        if view is not None:
-            # First swap for this bank under the batched fast path:
-            # publish its RIT forward dict into the controller's view
-            # (identity until now). Idempotent — the dict is shared, so
-            # later swaps mutate it in place.
-            batch = self._batch_states[bank_key[0]]
-            index = batch.index_of[bank_key]
-            if view[index] is None:
-                view[index] = state.rit.forward
         engine = self.swap_engine(bank_key[0])
         blocked_ns = engine.execute(ops)
         self.total_swaps += 1

@@ -59,27 +59,6 @@ class DecodedColumns(NamedTuple):
     flat_bank: np.ndarray
 
 
-class MutableDecoded:
-    """Reusable, field-compatible stand-in for :class:`DecodedAddress`.
-
-    The columnar fast path services exactly one request at a time, so a
-    core can overwrite a single instance per request instead of
-    allocating a frozen ``DecodedAddress``. ``bank_key`` is a plain
-    attribute (set from the mapper's shared tuple table) where
-    ``DecodedAddress`` computes it — consumers read both identically.
-    """
-
-    __slots__ = ("channel", "rank", "bank", "row", "column", "bank_key")
-
-    def __init__(self) -> None:
-        self.channel = 0
-        self.rank = 0
-        self.bank = 0
-        self.row = 0
-        self.column = 0
-        self.bank_key: Tuple[int, int, int] = (0, 0, 0)
-
-
 class AddressMapper:
     """Bidirectional physical-address <-> (channel, rank, bank, row, col)."""
 
@@ -106,8 +85,8 @@ class AddressMapper:
         self._column_mask = config.lines_per_row - 1
         self._row_mask = config.rows_per_bank - 1
         # Shared (channel, rank, bank) tuples indexed by the flat bank
-        # ordinal: the fast path hands these out instead of building a
-        # fresh tuple per request.
+        # ordinal: the compiled loop hands these to the mitigation
+        # instead of building a fresh tuple per event.
         self.bank_key_table: Tuple[Tuple[int, int, int], ...] = tuple(
             (channel, rank, bank)
             for channel in range(config.channels)

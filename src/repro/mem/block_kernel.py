@@ -13,7 +13,7 @@ need Python objects, and is re-entered after each:
 * an activation the mitigation must see (credit exhausted or deadline
   passed, the bank opted out, the mitigation is unbatched) and each
   ``route`` / ``pre_activate_delay_ns`` call of a mitigation with no
-  route tables or with a throttle;
+  ``route_table`` or with a throttle;
 * a refresh-window end, whose callbacks run in Python;
 * the end of a core's trace block (the next one is generated, decoded
   and precomputed here);
@@ -56,6 +56,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from repro.mitigations.base import Mitigation
 
 __all__ = ["load", "run_block_loop"]
 
@@ -190,7 +192,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
 
     Bit-identical to ``SystemSimulator._run_scalar`` (the oracle).
     Eligibility (compiled library present, unobserved open-page banks
-    without fault models, columnar cores, no postponed refresh) is
+    without fault models, no postponed refresh) is
     decided by ``SystemSimulator._block_loop_eligible``. Returns the
     requests serviced, stopping at ``stop_at`` (-1: never) with every
     live object written back as the oracle leaves it between two
@@ -248,7 +250,10 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     on_act = mitigation.on_activation
     on_act_batch = mitigation.on_activation_batch
     batches = [c._batch for c in controllers]
-    route_tables = [c._route_tables for c in controllers]
+    # A mitigation that publishes per-bank route tables (RRS's RIT
+    # forward dicts) is routed by C's hash-table mirror of them; any
+    # other routing mitigation gets an EV_ROUTE call per access.
+    has_tables = type(mitigation).route_table is not Mitigation.route_table
     modes = []
     cells = []  # distinct global credit cells (channels may share one)
     cell_of = []
@@ -283,10 +288,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     rt_mask = point(P_RT_MASK, np.full(n_banks, -1, np.int64))
     rt_ptr = point(P_RT_PTR, np.zeros(n_banks, np.uint64))
     rt_arrays: list = [None] * n_banks
-    point(
-        P_CH_TABLES,
-        np.array([tables is not None for tables in route_tables], np.int64),
-    )
+    point(P_CH_TABLES, np.full(n_channels, has_tables, np.int64))
 
     def credits_from_py(gfb: int) -> None:
         batch = batches[chan_of[gfb]]
@@ -332,8 +334,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 log_n[gfb] = 0
 
     def sync_route(gfb: int) -> None:
-        """Mirror one bank's RIT forward dict into its C hash table."""
-        forward = route_tables[chan_of[gfb]][local_of[gfb]]
+        """Mirror one bank's route table into its C hash table."""
+        forward = mitigation.route_table(key_table[gfb])
         if not forward:
             rt_mask[gfb] = -1
             return
@@ -351,8 +353,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         rt_mask[gfb] = slots - 1
 
     def sync_all_routes() -> None:
-        for gfb in range(n_banks):
-            if route_tables[chan_of[gfb]] is not None:
+        if has_tables:
+            for gfb in range(n_banks):
                 sync_route(gfb)
 
     all_credits_from_py()
@@ -373,8 +375,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     st_d_v = memoryview(st_d)
     victims = [s.victim_refreshes for s in stats]
     swaps = [s.swaps for s in stats]
-    rows_per_bank = c0._rows_per_bank
-    t_rc = c0._t_rc
+    rows_per_bank = config.rows_per_bank
+    t_rc = config.t_rc
     banks_of_channel = [
         [fb for fb in range(n_banks) if chan_of[fb] == ch]
         for ch in range(n_channels)
@@ -488,11 +490,11 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     I[I_STOP] = stop_at
     I[I_BANK] = -1
     D[D_LOOKUP] = c0._lookup_ns
-    D[D_TCAS] = c0._t_cas
-    D[D_TRCD] = c0._t_rcd
-    D[D_TRP] = c0._t_rp
-    D[D_TRC] = c0._t_rc
-    D[D_TRAS] = c0._t_ras
+    D[D_TCAS] = config.t_cas
+    D[D_TRCD] = config.t_rcd
+    D[D_TRP] = config.t_rp
+    D[D_TRC] = t_rc
+    D[D_TRAS] = config.t_ras_ns
     D[D_LINE] = c0._line_transfer_ns
     D[D_TREFI] = config.t_refi
     D[D_TRFC] = config.t_rfc
@@ -538,7 +540,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 credits_v[n_banks + slot] = cells[slot][0]
             if action is not None and not action.is_noop:
                 apply_action(action, gfb, now)
-                if route_tables[chan_of[gfb]] is not None:
+                if has_tables:
                     sync_route(gfb)
         elif event == EV_ROUTE:
             gfb = iv[I_BANK]

@@ -7,14 +7,15 @@ model, reserves the data bus, and applies whatever mitigating actions
 the defense requests — targeted victim refreshes or channel-blocking
 row swaps.
 
-:meth:`MemoryController.service` is the scalar per-request oracle: the
-compiled full-system block loop
-(:func:`repro.mem.block_kernel.run_block_loop`) fuses it and must match
-it bit for bit. Writes are serviced inline,
-exactly like reads. Activations reach the mitigation either one at a
-time (``Mitigation.on_activation``) or, when the mitigation declares a
-``batch_scope``, buffered per bank or channel and handed over in runs
-(``on_activation_batch``, DESIGN.md §9).
+:meth:`MemoryController.service` is the scalar per-request reference:
+the mitigation's ``route`` hook, then the bank's own timing model
+(:meth:`~repro.dram.bank.Bank.access`), then the bus. The compiled
+full-system block loop (:func:`repro.mem.block_kernel.run_block_loop`)
+fuses the same steps and must match it bit for bit. Writes are serviced
+inline, exactly like reads. Activations reach the mitigation either one
+at a time (``Mitigation.on_activation``) or, when the mitigation
+declares a ``batch_scope``, buffered per bank or channel and handed
+over in runs (``on_activation_batch``, DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -83,16 +84,6 @@ class MemoryController:
         # per-request quantity.
         self._line_transfer_ns = config.line_transfer_ns
         self._lookup_ns = mitigation.lookup_latency_ns()
-        # Timing scalars for the inline DDR fast path in service():
-        # every bank on the channel shares this config, so one copy of
-        # the cached fields in BankTimingState.__post_init__ suffices.
-        self._t_cas = config.t_cas
-        self._t_rcd = config.t_rcd
-        self._t_rp = config.t_rp
-        self._t_rc = config.t_rc
-        self._t_ras = config.t_ras_ns
-        self._rows_per_bank = config.rows_per_bank
-        self._inline_timing = config.page_policy != "closed"
         # Flat (rank-major) bank table: one index replaces the
         # rank-then-bank double hop through Channel.bank().
         self._banks_per_rank = config.banks_per_rank
@@ -124,7 +115,6 @@ class MemoryController:
         )
         self._batch = None
         self._batch_global = False
-        self._route_tables = None
         if mitigation.batch_scope is not None:
             keys = [
                 (channel.index, bank.rank, bank.index)
@@ -133,7 +123,6 @@ class MemoryController:
             self._batch = mitigation.make_batch_state(channel.index, keys)
             if self._batch is not None:
                 self._batch_global = mitigation.batch_scope == "global"
-                self._route_tables = mitigation.route_tables(channel.index)
 
     def service(self, request: MemoryRequest) -> float:
         """Service one request synchronously; returns completion time.
@@ -156,14 +145,7 @@ class MemoryController:
         bank = self._bank_table[flat_bank]
         bank_key = decoded.bank_key
         row = decoded.row
-        route_tables = self._route_tables
-        if route_tables is not None:
-            # Per-bank route view (RRS): None = identity bank, else the
-            # bank RIT's sparse forward dict — one get() per access,
-            # exactly Mitigation.route() without the method call.
-            table = route_tables[flat_bank]
-            physical_row = row if table is None else table.get(row, row)
-        elif self._has_route:
+        if self._has_route:
             physical_row = self.mitigation.route(bank_key, row)
         else:
             physical_row = row
@@ -180,66 +162,18 @@ class MemoryController:
                     self.obs.on_throttle(bank_key, physical_row, start_floor, delay)
                 start_floor += delay
 
-        # Inline DDR timing fast path: an open-page bank with no command
-        # observer and no fault model skips the Bank/BankTimingState
-        # call pair and the per-request AccessOutcome allocation — the
-        # arithmetic below is BankTimingState.access line for line
-        # (identical max() tie-breaks, so times are bit-identical).
-        # Observed, faulted, closed-page, or out-of-range accesses take
-        # the reference path.
-        timing = bank.timing
-        if (
-            self._inline_timing
-            and timing.observer is None
-            and bank.disturbance is None
-            and 0 <= physical_row < self._rows_per_bank
-        ):
-            ready = timing.ready_ns
-            start = start_floor if start_floor > ready else ready
-            if timing.open_row == physical_row:
-                data = start + self._t_cas
-                timing.ready_ns = data
-                hit = True
-                activated = False
-            else:
-                last_act = timing.last_act_ns
-                if timing.open_row >= 0:
-                    pre_at = last_act + self._t_ras
-                    if start >= pre_at:
-                        pre_at = start
-                    act_at = pre_at + self._t_rp
-                    floor = last_act + self._t_rc
-                    if floor > act_at:
-                        act_at = floor
-                else:
-                    act_at = last_act + self._t_rc
-                    if start >= act_at:
-                        act_at = start
-                data = act_at + self._t_rcd + self._t_cas
-                timing.open_row = physical_row
-                timing.last_act_ns = act_at
-                timing.ready_ns = data
-                hit = False
-                activated = True
-                counts = bank.window_act_counts
-                counts[physical_row] = counts.get(physical_row, 0) + 1
-                bank.total_activations += 1
-        else:
-            outcome = bank.access(physical_row, start_floor)
-            start = outcome.start_ns
-            data = outcome.data_ns
-            hit = outcome.row_buffer_hit
-            activated = outcome.activated
+        outcome = bank.access(physical_row, start_floor)
+        data = outcome.data_ns
+        hit = outcome.row_buffer_hit
 
         # Bus reservation inline (Channel.reserve_bus, same max() rule).
-        line_transfer_ns = self._line_transfer_ns
         channel = self.channel
         bus_free = channel.bus_free_ns
         data_start = data if data >= bus_free else bus_free
-        completion = data_start + line_transfer_ns
+        completion = data_start + self._line_transfer_ns
         channel.bus_free_ns = completion
 
-        request.start_ns = start
+        request.start_ns = outcome.start_ns
         request.completion_ns = completion
         request.row_buffer_hit = hit
 
@@ -252,7 +186,7 @@ class MemoryController:
         stats.total_latency_ns += latency
         if hit:
             stats.row_buffer_hits += 1
-        if activated:
+        if outcome.activated:
             stats.activations += 1
             batch = self._batch
             if (

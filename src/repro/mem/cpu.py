@@ -11,16 +11,13 @@ memory-bound workloads (high MPKI) feel added memory latency (the
 RIT's 4 cycles, channel-blocking swaps) far more than compute-bound
 ones.
 
-Two trace front ends feed the same issue/retire logic:
-
-* **scalar** — any iterator of :class:`TraceRecord` (the original API);
-* **columnar** — a :class:`~repro.workloads.trace.TraceChunks` source
-  plus an :class:`~repro.dram.address.AddressMapper`. Whole numpy
-  blocks are pulled at once, addresses are batch-decoded, and (with
-  ``pool_requests=True``) a single :class:`MemoryRequest` plus one
-  :class:`~repro.dram.address.MutableDecoded` are reused for every
-  access, so the per-request path performs no allocation and no scalar
-  decode. Results are bit-identical between the two front ends.
+The core reads its trace as columnar blocks: a
+:class:`~repro.workloads.trace.TraceChunks` source is used as is, and
+any other iterable of :class:`TraceRecord` is packed into blocks once
+(:func:`~repro.workloads.trace.records_to_blocks`). Each block's
+addresses are decoded in one :meth:`AddressMapper.decode_batch` call,
+and :meth:`Core.issue` hands out a fresh :class:`MemoryRequest`
+carrying its :class:`~repro.dram.address.DecodedAddress`.
 """
 
 from __future__ import annotations
@@ -31,9 +28,14 @@ from typing import Deque, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.dram.address import AddressMapper, DecodedAddress, MutableDecoded
+from repro.dram.address import AddressMapper, DecodedAddress
 from repro.mem.request import MemoryRequest
-from repro.workloads.trace import TRACE_BLOCK_DTYPE, TraceChunks, TraceRecord
+from repro.workloads.trace import (
+    TRACE_BLOCK_DTYPE,
+    TraceChunks,
+    TraceRecord,
+    records_to_blocks,
+)
 
 _EMPTY: tuple = ()
 
@@ -58,24 +60,19 @@ class Core:
     __slots__ = (
         "core_id",
         "config",
-        "_trace",
         "time_ns",
         "instructions_retired",
         "_inst_issued",
         "_outstanding",
         "_has_pending",
         "_pending_gap",
-        "_pending_addr",
-        "_pending_write",
         "_pending_issue_ns",
         "_exhausted",
         "_cycle_ns",
         "_retire_width",
         "_rob_size",
-        "_chunked",
         "_source",
         "_mapper",
-        "_bank_key_table",
         "_idx",
         "_len",
         "_gaps",
@@ -86,10 +83,7 @@ class Core:
         "_banks",
         "_rows",
         "_cols",
-        "_flats",
         "_block",
-        "_request",
-        "_decoded",
     )
 
     def __init__(
@@ -97,8 +91,8 @@ class Core:
         core_id: int,
         trace: Union[Iterable[TraceRecord], TraceChunks],
         config: Optional[CoreConfig] = None,
-        mapper: Optional[AddressMapper] = None,
-        pool_requests: bool = False,
+        *,
+        mapper: AddressMapper,
     ) -> None:
         self.core_id = core_id
         self.config = config if config is not None else CoreConfig()
@@ -109,8 +103,6 @@ class Core:
         self._outstanding: Deque[Tuple[int, float]] = deque()
         self._has_pending = False
         self._pending_gap = 0
-        self._pending_addr = 0
-        self._pending_write = False
         self._pending_issue_ns: Optional[float] = None
         self._exhausted = False
         # Issue-time math runs once per request: cache the config
@@ -119,34 +111,16 @@ class Core:
         self._retire_width = self.config.retire_width
         self._rob_size = self.config.rob_size
 
-        self._chunked = mapper is not None and isinstance(trace, TraceChunks)
+        if not isinstance(trace, TraceChunks):
+            trace = TraceChunks(records_to_blocks(trace))
+        self._source = trace
         self._mapper = mapper
-        self._idx = 0
+        self._idx = -1  # first fetch pulls the first block
         self._len = 0
         self._gaps = self._addrs = self._writes = _EMPTY
         self._chans = self._ranks = self._banks = _EMPTY
-        self._rows = self._cols = self._flats = _EMPTY
+        self._rows = self._cols = _EMPTY
         self._block = None
-        self._request: Optional[MemoryRequest] = None
-        self._decoded: Optional[MutableDecoded] = None
-        if self._chunked:
-            self._trace = None
-            self._source = trace
-            self._bank_key_table = mapper.bank_key_table
-            self._idx = -1  # first fetch pulls the first block
-            if pool_requests:
-                self._decoded = MutableDecoded()
-                self._request = MemoryRequest(
-                    address=0,
-                    is_write=False,
-                    core_id=core_id,
-                    arrival_ns=0.0,
-                    decoded=self._decoded,  # permanently attached
-                )
-        else:
-            self._trace = iter(trace)
-            self._source = None
-            self._bank_key_table = _EMPTY
         self._fetch()
 
     # ------------------------------------------------------------------
@@ -171,13 +145,7 @@ class Core:
         return self._pending_issue_ns
 
     def issue(self) -> MemoryRequest:
-        """Materialize the next memory request; advances core time.
-
-        On the pooled columnar path the *same* ``MemoryRequest`` object
-        is returned for every call, refreshed in place — callers must
-        finish with a request before asking for the next one (the
-        system loop services each request synchronously).
-        """
+        """Materialize the next memory request; advances core time."""
         if not self._has_pending:
             raise RuntimeError("no pending trace record to issue")
         issue_at = self._pending_issue_ns
@@ -185,58 +153,22 @@ class Core:
             issue_at = self._issue_time_for(self._pending_gap)
         self.time_ns = issue_at
         self._inst_issued += self._pending_gap + 1
-        if self._chunked:
-            idx = self._idx
-            request = self._request
-            if request is not None:
-                # Stale routing/timing fields (physical_row, start_ns,
-                # completion_ns, row_buffer_hit) are NOT reset: the
-                # synchronous service path unconditionally overwrites
-                # them before anything reads them.
-                request.address = self._addrs[idx]
-                request.is_write = self._writes[idx]
-                request.arrival_ns = issue_at
-                request.instruction_index = self._inst_issued
-                decoded = self._decoded
-                decoded.channel = self._chans[idx]
-                decoded.rank = self._ranks[idx]
-                decoded.bank = self._banks[idx]
-                decoded.row = self._rows[idx]
-                decoded.column = self._cols[idx]
-                decoded.bank_key = self._bank_key_table[self._flats[idx]]
-            else:
-                request = MemoryRequest(
-                    address=self._addrs[idx],
-                    is_write=self._writes[idx],
-                    core_id=self.core_id,
-                    arrival_ns=issue_at,
-                    instruction_index=self._inst_issued,
-                    decoded=DecodedAddress(
-                        channel=self._chans[idx],
-                        rank=self._ranks[idx],
-                        bank=self._banks[idx],
-                        row=self._rows[idx],
-                        column=self._cols[idx],
-                    ),
-                )
-        else:
-            request = MemoryRequest(
-                address=self._pending_addr,
-                is_write=self._pending_write,
-                core_id=self.core_id,
-                arrival_ns=issue_at,
-                instruction_index=self._inst_issued,
-            )
+        idx = self._idx
+        request = MemoryRequest(
+            address=self._addrs[idx],
+            is_write=self._writes[idx],
+            core_id=self.core_id,
+            arrival_ns=issue_at,
+            instruction_index=self._inst_issued,
+            decoded=DecodedAddress(
+                channel=self._chans[idx],
+                rank=self._ranks[idx],
+                bank=self._banks[idx],
+                row=self._rows[idx],
+                column=self._cols[idx],
+            ),
+        )
         self._pending_issue_ns = None
-        if self._chunked:
-            # Inline the common _fetch step: next record in the same
-            # block. Block boundaries (and the scalar front end) take
-            # the full _fetch path.
-            next_idx = self._idx + 1
-            if next_idx < self._len:
-                self._idx = next_idx
-                self._pending_gap = self._gaps[next_idx]
-                return request
         self._has_pending = False
         self._fetch()
         return request
@@ -272,25 +204,17 @@ class Core:
         return self.instructions_retired / self.cycles
 
     # ------------------------------------------------------------------
-    # Snapshotable (repro.state). Chunked cores only: the scalar front
-    # end wraps arbitrary iterators, which have no capturable position.
-    # The current block travels as its raw gap/address/is_write columns
-    # (re-pulling it would need the source rewound one block); restore
-    # re-derives the decoded views with the mapper. The pooled
-    # request/decoded pair is *not* captured — every field is
-    # overwritten before anything reads it. The cached
-    # ``_pending_issue_ns`` must travel: computing it popped satisfied
-    # ROB entries, so a restored core that recomputed it would see a
-    # different ``_outstanding`` prefix.
+    # Snapshotable (repro.state). The position is the source's own
+    # snapshot plus the index into the current block, so only sources
+    # that implement ``snapshot_state`` (generator chunks) can be cut; a
+    # packed record iterator cannot. The current block travels as its
+    # raw gap/address/is_write columns (re-pulling it would need the
+    # source rewound one block); restore re-derives the decoded views
+    # with the mapper. The cached ``_pending_issue_ns`` must travel:
+    # computing it popped satisfied ROB entries, so a restored core
+    # that recomputed it would see a different ``_outstanding`` prefix.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
-        if not self._chunked:
-            from repro.state.protocol import NotSnapshotable
-
-            raise NotSnapshotable(
-                "core is driven by a scalar trace iterator; only columnar "
-                "(TraceChunks) sources support checkpointing"
-            )
         source_snapshot = getattr(self._source, "snapshot_state", None)
         if source_snapshot is None:
             from repro.state.protocol import NotSnapshotable
@@ -348,26 +272,14 @@ class Core:
     def _fetch(self) -> None:
         if self._exhausted:
             return
-        if self._chunked:
-            idx = self._idx + 1
-            if idx >= self._len:
-                if not self._load_block():
-                    return
-                idx = 0
-            self._idx = idx
-            self._has_pending = True
-            self._pending_gap = self._gaps[idx]
-            return
-        try:
-            record = next(self._trace)
-        except StopIteration:
-            self._exhausted = True
-            self._has_pending = False
-            return
+        idx = self._idx + 1
+        if idx >= self._len:
+            if not self._load_block():
+                return
+            idx = 0
+        self._idx = idx
         self._has_pending = True
-        self._pending_gap = record.instruction_gap
-        self._pending_addr = record.address
-        self._pending_write = record.is_write
+        self._pending_gap = self._gaps[idx]
 
     def _pull_block(self):
         """The source's next non-empty block, or None once exhausted."""
@@ -391,14 +303,12 @@ class Core:
         """Adopt ``block`` as the current one, with every decoded view.
 
         ``tolist()`` converts every column to plain Python scalars once
-        per block, so the per-request loop indexes lists of ints/bools —
-        the exact values the scalar front end would have produced.
+        per block, so the per-request loop indexes lists of ints/bools.
         """
         addresses = block["address"]
         # The raw block is kept for the compiled block loop, which reads
         # its columns directly (repro.mem.block_kernel), and for
-        # snapshots; the scalar front end only ever reads the tolist()
-        # views below.
+        # snapshots; issue() only ever reads the tolist() views below.
         self._block = block
         self._gaps = block["gap"].tolist()
         self._addrs = addresses.tolist()
@@ -409,7 +319,6 @@ class Core:
         self._banks = columns.bank.tolist()
         self._rows = columns.row.tolist()
         self._cols = columns.column.tolist()
-        self._flats = columns.flat_bank.tolist()
         self._len = len(self._gaps)
 
     def _issue_time_for(self, gap: int) -> float:

@@ -101,8 +101,8 @@ class FCFSScheduler:
         return request
 
     # ------------------------------------------------------------------
-    # Snapshotable (repro.state): pending requests alias live objects
-    # (pooled buffers, decoded views), so a cut must land on a drained
+    # Snapshotable (repro.state): pending requests are live objects
+    # with no serialized form, so a cut must land on a drained
     # backlog — the only persistent state is then "empty".
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:

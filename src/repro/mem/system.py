@@ -101,8 +101,13 @@ class SystemSimulator:
     ) -> SimMetrics:
         """Replay one (finite) trace per core; returns run metrics.
 
-        Traces must be finite iterators (use ``generator.records(n)``);
-        the run ends when every trace is exhausted and drained.
+        Each trace is a :class:`~repro.workloads.trace.TraceChunks`
+        source (``generator.chunks(n)``) or a finite iterable of
+        :class:`~repro.workloads.trace.TraceRecord` (``generator.records(n)``,
+        ``read_trace(path)``), which the core packs into blocks; both
+        feed the same loop. The run ends when every trace is exhausted
+        and drained. Checkpointing needs snapshotable sources
+        (``generator.chunks(n)``).
 
         ``checkpoints`` is an optional
         :class:`~repro.state.checkpoint.CheckpointSession`: the run
@@ -116,18 +121,8 @@ class SystemSimulator:
             raise ValueError(
                 f"expected {self.config.cores} traces, got {len(traces)}"
             )
-        # Columnar traces (TraceChunks) get the batched front end:
-        # per-block decode_batch plus pooled request objects. Pooling
-        # is safe here because the controller services each request
-        # fully before the loop asks the core for another.
         cores = [
-            Core(
-                core_id,
-                trace,
-                self.config.core,
-                mapper=self.mapper,
-                pool_requests=True,
-            )
+            Core(core_id, trace, self.config.core, mapper=self.mapper)
             for core_id, trace in enumerate(traces)
         ]
         if self._block_loop_eligible(cores):
@@ -280,14 +275,14 @@ class SystemSimulator:
         """Whether this run can take the compiled block loop.
 
         The loop (repro.mem.block_kernel) is bit-identical to
-        ``_run_scalar`` but covers only what every Figure run uses:
-        columnar cores, no postponed refresh, and open-page banks with
-        no command observer and no fault model. Observed runs, the
-        sanitizer and ``with_faults`` need per-command callbacks, so
-        they stay scalar, as does a host where the loop cannot be
-        compiled. Checkpoint cuts are supported. Nothing outside the
-        run itself picks the loop, so result-cache keys never depend
-        on which loop ran.
+        ``_run_scalar`` but covers only what every Figure run uses: no
+        postponed refresh, and open-page banks with no command observer
+        and no fault model. Observed runs, the sanitizer and
+        ``with_faults`` need per-command callbacks, so they stay scalar,
+        as does a host where the loop cannot be compiled. Either trace
+        form (chunks or records) and checkpoint cuts are supported.
+        Nothing outside the run itself picks the loop, so result-cache
+        keys never depend on which loop ran.
         """
         if self.obs is not None or self.sanitizer is not None:
             return False
@@ -297,8 +292,6 @@ class SystemSimulator:
         if refresh.observer is not None:
             return False
         if self.config.dram.page_policy == "closed":
-            return False
-        if not all(core._chunked for core in cores):
             return False
         if any(controller.obs is not None for controller in self.controllers):
             return False
@@ -338,7 +331,6 @@ class SystemSimulator:
         refresh = self.refresh
         advance_refresh = refresh.advance_to
         refresh_due = refresh.next_due_ns
-        decode = self.mapper.decode
         controllers = self.controllers
         serviced = 0
 
@@ -350,11 +342,7 @@ class SystemSimulator:
             if arrival >= refresh_due:
                 advance_refresh(arrival)
                 refresh_due = refresh.next_due_ns
-            decoded = request.decoded
-            if decoded is None:  # scalar front end: decode here
-                decoded = decode(request.address)
-                request.decoded = decoded
-            controllers[decoded.channel].service(request)
+            controllers[request.decoded.channel].service(request)
             core.complete(request)
             issue_at = core.next_issue_time()
             if issue_at < infinity:

@@ -25,7 +25,7 @@ matching the paper's per-bank HRT/RIT sizing (Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 BankKey = Tuple[int, int, int]  # (channel, rank, bank)
 
@@ -210,11 +210,12 @@ class Mitigation:
         """
         raise NotImplementedError
 
-    def route_tables(self, channel: int) -> Optional[List[Optional[List[int]]]]:
-        """Dense per-bank logical->physical tables for the batched fast
-        path: a live list indexed like the controller's flat bank table,
-        ``None`` entries meaning identity. Returning None (the default)
-        makes the controller call :meth:`route` per access instead."""
+    def route_table(self, bank_key: BankKey) -> Optional[Dict[int, int]]:
+        """This bank's non-identity routes as a logical->physical dict
+        (None or empty: identity). The compiled loop mirrors it at entry,
+        after each acting activation and at window ends, so an override
+        must change routes only there; a mitigation that routes without
+        overriding this hook gets one :meth:`route` call per access."""
         return None
 
     # ------------------------------------------------------------------

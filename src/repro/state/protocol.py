@@ -14,10 +14,9 @@ Every class that holds mutable simulation state implements two methods:
   config (seeds, tables, capacity), which is what makes the scheme
   deterministic without serializing closures or object graphs.
 
-Aliased structures (the RRS route views that share the RIT ``forward``
-dicts, PARA's cross-channel credit cell) must be restored *in place* —
-mutate the shared object, never rebind it — so every alias observes the
-restored state.
+Aliased structures (PARA's cross-channel credit cell) must be restored
+*in place* — mutate the shared object, never rebind it — so every alias
+observes the restored state.
 
 ``STATE_SCHEMA_VERSION`` stamps every serialized checkpoint; loading a
 payload from a different schema fails loudly instead of misreading it.
@@ -33,8 +32,8 @@ STATE_SCHEMA_VERSION = 2
 class NotSnapshotable(RuntimeError):
     """Raised when live state cannot be captured as a checkpoint.
 
-    Examples: a ``Core`` driving a raw record iterator instead of a
-    snapshotable block source, or a controller with writes still
+    Examples: a ``Core`` whose trace source has no ``snapshot_state``
+    (a packed record iterator), or a controller with writes still
     buffered in an ablation-only write queue.
     """
 

@@ -8,10 +8,11 @@ round-tripped through a simple text format for inspection and reuse.
 Two equivalent representations exist:
 
 * **scalar** — an iterator of :class:`TraceRecord` tuples, one Python
-  object per access (the original API, kept everywhere);
+  object per access (file readers, quick scripts, inspection);
 * **columnar** — an iterator of numpy structured arrays
   (:data:`TRACE_BLOCK_DTYPE` blocks) wrapped in :class:`TraceChunks`,
-  the zero-object fast path the simulator's hot loop consumes.
+  the form the simulator's cores read (a record stream is packed into
+  it once).
 
 The two carry identical data: :func:`iter_block` and
 :func:`records_to_blocks` convert between them without loss, and a
@@ -81,12 +82,11 @@ def records_to_blocks(
 class TraceChunks:
     """A columnar trace: an iterator of :data:`TRACE_BLOCK_DTYPE` blocks.
 
-    This is the type the simulator's fast path dispatches on: a
-    :class:`~repro.mem.cpu.Core` handed a ``TraceChunks`` consumes whole
-    blocks (with batched address decode) instead of one record at a
-    time. It also iterates as plain :class:`TraceRecord` tuples, so any
-    scalar consumer — including a ``Core`` without a mapper — sees the
-    identical stream.
+    The form a :class:`~repro.mem.cpu.Core` reads: whole blocks, each
+    address-decoded in one batch. A core handed plain records wraps
+    them as ``TraceChunks(records_to_blocks(records))``. It also
+    iterates as plain :class:`TraceRecord` tuples, so any scalar
+    consumer sees the identical stream.
     """
 
     __slots__ = ("_blocks",)

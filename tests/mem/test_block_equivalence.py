@@ -159,7 +159,7 @@ class TestLoopDispatch:
         _run(NoMitigation, records=200, obs=Observability(tracer=None))
         assert calls == ["scalar"]
 
-    def test_record_iterator_run_takes_the_scalar_loop(self, calls):
+    def test_record_iterator_run_takes_the_compiled_loop(self, calls):
         dram = _dram()
         sim = SystemSimulator(SystemConfig(dram=dram, cores=CORES))
         spec = get_workload("hmmer")
@@ -173,7 +173,7 @@ class TestLoopDispatch:
             for core_id in range(CORES)
         ]
         sim.run(traces)
-        assert calls == ["scalar"]
+        assert calls == ["block"]
 
     def test_env_cannot_select_the_oracle_paths(self, calls, monkeypatch):
         """A plain columnar run takes the block loop and RRS batches,

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.dram.address import AddressMapper
+from repro.dram.config import DRAMConfig
 from repro.mem.cpu import Core, CoreConfig
 from repro.workloads.trace import TraceRecord
+
+MAPPER = AddressMapper(DRAMConfig())
 
 
 def _records(gaps):
@@ -15,13 +19,13 @@ def _records(gaps):
 
 def test_issue_paces_at_retire_width():
     config = CoreConfig()
-    core = Core(0, iter(_records([400])), config)
+    core = Core(0, iter(_records([400])), config, mapper=MAPPER)
     issue = core.next_issue_time()
     assert issue == pytest.approx(400 / 4 * config.cycle_ns)
 
 
 def test_requests_carry_instruction_indices():
-    core = Core(0, iter(_records([10, 10])))
+    core = Core(0, iter(_records([10, 10])), mapper=MAPPER)
     first = core.issue()
     core.complete(first)
     second = core.issue()
@@ -32,7 +36,7 @@ def test_rob_stall_waits_for_oldest_load():
     # Gaps of 10 instructions: with ROB=32, the core can only run ~3
     # records ahead of an incomplete load.
     config = CoreConfig(rob_size=32)
-    core = Core(0, iter(_records([10] * 8)), config)
+    core = Core(0, iter(_records([10] * 8)), config, mapper=MAPPER)
     first = core.issue()
     first.completion_ns = 10_000.0  # very slow load
     core.complete(first)
@@ -48,7 +52,7 @@ def test_rob_stall_waits_for_oldest_load():
 
 def test_no_stall_when_rob_covers_distance():
     config = CoreConfig(rob_size=10_000)
-    core = Core(0, iter(_records([10] * 8)), config)
+    core = Core(0, iter(_records([10] * 8)), config, mapper=MAPPER)
     last_arrival = 0.0
     while not core.done:
         request = core.issue()
@@ -65,7 +69,7 @@ def test_writes_do_not_block_retirement():
         TraceRecord(instruction_gap=10, address=i * 64, is_write=True)
         for i in range(8)
     ]
-    core = Core(0, iter(records), config)
+    core = Core(0, iter(records), config, mapper=MAPPER)
     while not core.done:
         request = core.issue()
         request.completion_ns = request.arrival_ns + 1e9  # glacial writes
@@ -75,7 +79,7 @@ def test_writes_do_not_block_retirement():
 
 
 def test_drain_advances_to_last_completion():
-    core = Core(0, iter(_records([10])))
+    core = Core(0, iter(_records([10])), mapper=MAPPER)
     request = core.issue()
     request.completion_ns = 777.0
     core.complete(request)
@@ -84,7 +88,7 @@ def test_drain_advances_to_last_completion():
 
 
 def test_ipc_accounting():
-    core = Core(0, iter(_records([100, 100])))
+    core = Core(0, iter(_records([100, 100])), mapper=MAPPER)
     while not core.done:
         request = core.issue()
         request.completion_ns = request.arrival_ns + 10.0
@@ -95,7 +99,7 @@ def test_ipc_accounting():
 
 
 def test_issue_without_pending_raises():
-    core = Core(0, iter([]))
+    core = Core(0, iter([]), mapper=MAPPER)
     assert core.done
     with pytest.raises(RuntimeError):
         core.issue()

@@ -39,6 +39,7 @@ from repro.mitigations import (
     TargetedRowRefresh,
 )
 from repro.state.checkpoint import CheckpointSession, SimCheckpoint
+from repro.state.protocol import NotSnapshotable
 from repro.workloads.suites import get_workload
 from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.trace import TraceChunks
@@ -197,6 +198,55 @@ def test_roundtrip_matches_block_controller_loop(scalar_loop):
         assert plain == baseline == resumed
 
 
+def _swapping_rrs(session=None):
+    """An RRS run that swaps by request 80 and keeps revisiting the
+    swapped rows after it (lbm at this scale never swaps)."""
+    return run_workload(
+        get_workload("xz_17"),
+        _mitigation("rrs"),
+        scale=SCALE,
+        records_per_core=1_000,
+        cores=CORES,
+        seed=SEED,
+        checkpoints=session,
+    )
+
+
+def test_rrs_resume_with_swapped_rows_matches_on_both_loops(scalar_loop):
+    """Cut after the first swaps, while the RIT holds entries, then
+    resume under either loop: the compiled loop must route through the
+    restored RIT (``RandomizedRowSwap.route_table``) and finish exactly
+    as the uninterrupted run. The final cut's text holds each bank's
+    per-physical-row activation counts, so a misrouted access shows
+    even where timing would not."""
+    end = CORES * 1_000
+    texts = {}
+    session = CheckpointSession(
+        cuts=(80, end),
+        sink=lambda ckpt: texts.setdefault(ckpt.serviced, ckpt.dumps()),
+    )
+    with scalar_loop():
+        baseline = _swapping_rrs(session)
+    reloaded = SimCheckpoint.loads(texts[80])
+    restored = _mitigation("rrs")
+    restored.restore_state(reloaded.payload[4])
+    assert restored.total_swaps > 0
+    assert any(state.rit.forward for state in restored._banks.values())
+    for forced in (contextlib.nullcontext, scalar_loop):
+        finals = []
+        with forced():
+            resumed = _swapping_rrs(
+                CheckpointSession(
+                    resume=reloaded,
+                    cuts=(end,),
+                    sink=lambda ckpt: finals.append(ckpt.dumps()),
+                )
+            )
+            plain = _swapping_rrs()
+        assert plain == baseline == resumed
+        assert finals == [texts[end]]
+
+
 def _cut_texts(name: str) -> dict:
     texts = {}
     session = CheckpointSession(
@@ -315,6 +365,24 @@ def test_checkpointed_run_dispatches_block_loop(monkeypatch):
     _, resumed = _resume("rrs", 600)
     assert resumed == baseline
     assert stops == [-1]
+
+
+def test_record_iterator_run_is_not_snapshotable():
+    """A ``.records()`` trace is packed into plain chunks that have no
+    position to capture, so the first cut refuses to snapshot it."""
+    dram = DRAMConfig().scaled(SCALE)
+    sim = SystemSimulator(
+        SystemConfig(dram=dram, cores=CORES), mitigation=_mitigation("rrs")
+    )
+    traces = [
+        SyntheticTraceGenerator(
+            get_workload("lbm"), core_id=core_id, cores=CORES, config=dram,
+            seed=SEED,
+        ).records(RECORDS)
+        for core_id in range(CORES)
+    ]
+    with pytest.raises(NotSnapshotable, match="TraceChunks is not Snapshotable"):
+        sim.run(traces, checkpoints=CheckpointSession(cuts=(257,)))
 
 
 def test_sanitizer_presence_mismatch_is_refused(monkeypatch):

@@ -151,7 +151,7 @@ def _core(records=5000):
         get_workload("lbm"), core_id=0, cores=1, config=dram, seed=3
     )
     mapper = AddressMapper(dram)
-    return Core(0, generator.chunks(records), mapper=mapper, pool_requests=True)
+    return Core(0, generator.chunks(records), mapper=mapper)
 
 
 def test_core_block_columns_roundtrip():
@@ -170,7 +170,7 @@ def test_core_block_columns_roundtrip():
     )
     # The decoded views are re-derived from the raw columns.
     for name in ("_gaps", "_addrs", "_writes", "_chans", "_ranks",
-                 "_banks", "_rows", "_cols", "_flats", "_len", "_idx"):
+                 "_banks", "_rows", "_cols", "_len", "_idx"):
         assert getattr(restored, name) == getattr(core, name), name
     while not core.done:
         a, b = core.issue(), restored.issue()
