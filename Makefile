@@ -38,11 +38,17 @@ bench-smoke:  ## throughput microbenchmark with a tiny request budget
 bench-gate:  ## fail when serial throughput regresses vs the committed baseline
 	$(PYTHON) scripts/bench_gate.py
 
-perfbench-smoke:  ## benchmark self-tests + pinned full-scale digests on the held-out seed
+PERFBENCH_SMOKE := fullscale_security fig6_rrs fig6_checkpointed
+
+perfbench-smoke:  ## benchmark self-tests + pinned digests of $(PERFBENCH_SMOKE) on the held-out seed
 	$(PYTHON) -m pytest perfbench -q
-	out=$$($(PYTHON) perfbench/run.py --workload fullscale_security --seed 7919 --seconds 1) && \
+	for workload in $(PERFBENCH_SMOKE); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$workload --seed 7919 --seconds 1) && \
 		echo "$$out" | tail -n 1 | $(PYTHON) -c "import json, sys; line = sys.stdin.read(); \
-		sys.exit(0 if json.loads(line).get('correct') is True else 'result not correct: ' + line)"
+		print(sys.argv[1] + ': correct') if json.loads(line).get('correct') is True \
+		else sys.exit(sys.argv[1] + ': result not correct: ' + line)" \
+		$$workload || exit 1; \
+	done
 
 trace-smoke:  ## tiny traced run; validates the Perfetto JSON it writes
 	$(PYTHON) -m repro trace hmmer rrs --records 2000 --out trace-smoke.json

@@ -163,7 +163,18 @@ class RandomizedRowSwap(BankBatchedMitigation):
         # only counters arriving at a multiple trigger.
         if estimate == 0 or estimate % self.config.t_rrs != 0:
             return NOOP_OUTCOME
-        return self._perform_swap(bank_key, state, row, now_ns)
+        return self.on_hot_row(bank_key, row, now_ns)
+
+    def on_hot_row(self, bank_key, row, now_ns):
+        """Swap the row (the compiled loop calls this directly)."""
+        return self._perform_swap(bank_key, self._bank(bank_key), row, now_ns)
+
+    def hot_row_tracker(self, bank_key):
+        """The bank's array tracker and T_RRS; the CAT tracker stays on
+        the activation hooks."""
+        if self.config.tracker_backend == "cat":
+            return None
+        return self._bank(bank_key).tracker, self.config.t_rrs
 
     def on_window_end(self, window_index: int) -> None:
         """Epoch rollover: reset trackers, clear RIT lock bits."""

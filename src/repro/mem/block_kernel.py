@@ -6,20 +6,29 @@ registered oracle). The per-request recurrence runs in C
 (``block_loop.c``, loaded through :mod:`ctypes`): the
 ``(issue_at, core_id)`` heap, the refresh gate with its tREFI bursts,
 the route lookup, open-page bank timing, the channel bus, the stats
-folds, each core's ROB window and the mitigation's credit fast path.
-The C routine returns to the Python event loop below only for events that
-need Python objects, and is re-entered after each:
+folds, each core's ROB window, the mitigation's credit fast path, and
+the Misra-Gries hot-row tracker of every bank whose mitigation hands it
+over (``Mitigation.hot_row_tracker``: RRS's ``ArrayMisraGries``, kept
+in :class:`HotRowTrackers`). The C routine returns to the Python event
+loop below only for events that need Python objects, and is re-entered
+after each:
 
 * an activation the mitigation must see (credit exhausted or deadline
-  passed, the bank opted out, the mitigation is unbatched) and each
-  ``route`` / ``pre_activate_delay_ns`` call of a mitigation with no
-  ``route_table`` or with a throttle;
+  passed, the bank opted out, the mitigation is unbatched, or a
+  C-tracked estimate landed on a multiple of the threshold, which calls
+  ``on_hot_row``) and each ``route`` / ``pre_activate_delay_ns`` call
+  of a mitigation with no ``route_table`` or with a throttle;
 * a refresh-window end, whose callbacks run in Python;
 * the end of a core's trace block (the next one is generated, decoded
   and precomputed here);
 * ``stop_at`` (a checkpoint cut), the end of the run, and a full
-  activation log or deferral buffer, which are drained into their
-  Python homes.
+  activation log, deferral buffer or tracker install journal, which
+  are drained into their Python homes.
+
+C trackers are loaded from their Python trackers at entry and after
+each window's callbacks and written back before the callbacks and on
+return; in between, each Python tracker's row membership follows C's
+install journal, which is all a swap reads.
 
 All loop state lives in numpy arrays shared with C; the Python side writes
 mitigation actions straight into them. Every double operation keeps
@@ -68,7 +77,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 (I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
  I_LOGCAP, I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
  I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
- I_KIND, I_IN, I_COUNT) = range(24)
+ I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT) = range(27)
 (D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
  D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
  D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
@@ -77,11 +86,14 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
  P_LOG_ROWS, P_RT_MASK, P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_MODE,
  P_CH_TABLES, P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES,
  P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP,
- P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_COUNT) = range(40)
+ P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
+ P_TRK_HEAP, P_TRK_JNL, P_COUNT) = range(45)
 (EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
  EV_BLOCK, EV_BAD_ROW) = range(9)
 MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK = range(4)
-KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL = range(3)
+KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL, KIND_HOT = range(4)
+# Per-bank tracker fields (rows of the P_TRK array).
+T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_JNL, T_N = range(7)
 # Per-channel stats columns: int64 (reads, writes, activations,
 # row-buffer hits) and double (swap-blocked, throttle, latency ns).
 S_N, S_D = 4, 3
@@ -91,6 +103,9 @@ S_N, S_D = 4, 3
 # its Python list or Counter; small capacities keep peak memory flat.
 BUFFER_CAPACITY = 256
 LOG_CAPACITY = 512
+# Per-bank capacity of the hot-row trackers' install journals; a full
+# one is replayed into its Python tracker's row membership.
+JOURNAL_CAPACITY = 512
 
 _UNRESOLVED = object()
 _library = _UNRESOLVED
@@ -148,6 +163,12 @@ def _build_and_load():
         ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_int64,
     )
+    library.rk_tracker_sync.restype = None
+    library.rk_tracker_sync.argtypes = (ctypes.c_void_p, ctypes.c_int64)
+    library.rk_tracker_observe.restype = ctypes.c_int64
+    library.rk_tracker_observe.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+    )
     return library
 
 
@@ -184,6 +205,109 @@ def _compiled(compiler: str, directory: Path, name: str) -> Optional[Path]:
 
 def _address(array: np.ndarray) -> int:
     return array.ctypes.data
+
+
+class HotRowTrackers:
+    """C copies of per-bank ``ArrayMisraGries`` trackers, indexed by
+    flat bank (DESIGN.md §12.1): per bank the ``T_*`` fields, (row,
+    count) slots, a row -> slot table, the eviction heap and a journal
+    of (slot, row) installs.
+
+    ``load`` copies a Python tracker in (``snapshot_state``), ``store``
+    writes it back (``restore_state``, keeping the tracker's residue
+    threshold) and ``follow`` replays the journal into the Python
+    tracker's row membership. The arrays' pointer-table slots and
+    scalars live in this object's own ``P``/``I``, which the block loop
+    copies into its tables."""
+
+    SLOTS = (P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_TRK_JNL)
+    SCALARS = (I_TRK_CAP, I_TRK_MASK, I_JNLCAP)
+
+    def __init__(self, lib, trackers: list) -> None:
+        """``trackers[gfb]``: a ``(tracker, threshold)`` pair, or None
+        for a bank the loop does not track."""
+        self.lib = lib
+        self.trackers = trackers
+        self.banks = [gfb for gfb, pair in enumerate(trackers) if pair]
+        n_banks = len(trackers)
+        self.cap = cap = max(
+            (trackers[gfb][0].entries for gfb in self.banks), default=1
+        )
+        self.mask = (1 << (2 * cap).bit_length()) - 1
+        self.jcap = JOURNAL_CAPACITY
+        self.I = np.zeros(I_COUNT, np.int64)
+        self.I[list(self.SCALARS)] = (cap, self.mask, self.jcap)
+        self.meta = np.zeros(n_banks * T_N, np.int64)
+        self.slots = np.zeros(n_banks * 2 * cap, np.int64)
+        self.table = np.full(n_banks * (self.mask + 1), -1, np.int64)
+        self.heap = np.zeros(n_banks * 2 * cap, np.int64)
+        self.journal = np.zeros(n_banks * 2 * self.jcap, np.int64)
+        self.P = np.zeros(P_COUNT, np.uint64)
+        arrays = (self.meta, self.slots, self.table, self.heap, self.journal)
+        for slot, array in zip((P_I,) + self.SLOTS, (self.I,) + arrays):
+            self.P[slot] = _address(array)
+        self._table = ctypes.c_void_p(_address(self.P))
+        self._meta = memoryview(self.meta)
+        for gfb in self.banks:
+            tracker, threshold = trackers[gfb]
+            self._meta[gfb * T_N + T_THRESH] = threshold
+            self._meta[gfb * T_N + T_ENTRIES] = tracker.entries
+
+    def load(self, gfb: int) -> None:
+        tracker = self.trackers[gfb][0]
+        spill, rows, counts, heap_built, _ = tracker.snapshot_state()
+        n = len(rows)
+        if not n == len(counts) <= tracker.entries:
+            # A restored checkpoint could carry any lists; C must never
+            # index past the bank's slots.
+            raise ValueError(
+                f"tracker of bank {gfb}: {n} rows and {len(counts)} counts "
+                f"for {tracker.entries} entries"
+            )
+        base = gfb * T_N
+        self._meta[base + T_LIVE] = n
+        self._meta[base + T_SPILL] = spill
+        self._meta[base + T_HEAP] = int(heap_built)
+        offset = gfb * 2 * self.cap
+        self.slots[offset:offset + 2 * n:2] = rows
+        self.slots[offset + 1:offset + 2 * n:2] = counts
+        self.lib.rk_tracker_sync(self._table, gfb)
+
+    def snapshot(self, gfb: int) -> tuple:
+        """The C tracker as ``ArrayMisraGries.snapshot_state`` would
+        give it."""
+        base = gfb * T_N
+        offset = gfb * 2 * self.cap
+        pairs = self.slots[offset:offset + 2 * self._meta[base + T_LIVE]]
+        return (
+            self._meta[base + T_SPILL],
+            pairs[0::2].tolist(),
+            pairs[1::2].tolist(),
+            bool(self._meta[base + T_HEAP]),
+            self.trackers[gfb][0]._residue_t,
+        )
+
+    def store(self, gfb: int) -> None:
+        self.trackers[gfb][0].restore_state(self.snapshot(gfb))
+        self._meta[gfb * T_N + T_JNL] = 0
+
+    def follow(self, gfb: int) -> None:
+        n = self._meta[gfb * T_N + T_JNL]
+        if n:
+            offset = gfb * 2 * self.jcap
+            self.trackers[gfb][0].follow_installs(
+                self.journal[offset:offset + 2 * n].tolist()
+            )
+            self._meta[gfb * T_N + T_JNL] = 0
+
+    def observe(self, gfb: int, row: int) -> int:
+        """One activation outside the loop; returns the estimate."""
+        if not self.trackers[gfb]:
+            raise ValueError(f"bank {gfb} has no compiled tracker")
+        estimate = self.lib.rk_tracker_observe(self._table, gfb, row)
+        if self._meta[gfb * T_N + T_JNL] == self.jcap:
+            self.follow(gfb)
+        return estimate
 
 
 # repro-oracle: system-loop -- kernel
@@ -249,6 +373,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     pre_delay = mitigation.pre_activate_delay_ns
     on_act = mitigation.on_activation
     on_act_batch = mitigation.on_activation_batch
+    on_hot_row = mitigation.on_hot_row
     batches = [c._batch for c in controllers]
     # A mitigation that publishes per-bank route tables (RRS's RIT
     # forward dicts) is routed by C's hash-table mirror of them; any
@@ -273,14 +398,31 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         else:
             modes.append(MODE_BANK)
             cell_of.append(0)
+    # A bank of a per-bank-batched channel whose mitigation hands over
+    # its hot-row tracker runs that tracker in C; credits and deferral
+    # buffers serve the other banks.
+    trackers: list = [None] * n_banks
+    if type(mitigation).hot_row_tracker is not Mitigation.hot_row_tracker:
+        for gfb in range(n_banks):
+            if modes[chan_of[gfb]] == MODE_BANK:
+                trackers[gfb] = mitigation.hot_row_tracker(key_table[gfb])
+    hot = HotRowTrackers(lib, trackers)
+    keep.append(hot)
+    for slot in hot.SLOTS:
+        P[slot] = hot.P[slot]
+    for slot in hot.SCALARS:
+        I[slot] = hot.I[slot]
+    credited = [
+        gfb for gfb in range(n_banks)
+        if modes[chan_of[gfb]] == MODE_BANK and trackers[gfb] is None
+    ]
     point(P_CH_MODE, np.array(modes, np.int64))
     point(P_CELL, np.array(cell_of, np.int64))
     credits = point(P_CREDITS, np.zeros(n_banks + max(len(cells), 1), np.int64))
     deadlines = point(P_DEADLINES, np.full(n_banks, np.inf))
     credits_v = memoryview(credits)
     deadlines_v = memoryview(deadlines)
-    bank_mode = MODE_BANK in modes
-    buffer_capacity = BUFFER_CAPACITY if bank_mode else 1
+    buffer_capacity = BUFFER_CAPACITY if credited else 1
     buf_n = point(P_BUF_N, np.zeros(n_banks, np.int64))
     buf_rows = point(P_BUF_ROWS, np.empty(n_banks * buffer_capacity, np.int64))
     buf_times = point(P_BUF_TIMES, np.empty(n_banks * buffer_capacity))
@@ -297,19 +439,29 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         deadlines_v[gfb] = float(batch.deadlines[lfb])
 
     def all_credits_from_py() -> None:
-        for gfb in range(n_banks):
-            if modes[chan_of[gfb]] == MODE_BANK:
-                credits_from_py(gfb)
+        for gfb in credited:
+            credits_from_py(gfb)
         for slot, cell in enumerate(cells):
             credits_v[n_banks + slot] = cell[0]
 
     def credits_to_py() -> None:
         values = credits.tolist()
-        for gfb in range(n_banks):
-            if modes[chan_of[gfb]] == MODE_BANK:
-                batches[chan_of[gfb]].credits[local_of[gfb]] = values[gfb]
+        for gfb in credited:
+            batches[chan_of[gfb]].credits[local_of[gfb]] = values[gfb]
         for slot, cell in enumerate(cells):
             cell[0] = values[n_banks + slot]
+
+    def trackers_from_py() -> None:
+        for gfb in hot.banks:
+            hot.load(gfb)
+
+    def trackers_to_py() -> None:
+        # The written-back trackers set the banks' credits again, for
+        # whatever drives the mitigation before the loop's next entry.
+        if hot.banks:
+            for gfb in hot.banks:
+                hot.store(gfb)
+            mitigation._reset_batch_credits()
 
     def drain_buffers() -> None:
         # The logical buffer is the Python list followed by C's suffix.
@@ -359,6 +511,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
 
     all_credits_from_py()
     sync_all_routes()
+    trackers_from_py()
 
     # ---- channels ----
     bus = point(P_BUS, np.array([c.bus_free_ns for c in channels], np.float64))
@@ -513,7 +666,10 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             now = dv[D_COMPLETION]
             kind = iv[I_KIND]
             key = key_table[gfb]
-            if kind == KIND_FLUSH:
+            if kind == KIND_HOT:
+                hot.follow(gfb)
+                action = on_hot_row(key, iv[I_ROW], now)
+            elif kind == KIND_FLUSH:
                 batch = batches[chan_of[gfb]]
                 lfb = local_of[gfb]
                 rows = batch.rows[lfb]
@@ -562,6 +718,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             drain_buffers()
             credits_to_py()
             fold_logs()
+            trackers_to_py()
             refresh.refresh_bursts += iv[I_BURSTS]
             iv[I_BURSTS] = 0
             completed = refresh.windows_completed
@@ -574,9 +731,12 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             refresh.windows_completed = completed + 1
             all_credits_from_py()
             sync_all_routes()
+            trackers_from_py()
         elif event == EV_SPILL:
             drain_buffers()
             fold_logs()
+            for gfb in hot.banks:
+                hot.follow(gfb)
             iv[I_SPILL] = 0
         elif event == EV_BAD_ROW:
             raise ValueError(
@@ -589,6 +749,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     drain_buffers()
     credits_to_py()
     fold_logs()
+    trackers_to_py()
     for fb, state in enumerate(
         zip(open_row.tolist(), last_act.tolist(), ready.tolist())
     ):

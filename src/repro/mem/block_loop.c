@@ -8,6 +8,11 @@
  * the Python side owns (numpy buffers), addressed through one table of
  * pointers, so a return and a re-entry lose nothing.
  *
+ * On banks whose mitigation hands over its hot-row tracker (RRS's
+ * ArrayMisraGries), the tracker itself runs here too: C observes the
+ * logical row of every activation and returns only when an estimate
+ * lands on a non-zero multiple of the threshold (a swap).
+ *
  * Bit-identity with SystemSimulator._run_scalar: every double
  * operation runs in the oracle's order, every max() is the oracle's
  * explicit comparison (same tie-break), and the build uses
@@ -20,7 +25,7 @@ enum {
     I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
     I_LOGCAP, I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
     I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
-    I_KIND, I_IN, I_COUNT
+    I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT
 };
 
 /* double scalars: timing constants, refresh cursors, request times. */
@@ -40,7 +45,8 @@ enum {
     P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES,
     P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
     P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
-    P_ROB_N, P_HEAP_T, P_HEAP_C, P_COUNT
+    P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
+    P_TRK_HEAP, P_TRK_JNL, P_COUNT
 };
 
 /* Events returned to Python. */
@@ -56,7 +62,10 @@ enum { PH_TOP, PH_WINDOW, PH_ROUTE, PH_DELAY, PH_ACT, PH_BLOCK };
 enum { MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK };
 
 /* Which mitigation hook an EV_ACT needs. */
-enum { KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL };
+enum { KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL, KIND_HOT };
+
+/* Per-bank tracker fields (P_TRK rows); T_THRESH 0: not tracked here. */
+enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_JNL, T_N };
 
 /* Per-channel stats slots. */
 enum { S_READS, S_WRITES, S_ACTS, S_HITS, S_N };
@@ -73,11 +82,16 @@ int64_t rk_layout(int64_t which)
     }
 }
 
+static uint64_t row_hash(int64_t row)
+{
+    return ((uint64_t)row * 0x9E3779B97F4A7C15ULL) >> 32;
+}
+
 /* ---- route tables: open addressing, (key, value) pairs, key -1 empty */
 
 static int64_t route_get(const int64_t *table, int64_t mask, int64_t row)
 {
-    uint64_t h = ((uint64_t)row * 0x9E3779B97F4A7C15ULL) >> 32;
+    uint64_t h = row_hash(row);
     for (;;) {
         int64_t slot = (int64_t)(h & (uint64_t)mask);
         int64_t key = table[2 * slot];
@@ -96,13 +110,190 @@ void rk_route_build(int64_t *table, int64_t mask, const int64_t *keys,
     for (int64_t i = 0; i <= mask; i++)
         table[2 * i] = -1;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t h = ((uint64_t)keys[i] * 0x9E3779B97F4A7C15ULL) >> 32;
+        uint64_t h = row_hash(keys[i]);
         while (table[2 * (int64_t)(h & (uint64_t)mask)] >= 0)
             h++;
         int64_t slot = (int64_t)(h & (uint64_t)mask);
         table[2 * slot] = keys[i];
         table[2 * slot + 1] = values[i];
     }
+}
+
+/* ---- hot-row tracker: track/array_state.py's ArrayMisraGries ----
+ *
+ * Per bank: T_N fields, (row, count) slots, a row -> slot table
+ * (linear probing, -1 empty, deletion by backward shift), the eviction
+ * heap of (count lower bound, slot) pairs that bumps never touch, and a
+ * journal of (slot, row) installs since Python last saw the bank. The
+ * heap is built at the first full-table miss, like the Python one, and
+ * corrected at the top on each later one: its settled top is the exact
+ * minimum (count, slot), whatever its layout. */
+
+struct tracker {
+    int64_t *meta, *slots, *table, *heap, *jnl;
+    int64_t mask, jcap;
+};
+
+static struct tracker tracker_of(const uint64_t *P, int64_t gfb)
+{
+    const int64_t *I = (const int64_t *)(uintptr_t)P[P_I];
+    const int64_t cap = I[I_TRK_CAP];
+    struct tracker t;
+    t.mask = I[I_TRK_MASK];
+    t.jcap = I[I_JNLCAP];
+    t.meta = (int64_t *)(uintptr_t)P[P_TRK] + gfb * T_N;
+    t.slots = (int64_t *)(uintptr_t)P[P_TRK_SLOTS] + gfb * 2 * cap;
+    t.table = (int64_t *)(uintptr_t)P[P_TRK_TABLE] + gfb * (t.mask + 1);
+    t.heap = (int64_t *)(uintptr_t)P[P_TRK_HEAP] + gfb * 2 * cap;
+    t.jnl = (int64_t *)(uintptr_t)P[P_TRK_JNL] + gfb * 2 * t.jcap;
+    return t;
+}
+
+/* The table position holding row, or the empty one ending its probe. */
+static int64_t mg_probe(const struct tracker *t, int64_t row)
+{
+    uint64_t h = row_hash(row);
+    for (;;) {
+        int64_t pos = (int64_t)(h & (uint64_t)t->mask);
+        int64_t slot = t->table[pos];
+        if (slot < 0 || t->slots[2 * slot] == row)
+            return pos;
+        h++;
+    }
+}
+
+static void mg_unlink(const struct tracker *t, int64_t pos)
+{
+    const uint64_t mask = (uint64_t)t->mask;
+    uint64_t hole = (uint64_t)pos, next = (uint64_t)pos;
+    for (;;) {
+        next = (next + 1) & mask;
+        int64_t slot = t->table[next];
+        if (slot < 0)
+            break;
+        /* An entry may fill the hole unless its home lies cyclically
+         * in (hole, next]. */
+        uint64_t home = row_hash(t->slots[2 * slot]) & mask;
+        if (hole <= next ? (hole < home && home <= next)
+                         : (hole < home || home <= next))
+            continue;
+        t->table[hole] = slot;
+        hole = next;
+    }
+    t->table[hole] = -1;
+}
+
+static int heap_before(const int64_t *heap, int64_t a, int64_t b)
+{
+    return heap[2 * a] < heap[2 * b]
+        || (heap[2 * a] == heap[2 * b] && heap[2 * a + 1] < heap[2 * b + 1]);
+}
+
+static void mg_sift(int64_t *heap, int64_t n, int64_t pos)
+{
+    for (;;) {
+        int64_t child = 2 * pos + 1, low = pos;
+        if (child < n && heap_before(heap, child, low))
+            low = child;
+        if (child + 1 < n && heap_before(heap, child + 1, low))
+            low = child + 1;
+        if (low == pos)
+            return;
+        int64_t count = heap[2 * pos], slot = heap[2 * pos + 1];
+        heap[2 * pos] = heap[2 * low];
+        heap[2 * pos + 1] = heap[2 * low + 1];
+        heap[2 * low] = count;
+        heap[2 * low + 1] = slot;
+        pos = low;
+    }
+}
+
+static void mg_build_heap(const struct tracker *t)
+{
+    const int64_t n = t->meta[T_LIVE];
+    for (int64_t slot = 0; slot < n; slot++) {
+        t->heap[2 * slot] = t->slots[2 * slot + 1];
+        t->heap[2 * slot + 1] = slot;
+    }
+    for (int64_t pos = n / 2 - 1; pos >= 0; pos--)
+        mg_sift(t->heap, n, pos);
+    t->meta[T_HEAP] = 1;
+}
+
+/* Record an install; nonzero when the journal is now full. */
+static int mg_journal(const struct tracker *t, int64_t slot, int64_t row)
+{
+    int64_t n = t->meta[T_JNL];
+    t->jnl[2 * n] = slot;
+    t->jnl[2 * n + 1] = row;
+    t->meta[T_JNL] = ++n;
+    return n == t->jcap;
+}
+
+/* ArrayMisraGries.observe: the row's new estimate (0 after a spill);
+ * *full is set when the install journal fills. */
+static int64_t mg_observe(const struct tracker *t, int64_t row, int *full)
+{
+    int64_t *meta = t->meta, *slots = t->slots;
+    int64_t pos = mg_probe(t, row);
+    int64_t slot = t->table[pos], estimate;
+    if (slot >= 0)
+        return ++slots[2 * slot + 1];
+    estimate = meta[T_SPILL] + 1;
+    if (meta[T_LIVE] < meta[T_ENTRIES]) {
+        slot = meta[T_LIVE]++;
+    } else {
+        int64_t *heap = t->heap;
+        int64_t count;
+        if (!meta[T_HEAP])
+            mg_build_heap(t);
+        slot = heap[1];
+        count = slots[2 * slot + 1];
+        while (count != heap[0]) {
+            heap[0] = count;
+            mg_sift(heap, meta[T_LIVE], 0);
+            slot = heap[1];
+            count = slots[2 * slot + 1];
+        }
+        if (meta[T_SPILL] < count) {
+            meta[T_SPILL]++;
+            return 0;
+        }
+        heap[0] = estimate;
+        mg_sift(heap, meta[T_LIVE], 0);
+        mg_unlink(t, mg_probe(t, slots[2 * slot]));
+        pos = mg_probe(t, row);
+    }
+    slots[2 * slot] = row;
+    slots[2 * slot + 1] = estimate;
+    t->table[pos] = slot;
+    if (mg_journal(t, slot, row))
+        *full = 1;
+    return estimate;
+}
+
+/* Index a bank's slots after Python wrote them (and its T_LIVE,
+ * T_SPILL, T_HEAP fields): rebuild the table, the heap if it was
+ * built, and empty the journal. */
+void rk_tracker_sync(const uint64_t *P, int64_t gfb)
+{
+    struct tracker t = tracker_of(P, gfb);
+    for (int64_t pos = 0; pos <= t.mask; pos++)
+        t.table[pos] = -1;
+    for (int64_t slot = 0; slot < t.meta[T_LIVE]; slot++)
+        t.table[mg_probe(&t, t.slots[2 * slot])] = slot;
+    if (t.meta[T_HEAP])
+        mg_build_heap(&t);
+    t.meta[T_JNL] = 0;
+}
+
+/* One observe outside the loop (the tracker property tests); the
+ * caller empties a full journal before the next one. */
+int64_t rk_tracker_observe(const uint64_t *P, int64_t gfb, int64_t row)
+{
+    struct tracker t = tracker_of(P, gfb);
+    int full = 0;
+    return mg_observe(&t, row, &full);
 }
 
 /* ---- the core heap: (issue_at, core_id) under strict tuple order ---- */
@@ -173,6 +364,7 @@ int64_t rk_run(const uint64_t *P)
     int64_t *rob_n = PTR(int64_t, P_ROB_N);
     double *heap_t = PTR(double, P_HEAP_T);
     int64_t *heap_c = PTR(int64_t, P_HEAP_C);
+    const int64_t *trk = PTR(int64_t, P_TRK);
 
     const int64_t n_banks = I[I_NB];
     const int64_t rows_per_bank = I[I_ROWS];
@@ -201,9 +393,11 @@ int64_t rk_run(const uint64_t *P)
     int64_t ch = gfb >= 0 ? chan[gfb] : 0;
 
     int64_t ev, phase = PH_TOP, nxt, n, mode, credit, orow, slot;
+    int64_t threshold, estimate;
     double start, data, la, act_at, pre_at, floor_at, end, bus_free;
     double issue_at;
-    int hit, activated;
+    int hit, activated, full;
+    struct tracker hot;
 
     switch (I[I_PHASE]) {
     case PH_WINDOW: goto resume_window;
@@ -335,7 +529,19 @@ int64_t rk_run(const uint64_t *P)
         if (activated) {
             st_i[ch * S_N + S_ACTS]++;
             mode = ch_mode[ch];
-            if (mode == MODE_BANK) {
+            threshold = trk[gfb * T_N + T_THRESH];
+            if (threshold > 0) {
+                /* the bank's tracker runs here: hand over only a swap */
+                hot = tracker_of(P, gfb);
+                full = 0;
+                estimate = mg_observe(&hot, row, &full);
+                if (full)
+                    spill = 1;
+                if (estimate == 0 || estimate % threshold != 0)
+                    mode = MODE_NONE;
+                else
+                    kind = KIND_HOT;
+            } else if (mode == MODE_BANK) {
                 credit = credits[gfb];
                 if (credit > 0 && completion < deadlines[gfb]) {
                     /* defer: inside the mitigation's noop horizon */

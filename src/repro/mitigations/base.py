@@ -210,6 +210,32 @@ class Mitigation:
         """
         raise NotImplementedError
 
+    def hot_row_tracker(self, bank_key: BankKey) -> Optional[Tuple[object, int]]:
+        """This bank's Misra-Gries tracker (an ``ArrayMisraGries``) and
+        its action threshold, for the compiled loop to run itself; None
+        (the default) keeps the bank on the activation hooks.
+
+        The loop consults it on channels with per-bank batch state and
+        then owns the tracker's updates: it observes the *logical* row
+        of every activation and calls :meth:`on_hot_row` only when the
+        estimate lands on a non-zero multiple of the threshold, so an
+        override's ``on_activation`` must be exactly that observe,
+        check and act. The tracker is loaded with ``snapshot_state`` at
+        loop entry and after window ends and written back with
+        ``restore_state`` before window callbacks and whenever the loop
+        returns; between those, only its membership (``in``) is kept
+        current, at each :meth:`on_hot_row`."""
+        return None
+
+    def on_hot_row(
+        self, bank_key: BankKey, row: int, now_ns: float
+    ) -> MitigationOutcome:
+        """Act on logical ``row``, whose tracker estimate just landed on
+        a multiple of the :meth:`hot_row_tracker` threshold."""
+        raise NotImplementedError(
+            f"{type(self).__name__} publishes a tracker without acting on it"
+        )
+
     def route_table(self, bank_key: BankKey) -> Optional[Dict[int, int]]:
         """This bank's non-identity routes as a logical->physical dict
         (None or empty: identity). The compiled loop mirrors it at entry,

@@ -20,6 +20,13 @@ controller's batched ``on_activation`` path:
   unable to land any counter on a threshold multiple — the credit the
   controller uses to defer scalar mitigation calls (DESIGN.md §9).
 
+The compiled system loop runs a C copy of this tracker for RRS
+(``mem/block_loop.c``, DESIGN.md §12.1) with the same rules: it loads
+and writes back the ``snapshot_state`` 5-tuple, and in between keeps
+this object's row membership current through ``follow_installs``. So
+this class is the tracker of the scalar loop, the attack harnesses and
+Graphene, and the fallback where the loop cannot be compiled.
+
 Tie-break policy: the reference tracker evicts the minimum-count entry
 that reached that count first (its buckets are insertion-ordered);
 this tracker evicts the *lowest slot index* among the minimum-count
@@ -60,6 +67,8 @@ class ArrayMisraGries:
         # misses read it, so it is built at the first of them (never, in
         # a window whose row footprint fits the table), and bumps never
         # touch it: _full_miss corrects stale entries when they surface.
+        # A restored tracker whose heap was built holds [] until its
+        # next full-table miss rebuilds it.
         self._heap: Optional[List[Tuple[int, int]]] = None
         # Residue histogram for O(1) noop_horizon: once a threshold T is
         # seen, ``_residue_hist[r]`` counts live slots with count % T ==
@@ -208,6 +217,25 @@ class ArrayMisraGries:
             count -= 1
         return estimate
 
+    def follow_installs(self, journal) -> None:
+        """Replay a flat ``slot, row, slot, row, ...`` journal of slot
+        installs (the compiled loop's copy of this tracker) into the
+        row membership only: ``in`` and ``tracked_rows`` become current,
+        counts and the spill counter stay stale until the next
+        ``restore_state``."""
+        slot_rows = self._rows
+        slot_of = self._slot_of
+        live = len(slot_rows)
+        pairs = iter(journal)
+        for slot, row in zip(pairs, pairs):
+            if slot < live:
+                del slot_of[slot_rows[slot]]
+                slot_rows[slot] = row
+            else:
+                slot_rows.append(row)
+                live += 1
+            slot_of[row] = slot
+
     def noop_horizon(self, threshold: int) -> int:
         """Activations guaranteed not to land any estimate on a
         non-zero multiple of ``threshold``.
@@ -249,11 +277,12 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): slots, the spill counter, and whether
     # the lazy eviction heap has materialized. The heap and the residue
-    # histogram are derived views — rebuilt on restore so a restored
-    # tracker makes the same lazy/eager transitions at the same points
-    # an uninterrupted one would. A heap rebuilt from exact counts picks
-    # the same victims as one holding stale lower bounds: the settled
-    # top is the minimum (count, slot) pair either way.
+    # histogram are derived views — rebuilt after a restore (the heap at
+    # the next full-table miss) so a restored tracker makes the same
+    # lazy/eager transitions at the same points an uninterrupted one
+    # would. A heap rebuilt from exact counts picks the same victims as
+    # one holding stale lower bounds: the settled top is the minimum
+    # (count, slot) pair either way.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
@@ -269,10 +298,8 @@ class ArrayMisraGries:
         self.spill = spill
         self._rows = list(rows)
         self._counts = list(counts)
-        self._slot_of = {row: slot for slot, row in enumerate(self._rows)}
-        self._heap = None
-        if heap_built:
-            self._build_heap()
+        self._slot_of = dict(zip(self._rows, range(len(self._rows))))
+        self._heap = [] if heap_built else None
         self._residue_t = 0
         self._residue_hist = None
         self._residue_max = 0
@@ -301,7 +328,7 @@ class ArrayMisraGries:
         the slots holding it, the lowest.
         """
         heap = self._heap
-        if heap is None:
+        if not heap:
             heap = self._build_heap()
         counts = self._counts
         low, slot = heap[0]

@@ -9,6 +9,8 @@ with the fault model attached. ``TestLoopDispatch`` pins which loop a
 run takes.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.mem.system as system_module
@@ -192,6 +194,44 @@ class TestLoopDispatch:
         _run(_factories()["rrs"], records=200)
         assert calls == ["block"]
         assert block_kernel.load() is not None
+
+    def test_compiled_loop_hands_rrs_only_its_swaps(self, monkeypatch):
+        """RRS's tracker runs inside the compiled loop: Python sees one
+        on_hot_row call per swap and no per-activation hook at all,
+        while a CAT-tracker RRS keeps the per-activation hand-off."""
+        calls = {"on_activation": 0, "on_activation_batch": 0, "on_hot_row": 0}
+        for name in calls:
+            original = getattr(RandomizedRowSwap, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(RandomizedRowSwap, name, counted)
+        metrics = run_workload(
+            get_workload("hmmer"),
+            RandomizedRowSwap(
+                RRSConfig.for_threshold(4800, DRAMConfig()).scaled(256),
+                DRAMConfig().scaled(256),
+            ),
+            scale=256,
+            records_per_core=3_000,
+            cores=CORES,
+        )
+        assert metrics.swaps > 0
+        assert calls == {
+            "on_activation": 0,
+            "on_activation_batch": 0,
+            "on_hot_row": metrics.swaps,
+        }
+        cat = RandomizedRowSwap(
+            dataclasses.replace(
+                RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE),
+                tracker_backend="cat",
+            ),
+            _dram(),
+        )
+        assert cat.hot_row_tracker((0, 0, 0)) is None
 
     def test_sanitized_run_takes_the_scalar_loop(self, calls, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -4,11 +4,13 @@ The loop's results are pinned against the scalar oracle in
 ``test_block_equivalence.py`` and ``tests/state/test_roundtrip.py``;
 this module covers what those cannot see: that the library is really
 built where a compiler exists, how the build is cached, that a host
-without one falls back to the scalar loop, and that the C-side
-buffers (deferred activations, the per-window activation log) drain
-into their Python homes with nothing lost or reordered.
+without one falls back to the scalar loop, that the C-side
+buffers (deferred activations, the per-window activation log, the
+tracker install journals) drain into their Python homes with nothing
+lost or reordered, and that the C tracker's full-table misses match.
 """
 
+import dataclasses
 import shutil
 import warnings
 
@@ -42,9 +44,10 @@ def _mitigation(name: str):
         return PARA(probability=0.02, rows_per_bank=dram.rows_per_bank, seed=3)
     if name == "trr":
         return TargetedRowRefresh(rows_per_bank=dram.rows_per_bank)
-    rrs = RandomizedRowSwap(
-        RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE), dram
-    )
+    config = RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE)
+    if name == "rrs_tiny_tracker":
+        config = dataclasses.replace(config, tracker_entries=16)
+    rrs = RandomizedRowSwap(config, dram)
     if name == "rrs_scalar":
         rrs.batch_scope = None
     return rrs
@@ -76,18 +79,36 @@ def test_compiler_on_path_means_the_compiled_loop_loads():
     assert block_kernel.load() is not None
 
 
-@pytest.mark.parametrize("name", ["rrs", "rrs_scalar", "para", "trr"])
+@pytest.mark.parametrize(
+    "name", ["rrs", "rrs_scalar", "rrs_tiny_tracker", "para", "trr"]
+)
 def test_tiny_buffers_drain_without_changing_state(name, monkeypatch, scalar_loop):
-    """Deferral buffers and activation logs a few entries long spill
-    into Python on almost every activation; results and every cut's
-    full state (per-bank activation Counters in insertion order,
-    mitigation buffers and credits) still match the scalar oracle."""
+    """Deferral buffers, activation logs and tracker install journals a
+    few entries long spill into Python on almost every activation;
+    results and every cut's full state (per-bank activation Counters in
+    insertion order, mitigation buffers, credits and trackers) still
+    match the scalar oracle."""
     with scalar_loop():
         expected = _cut_run(name)
     assert expected[0].windows == 2
     monkeypatch.setattr(block_kernel, "BUFFER_CAPACITY", 2)
     monkeypatch.setattr(block_kernel, "LOG_CAPACITY", 3)
+    monkeypatch.setattr(block_kernel, "JOURNAL_CAPACITY", 2)
     assert _cut_run(name) == expected
+
+
+def test_full_table_tracker_misses_match_the_scalar_loop(scalar_loop):
+    """A 16-entry hot-row tracker misses on a full table thousands of
+    times per window (spills and lowest-slot evictions), and swaps
+    thousands of times; every cut lands inside a window. Results and
+    each cut's full state, tracker slots and spill counters included,
+    match the scalar oracle."""
+    with scalar_loop():
+        expected = _cut_run("rrs_tiny_tracker")
+    metrics, texts = expected
+    assert metrics.windows == 2 and metrics.swaps > 1_000
+    assert sorted(texts) == list(CUTS)
+    assert _cut_run("rrs_tiny_tracker") == expected
 
 
 def test_build_is_cached_by_source_and_flags(tmp_path, monkeypatch):

@@ -116,12 +116,14 @@ class TestBatchedScalarEquivalence:
 
 
 class TestOptOut:
-    def test_hammered_banks_opt_out_and_stay_identical(self):
+    def test_hammered_banks_opt_out_and_stay_identical(self, scalar_loop):
         """At scale 64 the scaled T_RRS is tiny, so noop horizons sit
         near zero and mean run lengths fall under the opt-out cutoff:
         hammered banks must pin their credit to the -1 sentinel (the
         controller then routes them straight to the scalar oracle),
-        and the results must still match the scalar run exactly."""
+        and the results must still match the scalar run exactly. RRS
+        defers through credits only in the scalar loop (the compiled
+        loop runs its tracker in C), so the batched run takes it."""
         scale = 64
 
         def factory():
@@ -130,9 +132,10 @@ class TestOptOut:
                 _dram(scale),
             )
 
-        batched, mitigation = _run(
-            factory, batched=True, scale=scale, records=4_000
-        )
+        with scalar_loop():
+            batched, mitigation = _run(
+                factory, batched=True, scale=scale, records=4_000
+            )
         credits = [
             credit
             for state in mitigation._batch_states.values()
