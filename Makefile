@@ -38,7 +38,7 @@ bench-smoke:  ## throughput microbenchmark with a tiny request budget
 bench-gate:  ## fail when serial throughput regresses vs the committed baseline
 	$(PYTHON) scripts/bench_gate.py
 
-PERFBENCH_SMOKE := fullscale_security fig6_rrs fig6_checkpointed
+PERFBENCH_SMOKE := fullscale_security fig6_rrs fig6_baseline fig6_checkpointed
 
 perfbench-smoke:  ## benchmark self-tests + pinned digests of $(PERFBENCH_SMOKE) on the held-out seed
 	$(PYTHON) -m pytest perfbench -q

@@ -310,7 +310,6 @@ class AttackHarness:
         self.now_ns = bank.timing.activate_run(
             wordline, self.now_ns, 0.0 + self.dram.t_rc, count
         )
-        bank.window_act_counts[wordline] += count
         bank.total_activations += count
         self.disturbance.on_activate_run(wordline, count)
         self.mitigation.on_activation_run(

@@ -1,5 +1,5 @@
-"""Bank model: timing state + per-window activation accounting +
-optional disturbance (fault) model.
+"""Bank model: timing state + activation totals + optional
+disturbance (fault) model.
 
 The bank is the unit every Row Hammer quantity in the paper is defined
 over: ACT_max is per bank per 64 ms, swaps pick destinations within the
@@ -8,7 +8,6 @@ bank, and the adaptive attack randomizes over the 128K rows of one bank.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from repro.dram.config import DRAMConfig
@@ -17,7 +16,11 @@ from repro.dram.timing import AccessOutcome, BankTimingState
 
 
 class Bank:
-    """One DRAM bank: row buffer, timing, activation counts, faults."""
+    """One DRAM bank: row buffer, timing, activation totals, faults.
+
+    The bank keeps no per-row activation count: the defenses keep their
+    own trackers, and ``repro.obs`` counts ACTs per row in its request
+    probe."""
 
     __slots__ = (
         "config",
@@ -26,7 +29,6 @@ class Bank:
         "index",
         "timing",
         "disturbance",
-        "window_act_counts",
         "total_activations",
         "windows_elapsed",
         "_rows_per_bank",
@@ -46,8 +48,6 @@ class Bank:
         self.index = index
         self.timing = BankTimingState(config=config)
         self.disturbance = disturbance
-        # Per-window activation counts keyed by *physical* row.
-        self.window_act_counts: Counter = Counter()
         self.total_activations = 0
         self.windows_elapsed = 0
         self._rows_per_bank = config.rows_per_bank
@@ -68,7 +68,6 @@ class Bank:
             )
         outcome = self.timing.access(row, now_ns)
         if outcome.activated:
-            self.window_act_counts[row] += 1
             self.total_activations += 1
             if self.disturbance is not None:
                 self.disturbance.on_activate(row)
@@ -88,8 +87,7 @@ class Bank:
             self.disturbance.on_refresh_row(row)
 
     def end_window(self) -> None:
-        """Refresh-window rollover: counts reset, charge restored."""
-        self.window_act_counts.clear()
+        """Refresh-window rollover: charge restored."""
         self.windows_elapsed += 1
         if self.disturbance is not None:
             self.disturbance.end_window()
@@ -97,14 +95,6 @@ class Bank:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def acts_this_window(self, row: int) -> int:
-        """Activations of a physical row in the current window."""
-        return self.window_act_counts.get(row, 0)
-
-    def rows_with_at_least(self, threshold: int) -> list:
-        """Physical rows with >= ``threshold`` ACTs this window."""
-        return [row for row, count in self.window_act_counts.items() if count >= threshold]
-
     @property
     def key(self) -> tuple:
         """Hashable bank identity (channel, rank, index)."""
@@ -122,22 +112,18 @@ class Bank:
     # ------------------------------------------------------------------
     # Snapshotable (repro.state). The disturbance model is snapshotted
     # by its own protocol implementation (the device owns that
-    # round-trip); the bank covers timing plus activation accounting.
+    # round-trip); the bank covers timing plus activation totals.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
             self.timing.snapshot_state(),
-            dict(self.window_act_counts),
             self.total_activations,
             self.windows_elapsed,
         )
 
     def restore_state(self, state: tuple) -> None:
-        timing_state, act_counts, total_activations, windows_elapsed = state
+        timing_state, total_activations, windows_elapsed = state
         self.timing.restore_state(timing_state)
-        self.window_act_counts = Counter()
-        for row, count in act_counts.items():
-            self.window_act_counts[row] = count
         self.total_activations = total_activations
         self.windows_elapsed = windows_elapsed
 
@@ -151,7 +137,6 @@ class Bank:
             )
 
     def _note_activation(self, row: int) -> None:
-        self.window_act_counts[row] += 1
         self.total_activations += 1
         if self.disturbance is not None:
             self.disturbance.on_activate(row)

@@ -6,8 +6,8 @@ Two granularities, matching how the paper reasons about refresh:
   blocks it for 350 ns — this is the ~4.5% duty-cycle tax baked into
   ACT_max = 1.36 M activations per 64 ms.
 * **Refresh window (64 ms)**: every row's charge is restored once per
-  window, so disturbance accounting and activation counting both reset
-  at window boundaries (the paper's "epoch").
+  window, so disturbance accounting and the defenses' per-window state
+  reset at window boundaries (the paper's "epoch").
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ class RefreshScheduler:
     """Advances refresh state for a set of channels as sim time moves.
 
     ``window_callbacks`` are invoked with the completed window's index
-    at every refresh-window boundary — the hook mitigations use for
-    epoch rollover (HRT reset, RIT lock-bit clearing).
+    at every refresh-window boundary, after every channel's
+    ``end_window`` — the hook mitigations use for epoch rollover (HRT
+    reset, RIT lock-bit clearing) and obs for its per-window series.
     """
 
     def __init__(
@@ -38,11 +39,6 @@ class RefreshScheduler:
         self.config = config
         self.channels = channels
         self.window_callbacks = list(window_callbacks or [])
-        # Read-only observers that need the closing window's state
-        # *before* the rollover clears it (per-bank activation counts):
-        # invoked with the completed window's index, ahead of
-        # ``end_window``. Mutating hooks belong in window_callbacks.
-        self.pre_window_callbacks: list = []
         # DDR4 refresh flexibility: up to 8 REF commands may be
         # postponed while a rank is busy, paid back as a burst later.
         self.max_postponed = max_postponed
@@ -127,8 +123,6 @@ class RefreshScheduler:
 
     def _advance_windows(self, now_ns: float) -> None:
         while self._next_window_ns <= now_ns:
-            for callback in self.pre_window_callbacks:
-                callback(self.windows_completed)
             for channel in self.channels:
                 channel.end_window()
             for callback in self.window_callbacks:

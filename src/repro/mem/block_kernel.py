@@ -22,8 +22,8 @@ after each:
 * the end of a core's trace block (the next one is generated, decoded
   and precomputed here);
 * ``stop_at`` (a checkpoint cut), the end of the run, and a full
-  activation log, deferral buffer or tracker install journal, which
-  are drained into their Python homes.
+  deferral buffer or tracker install journal, which are drained into
+  their Python homes.
 
 C trackers are loaded from their Python trackers at entry and after
 each window's callbacks and written back before the callbacks and on
@@ -75,19 +75,19 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 
 # Slot layout of block_loop.c (the enums at its top).
 (I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
- I_LOGCAP, I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
+ I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
  I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
- I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT) = range(27)
+ I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT) = range(26)
 (D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
  D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
  D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
 (P_I, P_D, P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
- P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_LOG_N,
- P_LOG_ROWS, P_RT_MASK, P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_MODE,
- P_CH_TABLES, P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES,
- P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP,
- P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
- P_TRK_HEAP, P_TRK_JNL, P_COUNT) = range(45)
+ P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK,
+ P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES, P_TIME, P_INST,
+ P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS,
+ P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T,
+ P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_TRK_JNL,
+ P_COUNT) = range(43)
 (EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
  EV_BLOCK, EV_BAD_ROW) = range(9)
 MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK = range(4)
@@ -98,11 +98,10 @@ T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_JNL, T_N = range(7)
 # row-buffer hits) and double (swap-blocked, throttle, latency ns).
 S_N, S_D = 4, 3
 
-# Per-bank capacity of the deferral buffers and of the per-window
-# activation log. When one fills, every buffer and log is drained into
-# its Python list or Counter; small capacities keep peak memory flat.
+# Per-bank capacity of the deferral buffers. When one fills, every
+# buffer is drained into its Python list; a small capacity keeps peak
+# memory flat.
 BUFFER_CAPACITY = 256
-LOG_CAPACITY = 512
 # Per-bank capacity of the hot-row trackers' install journals; a full
 # one is replayed into its Python tracker's row membership.
 JOURNAL_CAPACITY = 512
@@ -363,9 +362,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     total = point(
         P_TOTAL, np.array([b.total_activations for b in bank_objs], np.int64)
     )
-    log_capacity = LOG_CAPACITY
-    log_n = point(P_LOG_N, np.zeros(n_banks, np.int64))
-    log_rows = point(P_LOG_ROWS, np.empty(n_banks * log_capacity, np.int64))
 
     # ---- mitigation hand-off: modes, credits, buffers, route tables ----
     c0 = controllers[0]
@@ -473,17 +469,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 batch.rows[lfb].extend(buf_rows[offset:offset + n].tolist())
                 batch.times[lfb].extend(buf_times[offset:offset + n].tolist())
                 buf_n_v[gfb] = 0
-
-    def fold_logs() -> None:
-        # Counter.update counts in log order, so each bank's
-        # window_act_counts keeps the oracle's insertion order.
-        for gfb, n in enumerate(log_n.tolist()):
-            if n:
-                offset = gfb * log_capacity
-                bank_objs[gfb].window_act_counts.update(
-                    log_rows[offset:offset + n].tolist()
-                )
-                log_n[gfb] = 0
 
     def sync_route(gfb: int) -> None:
         """Mirror one bank's route table into its C hash table."""
@@ -639,7 +624,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     I[I_ROUTE_CALL] = c0._has_route
     I[I_RCAP] = rob_capacity
     I[I_BUFCAP] = buffer_capacity
-    I[I_LOGCAP] = log_capacity
     I[I_STOP] = stop_at
     I[I_BANK] = -1
     D[D_LOOKUP] = c0._lookup_ns
@@ -717,13 +701,10 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         elif event == EV_WINDOW:
             drain_buffers()
             credits_to_py()
-            fold_logs()
             trackers_to_py()
             refresh.refresh_bursts += iv[I_BURSTS]
             iv[I_BURSTS] = 0
             completed = refresh.windows_completed
-            for callback in refresh.pre_window_callbacks:
-                callback(completed)
             for channel in channels:
                 channel.end_window()
             for callback in refresh.window_callbacks:
@@ -734,7 +715,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             trackers_from_py()
         elif event == EV_SPILL:
             drain_buffers()
-            fold_logs()
             for gfb in hot.banks:
                 hot.follow(gfb)
             iv[I_SPILL] = 0
@@ -748,7 +728,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     # ---- write everything back to the live objects ----
     drain_buffers()
     credits_to_py()
-    fold_logs()
     trackers_to_py()
     for fb, state in enumerate(
         zip(open_row.tolist(), last_act.tolist(), ready.tolist())

@@ -23,7 +23,7 @@
 /* int64 scalars: configuration, loop cursors, the request in flight. */
 enum {
     I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
-    I_LOGCAP, I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
+    I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
     I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
     I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT
 };
@@ -40,8 +40,8 @@ enum {
 enum {
     P_I, P_D,
     P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
-    P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_LOG_N,
-    P_LOG_ROWS, P_RT_MASK, P_RT_PTR,
+    P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK,
+    P_RT_PTR,
     P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES,
     P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
     P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
@@ -343,8 +343,6 @@ int64_t rk_run(const uint64_t *P)
     int64_t *buf_n = PTR(int64_t, P_BUF_N);
     int64_t *buf_rows = PTR(int64_t, P_BUF_ROWS);
     double *buf_times = PTR(double, P_BUF_TIMES);
-    int64_t *log_n = PTR(int64_t, P_LOG_N);
-    int64_t *log_rows = PTR(int64_t, P_LOG_ROWS);
     const int64_t *rt_mask = PTR(int64_t, P_RT_MASK);
     const uint64_t *rt_ptr = PTR(uint64_t, P_RT_PTR);
     double *bus = PTR(double, P_BUS);
@@ -372,7 +370,6 @@ int64_t rk_run(const uint64_t *P)
     const int64_t route_call = I[I_ROUTE_CALL];
     const int64_t rcap = I[I_RCAP];
     const int64_t bufcap = I[I_BUFCAP];
-    const int64_t logcap = I[I_LOGCAP];
     const int64_t stop = I[I_STOP];
     const double lookup = D[D_LOOKUP], t_cas = D[D_TCAS], t_rcd = D[D_TRCD];
     const double t_rp = D[D_TRP], t_rc = D[D_TRC], t_ras = D[D_TRAS];
@@ -510,11 +507,6 @@ int64_t rk_run(const uint64_t *P)
             ready[gfb] = data;
             hit = 0;
             activated = 1;
-            n = log_n[gfb];
-            log_rows[gfb * logcap + n] = prow;
-            log_n[gfb] = ++n;
-            if (n == logcap)
-                spill = 1;
             total[gfb]++;
         }
 

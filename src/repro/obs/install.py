@@ -6,11 +6,12 @@ probes on every layer of the memory system:
 
 * per-bank command observers (chained onto the
   :class:`~repro.dram.timing.BankTimingState` observer hook) for the
-  ``dram.cmd`` category and per-bank ACT accounting;
+  ``dram.cmd`` category;
 * a request-completion hook on every
   :class:`~repro.mem.controller.MemoryController` feeding the
-  read-latency histogram, per-bank row-buffer hit counters, and
-  ``exec`` request-lifetime events;
+  read-latency histogram, per-bank row-buffer hit counters, the
+  per-row ACT counts behind ``dram.acts_per_row``, and ``exec``
+  request-lifetime events;
 * mitigation hooks: throttle delays, victim refreshes, channel blocks
   (``mitigation``) and the RRS swap stream (``rrs.swap``, emitted by
   :class:`~repro.core.rrs.RandomizedRowSwap` through the tracer slot on
@@ -69,9 +70,10 @@ class Observability:
         self.export_extra = export_extra
         self.installed = False
         self._simulator = None
-        # Per-bank logical-ACT counts (physical row -> count), feeding
-        # the acts-per-row histogram at finalize time.
-        self._row_acts: Dict[BankKey, Dict[int, int]] = {}
+        # Per-bank ACT counts (physical row -> count) in counter-table
+        # order, bumped by the request probe on every row-buffer miss
+        # and folded into the acts-per-row histogram at finalize time.
+        self._row_acts: List[Dict[int, int]] = []
         # Totals at the last window boundary, for per-window deltas.
         self._marks = {
             "swaps": 0,
@@ -93,7 +95,7 @@ class Observability:
         self._bank_act_counters: list = []
         self._bank_key_args: list = []
         # (bank_key, Bank) pairs in counter-table order, for the
-        # finalize-time counter derivations and window-boundary folds.
+        # finalize-time counter derivations.
         self._banks: list = []
         self._core_tracks: list = []
         # Read latencies buffered here and folded into the histogram in
@@ -139,10 +141,10 @@ class Observability:
 
         # The per-command timing observer exists solely to record
         # ``dram.cmd`` events: every counter it used to maintain is
-        # recovered exactly at finalize/window boundaries from state
-        # the banks already track (see finalize() and
-        # _fold_bank_acts()). When the category is off, no observer is
-        # installed and commands cost the simulator nothing.
+        # recovered exactly at finalize from state the banks already
+        # track, or counted by the request probe (see finalize() and
+        # _make_request_probe()). When the category is off, no observer
+        # is installed and commands cost the simulator nothing.
         tracer = self.tracer
         trace_cmds = tracer is not None and tracer.wants("dram.cmd")
         self._trace_cmds = trace_cmds
@@ -151,7 +153,6 @@ class Observability:
                 for bank in rank.banks:
                     bank_key = (channel.index, rank_index, bank.index)
                     self._banks.append((bank_key, bank))
-                    self._row_acts[bank_key] = defaultdict(int)
                     if trace_cmds:
                         chain_observer(bank.timing, self._bank_probe(bank_key))
 
@@ -160,7 +161,6 @@ class Observability:
 
         refresh = simulator.refresh
         self._chain_refresh_observer(refresh)
-        refresh.pre_window_callbacks.append(self._fold_bank_acts)
         refresh.window_callbacks.append(self._on_window_end)
 
         mitigation = simulator.mitigation
@@ -204,6 +204,7 @@ class Observability:
                         registry.counter(f"dram.{label}.act")
                     )
                     self._bank_key_args.append((ch, rk, bk))
+                    self._row_acts.append(defaultdict(int))
         self._core_tracks = [
             ("core", core_id) for core_id in range(simulator.config.cores)
         ]
@@ -263,24 +264,6 @@ class Observability:
 
         return probe
 
-    def _fold_bank_acts(self, window_index: int) -> None:
-        """Accumulate the closing window's per-row ACT counts.
-
-        Registered as a refresh *pre*-window callback: the banks'
-        ``window_act_counts`` are about to be cleared by the rollover,
-        and their sum across windows (plus the partial tail folded by
-        finalize()) is exactly the per-row activation total the old
-        per-command probe used to count — every ACT, including
-        attack-driver and swap-stream ones, passes through
-        ``Bank``'s activation accounting.
-        """
-        for bank_key, bank in self._banks:
-            counts = bank.window_act_counts
-            if counts:
-                acts = self._row_acts[bank_key]
-                for row, count in counts.items():
-                    acts[row] += count
-
     def _chain_refresh_observer(self, refresh) -> None:
         existing = refresh.observer
         probe = self._on_refresh_burst
@@ -321,6 +304,7 @@ class Observability:
         banks_per_rank = self._banks_per_rank
         bank_access = self._bank_access
         bank_hits = self._bank_hits
+        row_acts = self._row_acts
         bank_key_args = self._bank_key_args
         latency_buffer = self._latency_buffer
         buffer_latency = latency_buffer.append
@@ -354,6 +338,9 @@ class Observability:
             bank_access[flat].value += 1
             if hit:
                 bank_hits[flat].value += 1
+            else:
+                # Every row-buffer miss is one ACT of the routed row.
+                row_acts[flat][request.physical_row] += 1
             if trace_exec:
                 core_id = request.core_id
                 buffer_event(
@@ -506,8 +493,6 @@ class Observability:
             self._snapshot_window(simulator.refresh.windows_completed, partial=True)
 
         self._flush_latencies()
-        # The tail of the current (incomplete) refresh window.
-        self._fold_bank_acts(simulator.refresh.windows_completed)
 
         # Counters the hot probes deliberately do not maintain,
         # recovered exactly from authoritative per-layer totals:
@@ -548,8 +533,7 @@ class Observability:
         acts_hist = self.registry.histogram(
             "dram.acts_per_row", DEFAULT_COUNT_BOUNDS
         )
-        for bank_key in sorted(self._row_acts):
-            acts = self._row_acts[bank_key]
+        for acts in self._row_acts:
             for row in sorted(acts):
                 acts_hist.observe(float(acts[row]))
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, Tuple, runtime_checkable
 
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 
 
 class NotSnapshotable(RuntimeError):

@@ -12,8 +12,8 @@ a sentinel object:
   eviction and ``Counter.most_common`` tie-breaks) survive exactly.
 * int -> int dict     -> ``{"__di__": base64(int64 keys ++ values)}`` —
   the same, packed, when every key and value is a non-bool ``int`` in
-  int64 range (per-bank activation counts, RIT maps: the bulk of a
-  payload, encoded and parsed at C speed instead of pair by pair).
+  int64 range (RIT maps: the bulk of a payload, encoded and parsed at
+  C speed instead of pair by pair).
 * numpy array         -> ``{"__nd__": dtype, "shape": [...], "b64":
   base64(tobytes)}`` — byte-exact, no text round trip.
 * non-finite float    -> ``{"__f__": "inf" | "-inf" | "nan"}``

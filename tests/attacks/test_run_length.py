@@ -182,7 +182,6 @@ def _replay(
         "flipped": harness.disturbance._flipped_this_window.tobytes(),
         "fault_window": harness.disturbance.window,
         "timing": harness.bank.timing.snapshot_state(),
-        "window_act_counts": list(harness.bank.window_act_counts.items()),
         "bank": harness.bank.snapshot_state(),
         "now_ns": harness.now_ns,
         "window_index": harness.window_index,

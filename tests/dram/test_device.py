@@ -56,4 +56,4 @@ def test_end_window_cascades(small_dram):
     bank = channel.bank(0, 1)
     bank.activate(5)
     channel.end_window()
-    assert bank.acts_this_window(5) == 0
+    assert bank.windows_elapsed == 1

@@ -71,7 +71,7 @@ class TestClosedPagePolicy:
         for _ in range(5):
             outcome = bank.access(row=5, now_ns=now)
             now = outcome.data_ns
-        assert bank.acts_this_window(5) == 5
+        assert bank.total_activations == 5
 
     def test_closed_page_conflict_is_cheaper_than_open_page_conflict(self):
         """Closed page pre-pays tRP, so a conflicting access skips it."""

@@ -83,16 +83,14 @@ def test_compiler_on_path_means_the_compiled_loop_loads():
     "name", ["rrs", "rrs_scalar", "rrs_tiny_tracker", "para", "trr"]
 )
 def test_tiny_buffers_drain_without_changing_state(name, monkeypatch, scalar_loop):
-    """Deferral buffers, activation logs and tracker install journals a
-    few entries long spill into Python on almost every activation;
-    results and every cut's full state (per-bank activation Counters in
-    insertion order, mitigation buffers, credits and trackers) still
+    """Deferral buffers and tracker install journals a few entries long
+    spill into Python on almost every activation; results and every
+    cut's full state (mitigation buffers, credits and trackers) still
     match the scalar oracle."""
     with scalar_loop():
         expected = _cut_run(name)
     assert expected[0].windows == 2
     monkeypatch.setattr(block_kernel, "BUFFER_CAPACITY", 2)
-    monkeypatch.setattr(block_kernel, "LOG_CAPACITY", 3)
     monkeypatch.setattr(block_kernel, "JOURNAL_CAPACITY", 2)
     assert _cut_run(name) == expected
 

@@ -14,6 +14,7 @@ from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
 from repro.mem.metrics import SimMetrics
 from repro.obs import Observability, RingSink, Tracer
+from repro.obs.metrics import DEFAULT_COUNT_BOUNDS, Histogram
 from repro.workloads.suites import get_workload
 
 SCALE = 128
@@ -100,6 +101,37 @@ def test_traced_run_covers_expected_categories():
         for event in swaps:
             assert set(event.args) >= {"row", "destination", "ops",
                                        "blocked_ns"}
+
+
+def test_acts_per_row_matches_the_act_command_stream():
+    """``dram.acts_per_row`` holds one observation per (bank, physical
+    row) activated in the run, valued at that row's ACT count: the same
+    counts the ``dram.cmd`` ACT events give, across a window end."""
+    obs = Observability(
+        tracer=Tracer(RingSink(capacity=10**7), categories=["dram.cmd"]),
+        export_extra=False,
+    )
+    metrics = run_workload(
+        get_workload("hmmer"),
+        _mitigation(),
+        scale=SCALE,
+        records_per_core=8000,
+        cores=2,
+        obs=obs,
+    )
+    assert metrics.windows >= 1 and metrics.swaps > 0
+    assert obs.tracer.dropped == 0
+    acts: dict = {}
+    for event in obs.tracer.events:
+        if event.name == "ACT":
+            key = (event.track, event.args["row"])
+            acts[key] = acts.get(key, 0) + 1
+    expected = Histogram("expected", DEFAULT_COUNT_BOUNDS)
+    for key in sorted(acts):
+        expected.observe(float(acts[key]))
+    histogram = obs.registry.get("dram.acts_per_row")
+    assert sum(acts.values()) == metrics.activations
+    assert histogram.to_value() == expected.to_value()
 
 
 def test_category_filter_limits_stream():

@@ -183,10 +183,16 @@ def test_core_block_columns_roundtrip():
     assert restored.done
 
 
-def test_schema_1_checkpoint_in_store_is_a_miss(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_schema_checkpoint_in_store_is_a_miss(tmp_path, version):
+    """A cut written under an older schema (2 still carried per-row
+    activation counts in every bank tuple) is skipped, so the run
+    starts fresh instead of misreading it."""
     store = CheckpointStore(root=tmp_path)
     fp = "ab" * 32
-    old = SimCheckpoint(fingerprint=fp, serviced=10, payload=(1,), schema_version=1)
+    old = SimCheckpoint(
+        fingerprint=fp, serviced=10, payload=(1,), schema_version=version
+    )
     store.put(old)
     assert store.cuts(fp) == [10]
     assert store.get(fp, 10) is None
