@@ -57,13 +57,16 @@ def swaps_per_window(
 
     Runs one bank's activation stream through the real RRS mitigation
     (tracker + RIT + destination exclusion) and scales by bank count.
+    The tracker runs in C and Python only at swaps
+    (``block_kernel.replay_hot_rows``), falling back to one
+    ``on_activation`` per activation without a compiler or with the
+    CAT tracker.
     """
+    from repro.mem.block_kernel import replay_hot_rows
+
     if rrs_config is None:
         rrs_config = RRSConfig.for_threshold(4800, config)
     stream = bank_stream(spec, config, seed)
     rrs = RandomizedRowSwap(rrs_config, config)
-    for row in stream:
-        logical = int(row)
-        physical = rrs.route(BANK, logical)
-        rrs.on_activation(BANK, logical, physical, 0.0)
+    replay_hot_rows(rrs, BANK, stream)
     return rrs.total_swaps * config.banks_total, int(stream.size)

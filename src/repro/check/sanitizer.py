@@ -330,8 +330,8 @@ def _checked_destination_picker(mitigation) -> Callable[..., int]:
     """
     original = mitigation._pick_destination
 
-    def checked(state, row: int) -> int:
-        destination = original(state, row)
+    def checked(state, row: int, tracked) -> int:
+        destination = original(state, row, tracked)
         if state.rit.is_swapped(destination):
             raise ProtocolViolation(
                 "RRS-CAT-ALIAS",
@@ -339,7 +339,7 @@ def _checked_destination_picker(mitigation) -> Callable[..., int]:
                 "RIT",
             )
         exclude = getattr(mitigation.config, "exclude_tracked_destinations", False)
-        if exclude and destination in state.tracker:
+        if exclude and tracked(destination):
             raise ProtocolViolation(
                 "RRS-CAT-ALIAS",
                 f"swap destination {destination} is a live hot row in "

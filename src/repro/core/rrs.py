@@ -163,11 +163,11 @@ class RandomizedRowSwap(BankBatchedMitigation):
         # only counters arriving at a multiple trigger.
         if estimate == 0 or estimate % self.config.t_rrs != 0:
             return NOOP_OUTCOME
-        return self.on_hot_row(bank_key, row, now_ns)
+        return self.on_hot_row(bank_key, row, now_ns, state.tracker.__contains__)
 
-    def on_hot_row(self, bank_key, row, now_ns):
+    def on_hot_row(self, bank_key, row, now_ns, tracked):
         """Swap the row (the compiled loop calls this directly)."""
-        return self._perform_swap(bank_key, self._bank(bank_key), row, now_ns)
+        return self._perform_swap(bank_key, self._bank(bank_key), row, now_ns, tracked)
 
     def hot_row_tracker(self, bank_key):
         """The bank's array tracker and T_RRS; the CAT tracker stays on
@@ -326,9 +326,9 @@ class RandomizedRowSwap(BankBatchedMitigation):
         return state
 
     def _perform_swap(
-        self, bank_key: BankKey, state: _BankState, row: int, now_ns: float
+        self, bank_key: BankKey, state: _BankState, row: int, now_ns: float, tracked
     ) -> MitigationOutcome:
-        destination = self._pick_destination(state, row)
+        destination = self._pick_destination(state, row, tracked)
         ops = state.rit.swap(row, destination)
         engine = self.swap_engine(bank_key[0])
         blocked_ns = engine.execute(ops)
@@ -367,18 +367,16 @@ class RandomizedRowSwap(BankBatchedMitigation):
             refresh_all_bank=refresh_all,
         )
 
-    def _pick_destination(self, state: _BankState, row: int) -> int:
-        """Random destination excluding HRT/RIT residents (Section 4.4)."""
+    def _pick_destination(self, state: _BankState, row: int, tracked) -> int:
+        """Random destination excluding HRT (``tracked``) and RIT
+        residents (Section 4.4)."""
 
         def is_excluded(candidate: int) -> bool:
             if candidate == row:
                 return True
             if state.rit.is_swapped(candidate):
                 return True
-            if (
-                self.config.exclude_tracked_destinations
-                and candidate in state.tracker
-            ):
+            if self.config.exclude_tracked_destinations and tracked(candidate):
                 return True
             return False
 

@@ -22,13 +22,13 @@ after each:
 * the end of a core's trace block (the next one is generated, decoded
   and precomputed here);
 * ``stop_at`` (a checkpoint cut), the end of the run, and a full
-  deferral buffer or tracker install journal, which are drained into
-  their Python homes.
+  deferral buffer, which is drained into its Python list.
 
 C trackers are loaded from their Python trackers at entry and after
 each window's callbacks and written back before the callbacks and on
-return; in between, each Python tracker's row membership follows C's
-install journal, which is all a swap reads.
+return; in between, a swap asks C for membership (``on_hot_row``'s
+``tracked``). :func:`replay_hot_rows` drives one bank's C tracker the
+same way outside the loop (Figure 5).
 
 All loop state lives in numpy arrays shared with C; the Python side writes
 mitigation actions straight into them. Every double operation keeps
@@ -61,6 +61,7 @@ import shutil
 import tempfile
 import warnings
 from collections import deque
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -68,7 +69,7 @@ import numpy as np
 
 from repro.mitigations.base import Mitigation
 
-__all__ = ["load", "run_block_loop"]
+__all__ = ["load", "replay_hot_rows", "run_block_loop"]
 
 SOURCE = Path(__file__).with_name("block_loop.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
@@ -77,7 +78,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 (I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
  I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
  I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
- I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT) = range(26)
+ I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_COUNT) = range(25)
 (D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
  D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
  D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
@@ -86,14 +87,13 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
  P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES, P_TIME, P_INST,
  P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS,
  P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T,
- P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_TRK_JNL,
- P_COUNT) = range(43)
+ P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_COUNT) = range(42)
 (EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
  EV_BLOCK, EV_BAD_ROW) = range(9)
 MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK = range(4)
 KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL, KIND_HOT = range(4)
 # Per-bank tracker fields (rows of the P_TRK array).
-T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_JNL, T_N = range(7)
+T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N = range(6)
 # Per-channel stats columns: int64 (reads, writes, activations,
 # row-buffer hits) and double (swap-blocked, throttle, latency ns).
 S_N, S_D = 4, 3
@@ -102,9 +102,6 @@ S_N, S_D = 4, 3
 # buffer is drained into its Python list; a small capacity keeps peak
 # memory flat.
 BUFFER_CAPACITY = 256
-# Per-bank capacity of the hot-row trackers' install journals; a full
-# one is replayed into its Python tracker's row membership.
-JOURNAL_CAPACITY = 512
 
 _UNRESOLVED = object()
 _library = _UNRESOLVED
@@ -155,19 +152,19 @@ def _build_and_load():
     layout = [library.rk_layout(which) for which in range(3)]
     if layout != [I_COUNT, D_COUNT, P_COUNT]:
         raise OSError(f"{path.name}: slot layout {layout} does not match")
-    library.rk_run.restype = ctypes.c_int64
-    library.rk_run.argtypes = (ctypes.c_void_p,)
-    library.rk_route_build.restype = None
-    library.rk_route_build.argtypes = (
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_int64,
-    )
-    library.rk_tracker_sync.restype = None
-    library.rk_tracker_sync.argtypes = (ctypes.c_void_p, ctypes.c_int64)
-    library.rk_tracker_observe.restype = ctypes.c_int64
-    library.rk_tracker_observe.argtypes = (
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-    )
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    for name, restype, *argtypes in (
+        ("rk_run", i64, ptr),
+        ("rk_route_build", None, ptr, i64, ptr, ptr, i64),
+        ("rk_route_put", None, ptr, i64, i64, i64),
+        ("rk_route_get", i64, ptr, i64, i64),
+        ("rk_tracker_sync", None, ptr, i64),
+        ("rk_tracker_stream", i64, ptr, i64, ptr, i64, i64),
+        ("rk_tracker_contains", i64, ptr, i64, i64),
+    ):
+        function = getattr(library, name)
+        function.restype = restype
+        function.argtypes = argtypes
     return library
 
 
@@ -206,21 +203,67 @@ def _address(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+class RouteTables:
+    """C copies of per-bank route tables (``Mitigation.route_table``),
+    indexed by flat bank: open addressing over ``(row, physical)``
+    pairs, at most half full; ``mask`` -1 routes the bank as identity."""
+
+    def __init__(self, lib, n_banks: int) -> None:
+        self.lib = lib
+        self.mask = np.full(n_banks, -1, np.int64)
+        self.ptr = np.zeros(n_banks, np.uint64)
+        self.arrays: list = [None] * n_banks
+
+    def build(self, gfb: int, forward) -> None:
+        """Mirror the whole table."""
+        if not forward:
+            self.mask[gfb] = -1
+            return
+        n = len(forward)
+        table = self.arrays[gfb]
+        if table is None or len(table) <= 4 * n:
+            table = self.arrays[gfb] = np.empty(4 << (2 * n).bit_length(), np.int64)
+            self.ptr[gfb] = _address(table)
+        keys = np.fromiter(forward.keys(), np.int64, n)
+        values = np.fromiter(forward.values(), np.int64, n)
+        self.mask[gfb] = mask = len(table) // 2 - 1
+        self.lib.rk_route_build(
+            _address(table), mask, _address(keys), _address(values), n
+        )
+
+    def update(self, gfb: int, forward, swaps) -> None:
+        """Re-mirror the rows whose routes an action's ``swaps`` (pairs
+        of physical rows whose contents moved) changed: each such row
+        now lives at one of those physical rows, and ``forward`` is a
+        permutation, so walking the cycle through a physical row finds
+        the logical row resident there."""
+        mask = int(self.mask[gfb])
+        if mask < 0 or 2 * len(forward) > mask:
+            self.build(gfb, forward)
+            return
+        table = int(self.ptr[gfb])
+        put = self.lib.rk_route_put
+        for pair in swaps:
+            for physical in pair:
+                row = physical
+                while (step := forward.get(row, row)) != physical:
+                    row = step
+                put(table, mask, row, physical)
+
+
 class HotRowTrackers:
     """C copies of per-bank ``ArrayMisraGries`` trackers, indexed by
     flat bank (DESIGN.md §12.1): per bank the ``T_*`` fields, (row,
-    count) slots, a row -> slot table, the eviction heap and a journal
-    of (slot, row) installs.
+    count) slots, a row -> slot table and the eviction heap.
 
     ``load`` copies a Python tracker in (``snapshot_state``), ``store``
     writes it back (``restore_state``, keeping the tracker's residue
-    threshold) and ``follow`` replays the journal into the Python
-    tracker's row membership. The arrays' pointer-table slots and
-    scalars live in this object's own ``P``/``I``, which the block loop
-    copies into its tables."""
+    threshold) and ``contains`` is the C tracker's membership test. The
+    arrays' pointer-table slots and scalars live in this object's own
+    ``P``/``I``, which the block loop copies into its tables."""
 
-    SLOTS = (P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_TRK_JNL)
-    SCALARS = (I_TRK_CAP, I_TRK_MASK, I_JNLCAP)
+    SLOTS = (P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP)
+    SCALARS = (I_TRK_CAP, I_TRK_MASK)
 
     def __init__(self, lib, trackers: list) -> None:
         """``trackers[gfb]``: a ``(tracker, threshold)`` pair, or None
@@ -233,16 +276,14 @@ class HotRowTrackers:
             (trackers[gfb][0].entries for gfb in self.banks), default=1
         )
         self.mask = (1 << (2 * cap).bit_length()) - 1
-        self.jcap = JOURNAL_CAPACITY
         self.I = np.zeros(I_COUNT, np.int64)
-        self.I[list(self.SCALARS)] = (cap, self.mask, self.jcap)
+        self.I[list(self.SCALARS)] = (cap, self.mask)
         self.meta = np.zeros(n_banks * T_N, np.int64)
         self.slots = np.zeros(n_banks * 2 * cap, np.int64)
         self.table = np.full(n_banks * (self.mask + 1), -1, np.int64)
         self.heap = np.zeros(n_banks * 2 * cap, np.int64)
-        self.journal = np.zeros(n_banks * 2 * self.jcap, np.int64)
         self.P = np.zeros(P_COUNT, np.uint64)
-        arrays = (self.meta, self.slots, self.table, self.heap, self.journal)
+        arrays = (self.meta, self.slots, self.table, self.heap)
         for slot, array in zip((P_I,) + self.SLOTS, (self.I,) + arrays):
             self.P[slot] = _address(array)
         self._table = ctypes.c_void_p(_address(self.P))
@@ -288,25 +329,38 @@ class HotRowTrackers:
 
     def store(self, gfb: int) -> None:
         self.trackers[gfb][0].restore_state(self.snapshot(gfb))
-        self._meta[gfb * T_N + T_JNL] = 0
 
-    def follow(self, gfb: int) -> None:
-        n = self._meta[gfb * T_N + T_JNL]
-        if n:
-            offset = gfb * 2 * self.jcap
-            self.trackers[gfb][0].follow_installs(
-                self.journal[offset:offset + 2 * n].tolist()
-            )
-            self._meta[gfb * T_N + T_JNL] = 0
+    def contains(self, gfb: int):
+        """``row -> bool``: whether the bank's C tracker holds ``row``."""
+        return partial(self.lib.rk_tracker_contains, self._table, gfb)
 
-    def observe(self, gfb: int, row: int) -> int:
-        """One activation outside the loop; returns the estimate."""
-        if not self.trackers[gfb]:
-            raise ValueError(f"bank {gfb} has no compiled tracker")
-        estimate = self.lib.rk_tracker_observe(self._table, gfb, row)
-        if self._meta[gfb * T_N + T_JNL] == self.jcap:
-            self.follow(gfb)
-        return estimate
+
+# repro-oracle: hot-row-replay -- oracle
+def replay_activations(mitigation, bank_key, rows) -> None:
+    """One ``on_activation`` per logical row of ``rows``, at time 0."""
+    for row in rows.tolist():
+        mitigation.on_activation(bank_key, row, mitigation.route(bank_key, row), 0.0)
+
+
+# repro-oracle: hot-row-replay -- kernel
+def replay_hot_rows(mitigation, bank_key, rows) -> None:
+    """:func:`replay_activations` for one window of one bank, with the
+    bank's hot-row tracker in C: Python runs only at each hot row
+    (``on_hot_row``). Falls back to the oracle when the library or the
+    tracker (``hot_row_tracker``) is unavailable."""
+    rows = np.ascontiguousarray(rows, np.int64)
+    n = len(rows)
+    lib = load()
+    pair = mitigation.hot_row_tracker(bank_key) if lib is not None and n else None
+    if pair is None:
+        replay_activations(mitigation, bank_key, rows)
+        return
+    hot = HotRowTrackers(lib, [pair])
+    hot.load(0)
+    tracked, address, start = hot.contains(0), _address(rows), -1
+    while (start := lib.rk_tracker_stream(hot._table, 0, address, start + 1, n)) < n:
+        mitigation.on_hot_row(bank_key, int(rows[start]), 0.0, tracked)
+    hot.store(0)
 
 
 # repro-oracle: system-loop -- kernel
@@ -423,9 +477,10 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     buf_rows = point(P_BUF_ROWS, np.empty(n_banks * buffer_capacity, np.int64))
     buf_times = point(P_BUF_TIMES, np.empty(n_banks * buffer_capacity))
     buf_n_v = memoryview(buf_n)
-    rt_mask = point(P_RT_MASK, np.full(n_banks, -1, np.int64))
-    rt_ptr = point(P_RT_PTR, np.zeros(n_banks, np.uint64))
-    rt_arrays: list = [None] * n_banks
+    routes = RouteTables(lib, n_banks)
+    point(P_RT_MASK, routes.mask)
+    point(P_RT_PTR, routes.ptr)
+    keep.append(routes)
     point(P_CH_TABLES, np.full(n_channels, has_tables, np.int64))
 
     def credits_from_py(gfb: int) -> None:
@@ -470,29 +525,10 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 batch.times[lfb].extend(buf_times[offset:offset + n].tolist())
                 buf_n_v[gfb] = 0
 
-    def sync_route(gfb: int) -> None:
-        """Mirror one bank's route table into its C hash table."""
-        forward = mitigation.route_table(key_table[gfb])
-        if not forward:
-            rt_mask[gfb] = -1
-            return
-        n = len(forward)
-        slots = 1 << max(4, (2 * n).bit_length())
-        table = rt_arrays[gfb]
-        if table is None or len(table) < 2 * slots:
-            table = rt_arrays[gfb] = np.empty(2 * slots, np.int64)
-            rt_ptr[gfb] = _address(table)
-        keys = np.fromiter(forward.keys(), np.int64, n)
-        values = np.fromiter(forward.values(), np.int64, n)
-        lib.rk_route_build(
-            _address(table), slots - 1, _address(keys), _address(values), n
-        )
-        rt_mask[gfb] = slots - 1
-
     def sync_all_routes() -> None:
         if has_tables:
             for gfb in range(n_banks):
-                sync_route(gfb)
+                routes.build(gfb, mitigation.route_table(key_table[gfb]))
 
     all_credits_from_py()
     sync_all_routes()
@@ -651,8 +687,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             kind = iv[I_KIND]
             key = key_table[gfb]
             if kind == KIND_HOT:
-                hot.follow(gfb)
-                action = on_hot_row(key, iv[I_ROW], now)
+                action = on_hot_row(key, iv[I_ROW], now, hot.contains(gfb))
             elif kind == KIND_FLUSH:
                 batch = batches[chan_of[gfb]]
                 lfb = local_of[gfb]
@@ -680,8 +715,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 credits_v[n_banks + slot] = cells[slot][0]
             if action is not None and not action.is_noop:
                 apply_action(action, gfb, now)
-                if has_tables:
-                    sync_route(gfb)
+                if has_tables and action.swaps:
+                    routes.update(gfb, mitigation.route_table(key), action.swaps)
         elif event == EV_ROUTE:
             gfb = iv[I_BANK]
             iv[I_IN] = route(key_table[gfb], iv[I_ROW])
@@ -715,8 +750,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             trackers_from_py()
         elif event == EV_SPILL:
             drain_buffers()
-            for gfb in hot.banks:
-                hot.follow(gfb)
             iv[I_SPILL] = 0
         elif event == EV_BAD_ROW:
             raise ValueError(

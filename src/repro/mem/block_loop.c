@@ -25,7 +25,7 @@ enum {
     I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
     I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
     I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
-    I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_JNLCAP, I_COUNT
+    I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_COUNT
 };
 
 /* double scalars: timing constants, refresh cursors, request times. */
@@ -46,7 +46,7 @@ enum {
     P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
     P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
     P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
-    P_TRK_HEAP, P_TRK_JNL, P_COUNT
+    P_TRK_HEAP, P_COUNT
 };
 
 /* Events returned to Python. */
@@ -65,7 +65,7 @@ enum { MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK };
 enum { KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL, KIND_HOT };
 
 /* Per-bank tracker fields (P_TRK rows); T_THRESH 0: not tracked here. */
-enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_JNL, T_N };
+enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N };
 
 /* Per-channel stats slots. */
 enum { S_READS, S_WRITES, S_ACTS, S_HITS, S_N };
@@ -103,35 +103,64 @@ static int64_t route_get(const int64_t *table, int64_t mask, int64_t row)
     }
 }
 
+/* Route row to physical, or drop row's pair when physical is row
+ * (deletion by backward shift, as in mg_unlink). The table keeps an
+ * empty slot. */
+void rk_route_put(int64_t *table, int64_t mask, int64_t row, int64_t physical)
+{
+    const uint64_t m = (uint64_t)mask;
+    uint64_t hole = row_hash(row) & m, next;
+    while (table[2 * hole] >= 0 && table[2 * hole] != row)
+        hole = (hole + 1) & m;
+    if (physical != row) {
+        table[2 * hole] = row;
+        table[2 * hole + 1] = physical;
+        return;
+    }
+    for (next = hole;;) {
+        next = (next + 1) & m;
+        int64_t key = table[2 * next];
+        if (key < 0)
+            break;
+        uint64_t home = row_hash(key) & m;
+        if (hole <= next ? (hole < home && home <= next)
+                         : (hole < home || home <= next))
+            continue;
+        table[2 * hole] = key;
+        table[2 * hole + 1] = table[2 * next + 1];
+        hole = next;
+    }
+    table[2 * hole] = -1;
+}
+
 /* Fill a table of mask + 1 slots (mask + 1 > n) from n pairs. */
 void rk_route_build(int64_t *table, int64_t mask, const int64_t *keys,
                     const int64_t *values, int64_t n)
 {
     for (int64_t i = 0; i <= mask; i++)
         table[2 * i] = -1;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t h = row_hash(keys[i]);
-        while (table[2 * (int64_t)(h & (uint64_t)mask)] >= 0)
-            h++;
-        int64_t slot = (int64_t)(h & (uint64_t)mask);
-        table[2 * slot] = keys[i];
-        table[2 * slot + 1] = values[i];
-    }
+    for (int64_t i = 0; i < n; i++)
+        rk_route_put(table, mask, keys[i], values[i]);
+}
+
+/* One lookup outside the loop (the route-table property tests). */
+int64_t rk_route_get(const int64_t *table, int64_t mask, int64_t row)
+{
+    return route_get(table, mask, row);
 }
 
 /* ---- hot-row tracker: track/array_state.py's ArrayMisraGries ----
  *
  * Per bank: T_N fields, (row, count) slots, a row -> slot table
- * (linear probing, -1 empty, deletion by backward shift), the eviction
- * heap of (count lower bound, slot) pairs that bumps never touch, and a
- * journal of (slot, row) installs since Python last saw the bank. The
- * heap is built at the first full-table miss, like the Python one, and
- * corrected at the top on each later one: its settled top is the exact
- * minimum (count, slot), whatever its layout. */
+ * (linear probing, -1 empty, deletion by backward shift) and the
+ * eviction heap of (count lower bound, slot) pairs that bumps never
+ * touch. The heap is built at the first full-table miss, like the
+ * Python one, and corrected at the top on each later one: its settled
+ * top is the exact minimum (count, slot), whatever its layout. */
 
 struct tracker {
-    int64_t *meta, *slots, *table, *heap, *jnl;
-    int64_t mask, jcap;
+    int64_t *meta, *slots, *table, *heap;
+    int64_t mask;
 };
 
 static struct tracker tracker_of(const uint64_t *P, int64_t gfb)
@@ -140,12 +169,10 @@ static struct tracker tracker_of(const uint64_t *P, int64_t gfb)
     const int64_t cap = I[I_TRK_CAP];
     struct tracker t;
     t.mask = I[I_TRK_MASK];
-    t.jcap = I[I_JNLCAP];
     t.meta = (int64_t *)(uintptr_t)P[P_TRK] + gfb * T_N;
     t.slots = (int64_t *)(uintptr_t)P[P_TRK_SLOTS] + gfb * 2 * cap;
     t.table = (int64_t *)(uintptr_t)P[P_TRK_TABLE] + gfb * (t.mask + 1);
     t.heap = (int64_t *)(uintptr_t)P[P_TRK_HEAP] + gfb * 2 * cap;
-    t.jnl = (int64_t *)(uintptr_t)P[P_TRK_JNL] + gfb * 2 * t.jcap;
     return t;
 }
 
@@ -220,19 +247,8 @@ static void mg_build_heap(const struct tracker *t)
     t->meta[T_HEAP] = 1;
 }
 
-/* Record an install; nonzero when the journal is now full. */
-static int mg_journal(const struct tracker *t, int64_t slot, int64_t row)
-{
-    int64_t n = t->meta[T_JNL];
-    t->jnl[2 * n] = slot;
-    t->jnl[2 * n + 1] = row;
-    t->meta[T_JNL] = ++n;
-    return n == t->jcap;
-}
-
-/* ArrayMisraGries.observe: the row's new estimate (0 after a spill);
- * *full is set when the install journal fills. */
-static int64_t mg_observe(const struct tracker *t, int64_t row, int *full)
+/* ArrayMisraGries.observe: the row's new estimate (0 after a spill). */
+static int64_t mg_observe(const struct tracker *t, int64_t row)
 {
     int64_t *meta = t->meta, *slots = t->slots;
     int64_t pos = mg_probe(t, row);
@@ -267,14 +283,12 @@ static int64_t mg_observe(const struct tracker *t, int64_t row, int *full)
     slots[2 * slot] = row;
     slots[2 * slot + 1] = estimate;
     t->table[pos] = slot;
-    if (mg_journal(t, slot, row))
-        *full = 1;
     return estimate;
 }
 
 /* Index a bank's slots after Python wrote them (and its T_LIVE,
- * T_SPILL, T_HEAP fields): rebuild the table, the heap if it was
- * built, and empty the journal. */
+ * T_SPILL, T_HEAP fields): rebuild the table, and the heap if it was
+ * built. */
 void rk_tracker_sync(const uint64_t *P, int64_t gfb)
 {
     struct tracker t = tracker_of(P, gfb);
@@ -284,16 +298,29 @@ void rk_tracker_sync(const uint64_t *P, int64_t gfb)
         t.table[mg_probe(&t, t.slots[2 * slot])] = slot;
     if (t.meta[T_HEAP])
         mg_build_heap(&t);
-    t.meta[T_JNL] = 0;
 }
 
-/* One observe outside the loop (the tracker property tests); the
- * caller empties a full journal before the next one. */
-int64_t rk_tracker_observe(const uint64_t *P, int64_t gfb, int64_t row)
+/* Observe rows[start:n) in order; the index of the first activation
+ * whose estimate lands on a non-zero multiple of the bank's threshold
+ * (observed: the caller acts on it and resumes after it), or n. */
+int64_t rk_tracker_stream(const uint64_t *P, int64_t gfb,
+                          const int64_t *rows, int64_t start, int64_t n)
 {
     struct tracker t = tracker_of(P, gfb);
-    int full = 0;
-    return mg_observe(&t, row, &full);
+    const int64_t threshold = t.meta[T_THRESH];
+    for (; start < n; start++) {
+        int64_t estimate = mg_observe(&t, rows[start]);
+        if (estimate != 0 && estimate % threshold == 0)
+            break;
+    }
+    return start;
+}
+
+/* Whether the bank's tracker holds a counter for row. */
+int64_t rk_tracker_contains(const uint64_t *P, int64_t gfb, int64_t row)
+{
+    struct tracker t = tracker_of(P, gfb);
+    return t.table[mg_probe(&t, row)] >= 0;
 }
 
 /* ---- the core heap: (issue_at, core_id) under strict tuple order ---- */
@@ -393,7 +420,7 @@ int64_t rk_run(const uint64_t *P)
     int64_t threshold, estimate;
     double start, data, la, act_at, pre_at, floor_at, end, bus_free;
     double issue_at;
-    int hit, activated, full;
+    int hit, activated;
     struct tracker hot;
 
     switch (I[I_PHASE]) {
@@ -525,10 +552,7 @@ int64_t rk_run(const uint64_t *P)
             if (threshold > 0) {
                 /* the bank's tracker runs here: hand over only a swap */
                 hot = tracker_of(P, gfb);
-                full = 0;
-                estimate = mg_observe(&hot, row, &full);
-                if (full)
-                    spill = 1;
+                estimate = mg_observe(&hot, row);
                 if (estimate == 0 || estimate % threshold != 0)
                     mode = MODE_NONE;
                 else

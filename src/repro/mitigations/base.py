@@ -25,7 +25,7 @@ matching the paper's per-bank HRT/RIT sizing (Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 BankKey = Tuple[int, int, int]  # (channel, rank, bank)
 
@@ -215,32 +215,36 @@ class Mitigation:
         its action threshold, for the compiled loop to run itself; None
         (the default) keeps the bank on the activation hooks.
 
-        The loop consults it on channels with per-bank batch state and
-        then owns the tracker's updates: it observes the *logical* row
-        of every activation and calls :meth:`on_hot_row` only when the
+        The compiled loop consults it on channels with per-bank batch
+        state (``block_kernel.replay_hot_rows`` on any bank) and then
+        owns the tracker's updates: it observes the *logical* row of
+        every activation and calls :meth:`on_hot_row` only when the
         estimate lands on a non-zero multiple of the threshold, so an
-        override's ``on_activation`` must be exactly that observe,
-        check and act. The tracker is loaded with ``snapshot_state`` at
-        loop entry and after window ends and written back with
+        override's ``on_activation`` must be exactly that observe, check
+        and act. The tracker is loaded with ``snapshot_state`` at loop
+        entry and after window ends and written back with
         ``restore_state`` before window callbacks and whenever the loop
-        returns; between those, only its membership (``in``) is kept
-        current, at each :meth:`on_hot_row`."""
+        returns; in between it is stale, and :meth:`on_hot_row` reads
+        membership from its ``tracked`` predicate."""
         return None
 
     def on_hot_row(
-        self, bank_key: BankKey, row: int, now_ns: float
+        self, bank_key: BankKey, row: int, now_ns: float, tracked: Callable[[int], bool]
     ) -> MitigationOutcome:
         """Act on logical ``row``, whose tracker estimate just landed on
-        a multiple of the :meth:`hot_row_tracker` threshold."""
+        a multiple of the :meth:`hot_row_tracker` threshold, reading
+        tracker membership only, through ``tracked(r)``."""
         raise NotImplementedError(
             f"{type(self).__name__} publishes a tracker without acting on it"
         )
 
     def route_table(self, bank_key: BankKey) -> Optional[Dict[int, int]]:
         """This bank's non-identity routes as a logical->physical dict
-        (None or empty: identity). The compiled loop mirrors it at entry,
-        after each acting activation and at window ends, so an override
-        must change routes only there; a mitigation that routes without
+        (None or empty: identity), a permutation of rows. The compiled
+        loop mirrors it whole at entry and window ends and, after an
+        action, only the rows now resident at the physical rows of its
+        ``swaps``, so an override must change routes only there and only
+        by the swaps it reports; a mitigation that routes without
         overriding this hook gets one :meth:`route` call per access."""
         return None
 

@@ -20,10 +20,10 @@ controller's batched ``on_activation`` path:
   unable to land any counter on a threshold multiple — the credit the
   controller uses to defer scalar mitigation calls (DESIGN.md §9).
 
-The compiled system loop runs a C copy of this tracker for RRS
-(``mem/block_loop.c``, DESIGN.md §12.1) with the same rules: it loads
-and writes back the ``snapshot_state`` 5-tuple, and in between keeps
-this object's row membership current through ``follow_installs``. So
+The compiled system loop and Figure 5's replay run a C copy of this
+tracker for RRS (``mem/block_loop.c``, DESIGN.md §12.1) with the same
+rules: they load and write back the ``snapshot_state`` 5-tuple and, in
+between, leave this object stale (a swap asks C for membership). So
 this class is the tracker of the scalar loop, the attack harnesses and
 Graphene, and the fallback where the loop cannot be compiled.
 
@@ -216,25 +216,6 @@ class ArrayMisraGries:
             estimate = self.observe(row)
             count -= 1
         return estimate
-
-    def follow_installs(self, journal) -> None:
-        """Replay a flat ``slot, row, slot, row, ...`` journal of slot
-        installs (the compiled loop's copy of this tracker) into the
-        row membership only: ``in`` and ``tracked_rows`` become current,
-        counts and the spill counter stay stale until the next
-        ``restore_state``."""
-        slot_rows = self._rows
-        slot_of = self._slot_of
-        live = len(slot_rows)
-        pairs = iter(journal)
-        for slot, row in zip(pairs, pairs):
-            if slot < live:
-                del slot_of[slot_rows[slot]]
-                slot_rows[slot] = row
-            else:
-                slot_rows.append(row)
-                live += 1
-            slot_of[row] = slot
 
     def noop_horizon(self, threshold: int) -> int:
         """Activations guaranteed not to land any estimate on a

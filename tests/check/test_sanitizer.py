@@ -225,23 +225,26 @@ class TestDestinationPicker:
     @staticmethod
     def _mitigation(destination, exclude=False):
         return SimpleNamespace(
-            _pick_destination=lambda state, row: destination,
+            _pick_destination=lambda state, row, tracked: destination,
             config=SimpleNamespace(exclude_tracked_destinations=exclude),
         )
 
     def test_destination_already_in_rit_rejected(self):
         checked = _checked_destination_picker(self._mitigation(2))
         with _raises_rule("RRS-CAT-ALIAS"):
-            checked(self._state(swapped=[(1, 2)]), row=9)
+            state = self._state(swapped=[(1, 2)])
+            checked(state, row=9, tracked=state.tracker.__contains__)
 
     def test_destination_aliasing_tracked_hot_row_rejected(self):
         checked = _checked_destination_picker(self._mitigation(7, exclude=True))
         with _raises_rule("RRS-CAT-ALIAS"):
-            checked(self._state(tracked=[7]), row=9)
+            state = self._state(tracked=[7])
+            checked(state, row=9, tracked=state.tracker.__contains__)
 
     def test_clean_destination_passes_through(self):
         checked = _checked_destination_picker(self._mitigation(9))
-        assert checked(self._state(swapped=[(1, 2)], tracked=[7]), row=3) == 9
+        state = self._state(swapped=[(1, 2)], tracked=[7])
+        assert checked(state, row=3, tracked=state.tracker.__contains__) == 9
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_destination_excludes_tracker_and_rit():
         rrs.on_activation(BANK, row, row, 0.0)
     state = rrs.bank_state(BANK)
     for _ in range(200):
-        destination = rrs._pick_destination(state, 0)
+        destination = rrs._pick_destination(state, 0, state.tracker.__contains__)
         assert destination != 0
         assert destination not in state.tracker
         assert not state.rit.is_swapped(destination)

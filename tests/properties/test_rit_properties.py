@@ -6,10 +6,12 @@ otherwise two logical rows could alias one physical row and silently
 corrupt data.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rit import RowIndirectionTable
+from repro.mem import block_kernel
 
 ROWS = 64
 
@@ -127,3 +129,39 @@ def test_locked_rows_untouched_by_drains(ops):
                 assert rit.is_swapped(row)
                 assert rit.route(row) == physical
                 assert rit._map[row].window == rit.window
+
+
+@given(ops=op_lists, capacity=st.integers(min_value=1, max_value=16))
+@settings(max_examples=150, deadline=None)
+def test_compiled_route_table_follows_swaps_and_evictions(ops, capacity):
+    """The compiled loop's C copy of a RIT (``RouteTables``), updated
+    after each swap, drain and window end from the physical rows the
+    ops moved, routes every row exactly as ``rit.route`` does."""
+    lib = block_kernel.load()
+    if lib is None:
+        pytest.skip("compiled block loop unavailable")
+    rit = RowIndirectionTable(capacity_tuples=capacity)
+    tables = block_kernel.RouteTables(lib, 1)
+    tables.build(0, rit.forward)
+    for kind, a, b in ops:
+        changes = []
+        if kind == "swap":
+            if a == b:
+                continue
+            try:
+                changes = rit.swap(a, b)
+            except RuntimeError:
+                # Evictions may precede the refusal: mirror them whole.
+                tables.build(0, rit.forward)
+                continue
+        elif kind == "window":
+            rit.end_window()
+        else:
+            changes = rit.drain(max_evictions=2)
+        tables.update(0, rit.forward, [(op.phys_a, op.phys_b) for op in changes])
+        mask = int(tables.mask[0])
+        routed = [
+            lib.rk_route_get(int(tables.ptr[0]), mask, row) if mask >= 0 else row
+            for row in range(ROWS)
+        ]
+        assert routed == [rit.route(row) for row in range(ROWS)]

@@ -3,6 +3,7 @@ of the compiled loop's tracker against ``ArrayMisraGries``."""
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,29 +108,25 @@ def test_cat_tracker_never_loses_a_hot_row(stream):
     save_at=st.integers(min_value=0, max_value=200),
     restore_at=st.integers(min_value=0, max_value=200),
     reset_at=st.integers(min_value=0, max_value=200),
-    journal=st.integers(min_value=1, max_value=4),
 )
 @settings(max_examples=150, deadline=None)
 def test_compiled_tracker_matches_array_tracker_step_by_step(
-    entries, stream, save_at, restore_at, reset_at, journal
+    entries, stream, save_at, restore_at, reset_at
 ):
     """The compiled loop's tracker (block_loop.c) and ArrayMisraGries
-    fed the same stream agree on every estimate and every full state,
-    through spills, lowest-slot evictions among tied minimum counts, a
-    rewind to an earlier snapshot and a window reset. The Python copy
-    the loop keeps in step through the install journal holds exactly
-    the tracked rows."""
+    fed the same stream one row at a time agree on every threshold
+    hit, every full state and the membership of every row
+    (``rk_tracker_contains`` against ``in``), through spills,
+    lowest-slot evictions among tied minimum counts, a rewind to an
+    earlier snapshot and a window reset."""
     lib = block_kernel.load()
     if lib is None:
         pytest.skip("compiled block loop unavailable")
     oracle = ArrayMisraGries(entries)
     follower = ArrayMisraGries(entries)
-    capacity = block_kernel.JOURNAL_CAPACITY
-    block_kernel.JOURNAL_CAPACITY = journal
-    try:
-        compiled = block_kernel.HotRowTrackers(lib, [None, (follower, 3)])
-    finally:
-        block_kernel.JOURNAL_CAPACITY = capacity
+    compiled = block_kernel.HotRowTrackers(lib, [None, (follower, 3)])
+    contains = compiled.contains(1)
+    one = np.zeros(1, np.int64)
     compiled.load(1)
     saved = oracle.snapshot_state()
     for step, row in enumerate(stream):
@@ -143,10 +140,52 @@ def test_compiled_tracker_matches_array_tracker_step_by_step(
             oracle.reset()
             follower.reset()
             compiled.load(1)
-        assert compiled.observe(1, row) == oracle.observe(row)
+        one[0] = row
+        estimate = oracle.observe(row)
+        hot = lib.rk_tracker_stream(compiled._table, 1, one.ctypes.data, 0, 1) == 0
+        assert hot == (estimate != 0 and estimate % 3 == 0)
         assert compiled.snapshot(1) == oracle.snapshot_state()
-        if step % 3 == 0:
-            compiled.follow(1)
-            assert follower.tracked_rows() == oracle.tracked_rows()
+        assert [bool(contains(r)) for r in range(11)] == [
+            r in oracle for r in range(11)
+        ]
     compiled.store(1)
     assert follower.snapshot_state() == oracle.snapshot_state()
+
+
+@given(
+    entries=st.integers(min_value=1, max_value=6),
+    threshold=st.integers(min_value=1, max_value=5),
+    stream=st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=200),
+    start=st.integers(min_value=0, max_value=20),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_tracker_stream_stops_at_each_hot_row(
+    entries, threshold, stream, start
+):
+    """``rk_tracker_stream`` from any start index returns exactly the
+    indices where ``observe`` lands an estimate on a non-zero multiple
+    of the threshold, and leaves the tracker as ``observe`` does."""
+    lib = block_kernel.load()
+    if lib is None:
+        pytest.skip("compiled block loop unavailable")
+    start = min(start, len(stream))
+    oracle = ArrayMisraGries(entries)
+    expected = []
+    for index in range(start, len(stream)):
+        estimate = oracle.observe(stream[index])
+        if estimate and estimate % threshold == 0:
+            expected.append(index)
+    tracker = ArrayMisraGries(entries)
+    compiled = block_kernel.HotRowTrackers(lib, [(tracker, threshold)])
+    compiled.load(0)
+    rows = np.array(stream, np.int64)
+    hot = []
+    index = lib.rk_tracker_stream(compiled._table, 0, rows.ctypes.data, start, len(rows))
+    while index < len(rows):
+        hot.append(index)
+        index = lib.rk_tracker_stream(
+            compiled._table, 0, rows.ctypes.data, index + 1, len(rows)
+        )
+    assert index == len(rows)
+    assert hot == expected
+    assert compiled.snapshot(0) == oracle.snapshot_state()
