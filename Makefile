@@ -24,9 +24,10 @@ check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow passes
 check-flow:  ## flow passes only: snapshot coverage, oracle pairs
 	$(PYTHON) -m repro check --flow
 
-checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs (block loop)
+checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs (block loop, then scalar loop)
 	$(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 	$(PYTHON) -m repro checkpoint stream none --records 600 --cores 2 --verify
+	REPRO_SANITIZE=1 $(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 
 bench:  ## regenerate every table & figure (slow; honours REPRO_JOBS)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

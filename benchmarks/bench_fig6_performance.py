@@ -7,7 +7,8 @@ xz_17), near-zero for low-swap workloads.
 
 Default: the most swap-active workloads plus a quiet sample (the other
 70 workloads swap rarely or never, contributing ~0 slowdown beyond the
-RIT lookup). Set REPRO_FULL=1 to run all 28 Table 3 workloads.
+RIT lookup), written to ``fig6_performance.txt``. Set REPRO_FULL=1 to
+run all 28 Table 3 workloads into ``fig6_performance_full.txt``.
 """
 
 from benchmarks.conftest import full_runs_requested
@@ -120,7 +121,12 @@ def test_fig6_normalized_performance(benchmark, record_result):
         rows,
         title=f"Figure 6: RRS performance normalized to baseline (scale 1/{SCALE})",
     )
-    record_result("fig6_performance", text)
+    # The full population has its own result file, so a full run never
+    # overwrites the default figure.
+    record_result(
+        "fig6_performance_full" if full_runs_requested() else "fig6_performance",
+        text,
+    )
 
     # Shape assertions against the paper.
     assert all(n > 0.88 for n in norms)  # worst case ~7.6% in the paper

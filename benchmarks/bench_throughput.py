@@ -132,9 +132,10 @@ def _timed_traced_run(points) -> tuple:
 def _timed_attack_run(records: int, batched: bool) -> tuple:
     """One attack-heavy run: PARA over hmmer at the bench scale.
 
-    ``batched=False`` clears the instance's ``batch_scope`` before the
-    simulator is built, selecting the scalar reference oracle for the
-    whole run — the two must produce bit-identical :class:`SimMetrics`.
+    ``batched=False`` clears the instance's ``batch_scope``, so the
+    compiled loop calls ``on_activation`` for every activation instead
+    of deferring — the two must produce bit-identical
+    :class:`SimMetrics`.
     """
     from repro.dram.config import DRAMConfig
     from repro.mitigations.para import PARA

@@ -178,7 +178,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
 
     def on_window_end(self, window_index: int) -> None:
         """Epoch rollover: reset trackers, clear RIT lock bits."""
-        self._flush_batch_buffers()
         self.window += 1
         self.swap_history.append(self._swaps_this_window)
         self._swaps_this_window = 0
@@ -188,16 +187,15 @@ class RandomizedRowSwap(BankBatchedMitigation):
             state.swaps_this_window = 0
         if self.detector is not None:
             self.detector.end_window()
-        self._reset_batch_credits()
 
     # ------------------------------------------------------------------
-    # Batched activation path (mixin hooks)
+    # Deferral hooks (BankBatchedMitigation)
     # ------------------------------------------------------------------
-    def _apply_deferred(self, bank_key, rows, times, count):
+    def apply_deferred(self, bank_key, rows, times):
         state = self._banks.get(bank_key)
         if state is None:
             state = self._bank(bank_key)
-        state.tracker.observe_block(rows, count)
+        state.tracker.observe_block(rows, len(rows))
 
     def on_activation_run(self, bank_key, row, physical_row, count):
         """Credited activations: the tracker counts the logical row."""
@@ -206,7 +204,7 @@ class RandomizedRowSwap(BankBatchedMitigation):
             state = self._bank(bank_key)
         state.tracker.observe_run(row, count)
 
-    def _batch_credit(self, bank_key):
+    def batch_credit(self, bank_key):
         state = self._banks.get(bank_key)
         if state is None:
             state = self._bank(bank_key)
@@ -243,8 +241,7 @@ class RandomizedRowSwap(BankBatchedMitigation):
     # ------------------------------------------------------------------
     # Snapshotable (repro.state). Per-bank bundles are rebuilt through
     # ``_bank`` (the seeds are config-derived, so a fresh construction
-    # matches) and restored component-wise; credits are then re-primed
-    # from the restored trackers.
+    # matches) and restored component-wise.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
@@ -292,7 +289,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
             self.swap_engine(channel).restore_state(engine_state)
         if self.detector is not None and detector_state is not None:
             self.detector.restore_state(detector_state)
-        self._reset_batch_credits()
 
     # ------------------------------------------------------------------
     # Internals

@@ -14,21 +14,31 @@ loop below only for events that need Python objects, and is re-entered
 after each:
 
 * an activation the mitigation must see (credit exhausted or deadline
-  passed, the bank opted out, the mitigation is unbatched, or a
-  C-tracked estimate landed on a multiple of the threshold, which calls
-  ``on_hot_row``) and each ``route`` / ``pre_activate_delay_ns`` call
-  of a mitigation with no ``route_table`` or with a throttle;
+  passed, a bank's first activation, the bank opted out, the mitigation
+  defers nothing, or a C-tracked estimate landed on a multiple of the
+  threshold, which calls ``on_hot_row``) and each ``route`` /
+  ``pre_activate_delay_ns`` call of a mitigation with no
+  ``route_table`` or with a throttle;
 * a refresh-window end, whose callbacks run in Python;
 * the end of a core's trace block (the next one is generated, decoded
   and precomputed here);
 * ``stop_at`` (a checkpoint cut), the end of the run, and a full
-  deferral buffer, which is drained into its Python list.
+  deferral buffer.
 
-C trackers are loaded from their Python trackers at entry and after
-each window's callbacks and written back before the callbacks and on
-return; in between, a swap asks C for membership (``on_hot_row``'s
-``tracked``). :func:`replay_hot_rows` drives one bank's C tracker the
-same way outside the loop (Figure 5).
+This loop is the only place that defers activations (DESIGN.md §9): it
+owns the per-bank credits, deadlines and buffers, the global credit and
+the opt-out tally. A mitigation only answers ``batch_credit`` and
+replays deferred activations through ``apply_deferred`` (per-bank
+scope), or answers ``run_credit`` and applies consumed misses through
+``on_activation_run`` (global scope, PARA). Every buffer is replayed
+when one fills, before window callbacks and whenever the loop returns,
+so the live objects never hold a deferred activation between entries.
+
+C trackers are loaded from their Python trackers when a bank's first
+activation arms it and after each window's callbacks, and written back
+before the callbacks and on return; in between, a swap asks C for
+membership (``on_hot_row``'s ``tracked``). :func:`replay_hot_rows`
+drives one bank's C tracker the same way outside the loop (Figure 5).
 
 All loop state lives in numpy arrays shared with C; the Python side writes
 mitigation actions straight into them. Every double operation keeps
@@ -78,16 +88,16 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 (I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
  I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
  I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
- I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_COUNT) = range(25)
+ I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_MODE, I_COUNT) = range(26)
 (D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
  D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
  D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
 (P_I, P_D, P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
- P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK,
- P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES, P_TIME, P_INST,
- P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS,
- P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T,
- P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_COUNT) = range(42)
+ P_DEADLINES, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK, P_RT_PTR, P_BUS,
+ P_ST_I, P_ST_D, P_CH_TABLES, P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX,
+ P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX,
+ P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS,
+ P_TRK_TABLE, P_TRK_HEAP, P_COUNT) = range(40)
 (EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
  EV_BLOCK, EV_BAD_ROW) = range(9)
 MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK = range(4)
@@ -99,9 +109,21 @@ T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N = range(6)
 S_N, S_D = 4, 3
 
 # Per-bank capacity of the deferral buffers. When one fills, every
-# buffer is drained into its Python list; a small capacity keeps peak
+# buffer is replayed into the mitigation; a small capacity keeps peak
 # memory flat.
 BUFFER_CAPACITY = 256
+
+# Opt-out guard for degenerate deferral: after ``OPT_OUT_RUNS`` flushes
+# of a bank in one window, if the mean run length (activations per
+# flush) is below ``OPT_OUT_MEAN_RUN``, the bank's credit is pinned to
+# the sentinel -1 and its activations go straight to ``on_activation``
+# until the window ends. Under a sustained hammer at small scaled
+# thresholds the noop horizon sits near zero (with ~W/T live counters
+# some counter is almost always one hit from a threshold multiple), so
+# every run degenerates to one or two activations and the buffer
+# round-trip is pure overhead. Only the path changes, never a result.
+OPT_OUT_RUNS = 16
+OPT_OUT_MEAN_RUN = 6.0
 
 _UNRESOLVED = object()
 _library = _UNRESOLVED
@@ -251,51 +273,79 @@ class RouteTables:
                 put(table, mask, row, physical)
 
 
-class HotRowTrackers:
+class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back before every return
     """C copies of per-bank ``ArrayMisraGries`` trackers, indexed by
     flat bank (DESIGN.md §12.1): per bank the ``T_*`` fields, (row,
     count) slots, a row -> slot table and the eviction heap.
 
     ``load`` copies a Python tracker in (``snapshot_state``), ``store``
-    writes it back (``restore_state``, keeping the tracker's residue
-    threshold) and ``contains`` is the C tracker's membership test. The
-    arrays' pointer-table slots and scalars live in this object's own
-    ``P``/``I``, which the block loop copies into its tables."""
+    writes it back (``restore_state``), ``add`` hands over one more
+    bank's tracker and ``contains`` is the C tracker's membership test.
+    The arrays' pointer-table slots and scalars live in this object's
+    own ``P``/``I``, which the block loop copies into its tables
+    (``share``)."""
 
     SLOTS = (P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP)
-    SCALARS = (I_TRK_CAP, I_TRK_MASK)
 
     def __init__(self, lib, trackers: list) -> None:
         """``trackers[gfb]``: a ``(tracker, threshold)`` pair, or None
-        for a bank the loop does not track."""
+        for a bank the loop does not track (yet)."""
         self.lib = lib
-        self.trackers = trackers
-        self.banks = [gfb for gfb, pair in enumerate(trackers) if pair]
-        n_banks = len(trackers)
-        self.cap = cap = max(
-            (trackers[gfb][0].entries for gfb in self.banks), default=1
-        )
-        self.mask = (1 << (2 * cap).bit_length()) - 1
+        self.trackers = [None] * len(trackers)
+        self.banks: list = []
         self.I = np.zeros(I_COUNT, np.int64)
-        self.I[list(self.SCALARS)] = (cap, self.mask)
-        self.meta = np.zeros(n_banks * T_N, np.int64)
+        self.P = np.zeros(P_COUNT, np.uint64)
+        self.P[P_I] = _address(self.I)
+        self._table = ctypes.c_void_p(_address(self.P))
+        self.meta = np.zeros(len(trackers) * T_N, np.int64)
+        self.P[P_TRK] = _address(self.meta)
+        self._meta = memoryview(self.meta)
+        self._allocate(max(
+            (pair[0].entries for pair in trackers if pair), default=1
+        ))
+        for gfb, pair in enumerate(trackers):
+            if pair:
+                self.add(gfb, pair)
+
+    def _allocate(self, cap: int) -> None:
+        """Slots, tables and heaps for ``cap`` entries per bank."""
+        n_banks = len(self.trackers)
+        self.cap = cap
+        self.mask = (1 << (2 * cap).bit_length()) - 1
+        self.I[[I_TRK_CAP, I_TRK_MASK]] = (cap, self.mask)
         self.slots = np.zeros(n_banks * 2 * cap, np.int64)
         self.table = np.full(n_banks * (self.mask + 1), -1, np.int64)
         self.heap = np.zeros(n_banks * 2 * cap, np.int64)
-        self.P = np.zeros(P_COUNT, np.uint64)
-        arrays = (self.meta, self.slots, self.table, self.heap)
-        for slot, array in zip((P_I,) + self.SLOTS, (self.I,) + arrays):
+        for slot, array in zip(self.SLOTS[1:], (self.slots, self.table, self.heap)):
             self.P[slot] = _address(array)
-        self._table = ctypes.c_void_p(_address(self.P))
-        self._meta = memoryview(self.meta)
-        for gfb in self.banks:
-            tracker, threshold = trackers[gfb]
-            self._meta[gfb * T_N + T_THRESH] = threshold
-            self._meta[gfb * T_N + T_ENTRIES] = tracker.entries
+
+    def add(self, gfb: int, pair) -> None:
+        """Track bank ``gfb`` with ``pair = (tracker, threshold)`` from
+        now on, loading the tracker; a larger tracker than any before
+        re-allocates (the other banks are written back and reloaded)."""
+        tracker, threshold = pair
+        if tracker.entries > self.cap:
+            for bank in self.banks:
+                self.store(bank)
+            self._allocate(tracker.entries)
+            for bank in self.banks:
+                self.load(bank)
+        self.trackers[gfb] = pair
+        self.banks.append(gfb)
+        self._meta[gfb * T_N + T_THRESH] = threshold
+        self._meta[gfb * T_N + T_ENTRIES] = tracker.entries
+        self.load(gfb)
+
+    def share(self, P: np.ndarray, I: np.ndarray) -> None:
+        """Point another pointer table at these arrays."""
+        for slot in self.SLOTS:
+            P[slot] = self.P[slot]
+        I[I_TRK_CAP] = self.cap
+        I[I_TRK_MASK] = self.mask
 
     def load(self, gfb: int) -> None:
         tracker = self.trackers[gfb][0]
-        spill, rows, counts, heap_built, _ = tracker.snapshot_state()
+        spill, rows, counts, heap_built = tracker.snapshot_state()
         n = len(rows)
         if not n == len(counts) <= tracker.entries:
             # A restored checkpoint could carry any lists; C must never
@@ -324,7 +374,6 @@ class HotRowTrackers:
             pairs[0::2].tolist(),
             pairs[1::2].tolist(),
             bool(self._meta[base + T_HEAP]),
-            self.trackers[gfb][0]._residue_t,
         )
 
     def store(self, gfb: int) -> None:
@@ -356,7 +405,6 @@ def replay_hot_rows(mitigation, bank_key, rows) -> None:
         replay_activations(mitigation, bank_key, rows)
         return
     hot = HotRowTrackers(lib, [pair])
-    hot.load(0)
     tracked, address, start = hot.contains(0), _address(rows), -1
     while (start := lib.rk_tracker_stream(hot._table, 0, address, start + 1, n)) < n:
         mitigation.on_hot_row(bank_key, int(rows[start]), 0.0, tracked)
@@ -386,10 +434,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     key_table = mapper.bank_key_table
     n_banks = len(key_table)
     n_channels = len(channels)
-    banks_per_rank = config.banks_per_rank
     bank_objs = [channels[ch].bank(rank, bank) for ch, rank, bank in key_table]
     chan_of = [ch for ch, _, _ in key_table]
-    local_of = [rank * banks_per_rank + bank for _, rank, bank in key_table]
 
     I = np.zeros(I_COUNT, np.int64)
     D = np.zeros(D_COUNT, np.float64)
@@ -417,62 +463,44 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         P_TOTAL, np.array([b.total_activations for b in bank_objs], np.int64)
     )
 
-    # ---- mitigation hand-off: modes, credits, buffers, route tables ----
+    # ---- mitigation hand-off: mode, credits, buffers, route tables ----
     c0 = controllers[0]
     route = mitigation.route
     pre_delay = mitigation.pre_activate_delay_ns
     on_act = mitigation.on_activation
-    on_act_batch = mitigation.on_activation_batch
     on_hot_row = mitigation.on_hot_row
-    batches = [c._batch for c in controllers]
+    scope = mitigation.batch_scope
+    if not c0._mitigates_acts:
+        mode = MODE_NONE
+    elif scope == "bank":
+        mode = MODE_BANK
+    elif scope == "global":
+        mode = MODE_GLOBAL
+    else:
+        mode = MODE_SCALAR
     # A mitigation that publishes per-bank route tables (RRS's RIT
     # forward dicts) is routed by C's hash-table mirror of them; any
     # other routing mitigation gets an EV_ROUTE call per access.
     has_tables = type(mitigation).route_table is not Mitigation.route_table
-    modes = []
-    cells = []  # distinct global credit cells (channels may share one)
-    cell_of = []
-    for controller, batch in zip(controllers, batches):
-        if batch is None:
-            modes.append(MODE_SCALAR if controller._mitigates_acts else MODE_NONE)
-            cell_of.append(0)
-        elif controller._batch_global:
-            modes.append(MODE_GLOBAL)
-            slot = next(
-                (i for i, cell in enumerate(cells) if cell is batch.credits),
-                len(cells),
-            )
-            if slot == len(cells):
-                cells.append(batch.credits)
-            cell_of.append(slot)
-        else:
-            modes.append(MODE_BANK)
-            cell_of.append(0)
-    # A bank of a per-bank-batched channel whose mitigation hands over
-    # its hot-row tracker runs that tracker in C; credits and deferral
-    # buffers serve the other banks.
-    trackers: list = [None] * n_banks
-    if type(mitigation).hot_row_tracker is not Mitigation.hot_row_tracker:
-        for gfb in range(n_banks):
-            if modes[chan_of[gfb]] == MODE_BANK:
-                trackers[gfb] = mitigation.hot_row_tracker(key_table[gfb])
-    hot = HotRowTrackers(lib, trackers)
+    # Under per-bank deferral, a bank's first activation in this call
+    # goes to ``on_activation`` (credit -1) and then arms the bank: a
+    # bank whose mitigation hands over its hot-row tracker runs that
+    # tracker in C, any other gets credits and a deferral buffer. Arming
+    # at the first activation creates the mitigation's per-bank state
+    # when the scalar loop creates it, so a cut holds the same state
+    # under either loop.
+    unarmed = [mode == MODE_BANK] * n_banks
+    hands_over = type(mitigation).hot_row_tracker is not Mitigation.hot_row_tracker
+    hot = HotRowTrackers(lib, [None] * n_banks)
     keep.append(hot)
-    for slot in hot.SLOTS:
-        P[slot] = hot.P[slot]
-    for slot in hot.SCALARS:
-        I[slot] = hot.I[slot]
-    credited = [
-        gfb for gfb in range(n_banks)
-        if modes[chan_of[gfb]] == MODE_BANK and trackers[gfb] is None
-    ]
-    point(P_CH_MODE, np.array(modes, np.int64))
-    point(P_CELL, np.array(cell_of, np.int64))
-    credits = point(P_CREDITS, np.zeros(n_banks + max(len(cells), 1), np.int64))
+    hot.share(P, I)
+    credited: list = []
+    # Credits of the banks, then the global credit (MODE_GLOBAL).
+    credits = point(P_CREDITS, np.full(n_banks + 1, -1, np.int64))
     deadlines = point(P_DEADLINES, np.full(n_banks, np.inf))
     credits_v = memoryview(credits)
     deadlines_v = memoryview(deadlines)
-    buffer_capacity = BUFFER_CAPACITY if credited else 1
+    buffer_capacity = BUFFER_CAPACITY if mode == MODE_BANK else 1
     buf_n = point(P_BUF_N, np.zeros(n_banks, np.int64))
     buf_rows = point(P_BUF_ROWS, np.empty(n_banks * buffer_capacity, np.int64))
     buf_times = point(P_BUF_TIMES, np.empty(n_banks * buffer_capacity))
@@ -482,57 +510,86 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     point(P_RT_PTR, routes.ptr)
     keep.append(routes)
     point(P_CH_TABLES, np.full(n_channels, has_tables, np.int64))
+    if mode == MODE_BANK:
+        on_act_batch = mitigation.on_activation_batch
+        apply_deferred = mitigation.apply_deferred
+        batch_credit = mitigation.batch_credit
+    else:
+        on_act_batch = apply_deferred = batch_credit = None
+    # Per-bank (flushes, activations) since the last priming, for the
+    # opt-out guard.
+    tally = [[0, 0] for _ in range(n_banks)]
+    # The global credit as last primed: what it has dropped by since
+    # is the misses consumed in C.
+    primed = 0
 
-    def credits_from_py(gfb: int) -> None:
-        batch = batches[chan_of[gfb]]
-        lfb = local_of[gfb]
-        credits_v[gfb] = batch.credits[lfb]
-        deadlines_v[gfb] = float(batch.deadlines[lfb])
+    def prime(gfb: int) -> None:
+        credit, deadline = batch_credit(key_table[gfb])
+        credits_v[gfb] = credit
+        deadlines_v[gfb] = float(deadline)
+        tally[gfb] = [0, 0]
 
-    def all_credits_from_py() -> None:
+    def arm(gfb: int) -> None:
+        unarmed[gfb] = False
+        pair = mitigation.hot_row_tracker(key_table[gfb]) if hands_over else None
+        if pair is None:
+            credited.append(gfb)
+            prime(gfb)
+        else:
+            hot.add(gfb, pair)
+            hot.share(P, I)
+
+    def prime_global() -> None:
+        # A global credit holds for any bank and row.
+        nonlocal primed
+        primed = credits_v[n_banks] = mitigation.run_credit(key_table[0], 0, 0, 0.0)
+
+    def prime_credits() -> None:
+        """Credits from the mitigation's current state: the armed
+        banks' ``batch_credit`` and the global ``run_credit``."""
         for gfb in credited:
-            credits_from_py(gfb)
-        for slot, cell in enumerate(cells):
-            credits_v[n_banks + slot] = cell[0]
+            prime(gfb)
+        if mode == MODE_GLOBAL:
+            prime_global()
 
-    def credits_to_py() -> None:
-        values = credits.tolist()
-        for gfb in credited:
-            batches[chan_of[gfb]].credits[local_of[gfb]] = values[gfb]
-        for slot, cell in enumerate(cells):
-            cell[0] = values[n_banks + slot]
+    def flush_global(key, row: int, physical_row: int) -> None:
+        """Apply the global credit's consumed misses."""
+        nonlocal primed
+        consumed = primed - credits_v[n_banks]
+        if consumed:
+            mitigation.on_activation_run(key, row, physical_row, consumed)
+            primed -= consumed
+
+    def flush() -> None:
+        """Replay every deferred activation into the mitigation (exact
+        whenever it happens, by the credit contract)."""
+        if mode == MODE_GLOBAL:
+            flush_global(key_table[0], 0, 0)
+        for gfb, n in enumerate(buf_n.tolist()):
+            if n:
+                offset = gfb * buffer_capacity
+                apply_deferred(
+                    key_table[gfb],
+                    buf_rows[offset:offset + n].tolist(),
+                    buf_times[offset:offset + n].tolist(),
+                )
+                buf_n_v[gfb] = 0
 
     def trackers_from_py() -> None:
         for gfb in hot.banks:
             hot.load(gfb)
 
     def trackers_to_py() -> None:
-        # The written-back trackers set the banks' credits again, for
-        # whatever drives the mitigation before the loop's next entry.
-        if hot.banks:
-            for gfb in hot.banks:
-                hot.store(gfb)
-            mitigation._reset_batch_credits()
-
-    def drain_buffers() -> None:
-        # The logical buffer is the Python list followed by C's suffix.
-        for gfb, n in enumerate(buf_n.tolist()):
-            if n:
-                batch = batches[chan_of[gfb]]
-                lfb = local_of[gfb]
-                offset = gfb * buffer_capacity
-                batch.rows[lfb].extend(buf_rows[offset:offset + n].tolist())
-                batch.times[lfb].extend(buf_times[offset:offset + n].tolist())
-                buf_n_v[gfb] = 0
+        for gfb in hot.banks:
+            hot.store(gfb)
 
     def sync_all_routes() -> None:
         if has_tables:
             for gfb in range(n_banks):
                 routes.build(gfb, mitigation.route_table(key_table[gfb]))
 
-    all_credits_from_py()
+    prime_credits()
     sync_all_routes()
-    trackers_from_py()
 
     # ---- channels ----
     bus = point(P_BUS, np.array([c.bus_free_ns for c in channels], np.float64))
@@ -661,6 +718,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     I[I_RCAP] = rob_capacity
     I[I_BUFCAP] = buffer_capacity
     I[I_STOP] = stop_at
+    I[I_MODE] = mode
     I[I_BANK] = -1
     D[D_LOOKUP] = c0._lookup_ns
     D[D_TCAS] = config.t_cas
@@ -689,30 +747,34 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             if kind == KIND_HOT:
                 action = on_hot_row(key, iv[I_ROW], now, hot.contains(gfb))
             elif kind == KIND_FLUSH:
-                batch = batches[chan_of[gfb]]
-                lfb = local_of[gfb]
-                rows = batch.rows[lfb]
-                times = batch.times[lfb]
                 n = buf_n_v[gfb]
-                if n:
-                    offset = gfb * buffer_capacity
-                    rows.extend(buf_rows[offset:offset + n].tolist())
-                    times.extend(buf_times[offset:offset + n].tolist())
-                    buf_n_v[gfb] = 0
+                offset = gfb * buffer_capacity
+                rows = buf_rows[offset:offset + n].tolist()
+                times = buf_times[offset:offset + n].tolist()
+                buf_n_v[gfb] = 0
                 rows.append(iv[I_ROW])
                 times.append(now)
                 action = on_act_batch(key, rows, times)
-                rows.clear()
-                times.clear()
-                credits_from_py(gfb)
+                credit, deadline = batch_credit(key)
+                counts = tally[gfb]
+                counts[0] += 1
+                counts[1] += n + 1
+                if (
+                    counts[0] >= OPT_OUT_RUNS
+                    and counts[1] < OPT_OUT_MEAN_RUN * counts[0]
+                ):
+                    credit = -1
+                credits_v[gfb] = credit
+                deadlines_v[gfb] = float(deadline)
             elif kind == KIND_SCALAR:
                 action = on_act(key, iv[I_ROW], iv[I_PROW], now)
-                if modes[chan_of[gfb]] == MODE_BANK:
-                    credits_from_py(gfb)
+                if unarmed[gfb]:
+                    arm(gfb)
             else:
-                action = on_act_batch(key, (iv[I_PROW],), (now,))
-                slot = cell_of[chan_of[gfb]]
-                credits_v[n_banks + slot] = cells[slot][0]
+                # The global credit ran out: this draw is the success.
+                flush_global(key, iv[I_ROW], iv[I_PROW])
+                action = on_act(key, iv[I_ROW], iv[I_PROW], now)
+                prime_global()
             if action is not None and not action.is_noop:
                 apply_action(action, gfb, now)
                 if has_tables and action.swaps:
@@ -734,8 +796,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 adopt(core_id, block, iv[I_INST], 0)
                 iv[I_IN] = 1
         elif event == EV_WINDOW:
-            drain_buffers()
-            credits_to_py()
+            flush()
             trackers_to_py()
             refresh.refresh_bursts += iv[I_BURSTS]
             iv[I_BURSTS] = 0
@@ -745,11 +806,11 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             for callback in refresh.window_callbacks:
                 callback(completed)
             refresh.windows_completed = completed + 1
-            all_credits_from_py()
+            prime_credits()
             sync_all_routes()
             trackers_from_py()
         elif event == EV_SPILL:
-            drain_buffers()
+            flush()
             iv[I_SPILL] = 0
         elif event == EV_BAD_ROW:
             raise ValueError(
@@ -759,8 +820,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             break
 
     # ---- write everything back to the live objects ----
-    drain_buffers()
-    credits_to_py()
+    flush()
     trackers_to_py()
     for fb, state in enumerate(
         zip(open_row.tolist(), last_act.tolist(), ready.tolist())

@@ -25,7 +25,7 @@ enum {
     I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
     I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
     I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
-    I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_COUNT
+    I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_MODE, I_COUNT
 };
 
 /* double scalars: timing constants, refresh cursors, request times. */
@@ -36,13 +36,13 @@ enum {
 };
 
 /* Pointer table slots. Bank arrays are indexed by the mapper's flat
- * bank; channel arrays by channel; core arrays by core id. */
+ * bank (P_CREDITS has one more slot after the banks: the global
+ * credit); channel arrays by channel; core arrays by core id. */
 enum {
     P_I, P_D,
     P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
-    P_DEADLINES, P_CELL, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK,
-    P_RT_PTR,
-    P_BUS, P_ST_I, P_ST_D, P_CH_MODE, P_CH_TABLES,
+    P_DEADLINES, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK, P_RT_PTR,
+    P_BUS, P_ST_I, P_ST_D, P_CH_TABLES,
     P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
     P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
     P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
@@ -58,7 +58,7 @@ enum {
 /* Resume points. */
 enum { PH_TOP, PH_WINDOW, PH_ROUTE, PH_DELAY, PH_ACT, PH_BLOCK };
 
-/* How a channel hands activations to the mitigation. */
+/* How activations reach the mitigation (I_MODE). */
 enum { MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK };
 
 /* Which mitigation hook an EV_ACT needs. */
@@ -366,7 +366,6 @@ int64_t rk_run(const uint64_t *P)
     int64_t *total = PTR(int64_t, P_TOTAL);
     int64_t *credits = PTR(int64_t, P_CREDITS);
     const double *deadlines = PTR(double, P_DEADLINES);
-    const int64_t *cell = PTR(int64_t, P_CELL);
     int64_t *buf_n = PTR(int64_t, P_BUF_N);
     int64_t *buf_rows = PTR(int64_t, P_BUF_ROWS);
     double *buf_times = PTR(double, P_BUF_TIMES);
@@ -375,7 +374,6 @@ int64_t rk_run(const uint64_t *P)
     double *bus = PTR(double, P_BUS);
     int64_t *st_i = PTR(int64_t, P_ST_I);
     double *st_d = PTR(double, P_ST_D);
-    const int64_t *ch_mode = PTR(int64_t, P_CH_MODE);
     const int64_t *ch_tables = PTR(int64_t, P_CH_TABLES);
     double *c_time = PTR(double, P_TIME);
     int64_t *c_inst = PTR(int64_t, P_INST);
@@ -398,6 +396,7 @@ int64_t rk_run(const uint64_t *P)
     const int64_t rcap = I[I_RCAP];
     const int64_t bufcap = I[I_BUFCAP];
     const int64_t stop = I[I_STOP];
+    const int64_t act_mode = I[I_MODE];
     const double lookup = D[D_LOOKUP], t_cas = D[D_TCAS], t_rcd = D[D_TRCD];
     const double t_rp = D[D_TRP], t_rc = D[D_TRC], t_ras = D[D_TRAS];
     const double line = D[D_LINE], t_refi = D[D_TREFI], t_rfc = D[D_TRFC];
@@ -547,7 +546,7 @@ int64_t rk_run(const uint64_t *P)
             st_i[ch * S_N + S_HITS]++;
         if (activated) {
             st_i[ch * S_N + S_ACTS]++;
-            mode = ch_mode[ch];
+            mode = act_mode;
             threshold = trk[gfb * T_N + T_THRESH];
             if (threshold > 0) {
                 /* the bank's tracker runs here: hand over only a swap */
@@ -573,9 +572,8 @@ int64_t rk_run(const uint64_t *P)
                     kind = credit < 0 ? KIND_SCALAR : KIND_FLUSH;
                 }
             } else if (mode == MODE_GLOBAL) {
-                slot = n_banks + cell[ch];
-                if (credits[slot] > 0) {
-                    credits[slot]--;
+                if (credits[n_banks] > 0) {
+                    credits[n_banks]--;
                     mode = MODE_NONE;
                 } else {
                     kind = KIND_GLOBAL;

@@ -12,10 +12,9 @@ the mitigation's ``route`` hook, then the bank's own timing model
 (:meth:`~repro.dram.bank.Bank.access`), then the bus. The compiled
 full-system block loop (:func:`repro.mem.block_kernel.run_block_loop`)
 fuses the same steps and must match it bit for bit. Writes are serviced
-inline, exactly like reads. Activations reach the mitigation either one
-at a time (``Mitigation.on_activation``) or, when the mitigation
-declares a ``batch_scope``, buffered per bank or channel and handed
-over in runs (``on_activation_batch``, DESIGN.md §9).
+inline, exactly like reads. Every activation reaches the mitigation
+through ``Mitigation.on_activation``; only the compiled loop defers
+guaranteed-noop activations (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -97,13 +96,9 @@ class MemoryController:
         # probes (request completions, throttles, mitigation actions).
         # Disabled cost is one `is None` test per serviced request.
         self.obs = None
-        # Batched activation path (DESIGN.md §9). Hook-override flags
-        # let the hot loop skip virtual calls that are base no-ops
-        # (NoMitigation pays nothing; only BlockHammer pays the
-        # pre-activate probe; only RRS pays the route lookup). A
-        # mitigation whose batch_scope is None takes the scalar
-        # on_activation oracle; batched and scalar runs are
-        # bit-identical.
+        # Hook-override flags let the hot loop skip virtual calls that
+        # are base no-ops (NoMitigation pays nothing; only BlockHammer
+        # pays the pre-activate probe; only RRS pays the route lookup).
         mitigation_type = type(mitigation)
         self._has_route = mitigation_type.route is not Mitigation.route
         self._has_pre_delay = (
@@ -113,16 +108,9 @@ class MemoryController:
         self._mitigates_acts = (
             mitigation_type.on_activation is not Mitigation.on_activation
         )
+        # Always None: the controller defers nothing. Kept because
+        # perfbench/test_perfbench.py::_dispatch_flags reads it.
         self._batch = None
-        self._batch_global = False
-        if mitigation.batch_scope is not None:
-            keys = [
-                (channel.index, bank.rank, bank.index)
-                for bank in self._bank_table
-            ]
-            self._batch = mitigation.make_batch_state(channel.index, keys)
-            if self._batch is not None:
-                self._batch_global = mitigation.batch_scope == "global"
 
     def service(self, request: MemoryRequest) -> float:
         """Service one request synchronously; returns completion time.
@@ -141,8 +129,7 @@ class MemoryController:
                 f"controller of channel {self.channel.index}"
             )
 
-        flat_bank = decoded.rank * self._banks_per_rank + decoded.bank
-        bank = self._bank_table[flat_bank]
+        bank = self._bank_table[decoded.rank * self._banks_per_rank + decoded.bank]
         bank_key = decoded.bank_key
         row = decoded.row
         if self._has_route:
@@ -188,93 +175,22 @@ class MemoryController:
             stats.row_buffer_hits += 1
         if outcome.activated:
             stats.activations += 1
-            batch = self._batch
-            if (
-                batch is not None
-                and not self._batch_global
-                and batch.credits[flat_bank] > 0
-                and completion < batch.deadlines[flat_bank]
-            ):
-                # Defer fast path: the mitigation proved this activation
-                # cannot trigger an action, so just buffer it.
-                batch.credits[flat_bank] -= 1
-                batch.rows[flat_bank].append(row)
-                batch.times[flat_bank].append(completion)
-            else:
-                self._note_activation(
-                    bank_key, flat_bank, row, physical_row, bank, completion
+            if self._mitigates_acts:
+                # ``row`` is the logical row (RRS's tracker indexes
+                # logical rows); victim-focused defenses act on
+                # ``physical_row``.
+                action = self.mitigation.on_activation(
+                    bank_key, row, physical_row, completion
                 )
+                if not action.is_noop:
+                    self._apply(action, bank, completion)
         if self.obs is not None:
             self.obs.on_request(request, decoded, latency, hit)
         return completion
 
-    def _note_activation(
-        self,
-        bank_key,
-        flat_bank: int,
-        row: int,
-        physical_row: int,
-        bank,
-        now_ns: float,
-    ) -> None:
-        """Activation hook slow path: batch flushes, the global (PARA)
-        credit cell, and the scalar reference path. ``row`` is the
-        mitigation-observed row — logical for RRS (whose tracker indexes
-        logical rows; its scalar hook never reads ``physical_row``),
-        identical to ``physical_row`` for every identity-routing
-        defense. The bank-scope defer case is inlined at the service()
-        call site, so a bank-scope call here always acts or flushes.
-        """
-        batch = self._batch
-        if batch is None:
-            if self._mitigates_acts:
-                action = self.mitigation.on_activation(
-                    bank_key, row, physical_row, now_ns
-                )
-                if not action.is_noop:
-                    self._apply(action, bank, now_ns)
-            return
-        if self._batch_global:
-            cell = batch.credits
-            if cell[0] > 0:
-                cell[0] -= 1
-                return
-            action = self.mitigation.on_activation_batch(
-                bank_key, (physical_row,), (now_ns,)
-            )
-            if not action.is_noop:
-                self._apply(action, bank, now_ns)
-            return
-        if batch.credits[flat_bank] < 0:
-            # Opted-out bank (see BankBatchedMitigation.OPT_OUT_RUNS and
-            # OPT_OUT_MEAN_RUN): under a sustained hammer every "batch"
-            # is a run of one, so skip the buffer machinery and call the
-            # scalar oracle directly. Identical results by definition;
-            # the buffer is empty (opt-out only happens right after a
-            # flush).
-            action = self.mitigation.on_activation(
-                bank_key, row, physical_row, now_ns
-            )
-            if not action.is_noop:
-                self._apply(action, bank, now_ns)
-            return
-        # Credit exhausted or deadline passed: hand the buffered run
-        # plus this (possibly-acting) activation to the mitigation.
-        rows = batch.rows[flat_bank]
-        times = batch.times[flat_bank]
-        rows.append(row)
-        times.append(now_ns)
-        action = self.mitigation.on_activation_batch(bank_key, rows, times)
-        rows.clear()
-        times.clear()
-        if not action.is_noop:
-            self._apply(action, bank, now_ns)
-
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): the controller's own mutable state is
-    # its stats block — channel/bank timing belongs to the device layer
-    # and batch buffers are flushed by Mitigation.prepare_for_snapshot
-    # before any snapshot is taken.
+    # its stats block — channel/bank timing belongs to the device layer.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         stats = self.stats

@@ -143,13 +143,8 @@ class SystemSimulator:
     def checkpoint_payload(self, cores: List[Core]) -> tuple:
         """Pure-data snapshot of every layer of this simulator + cores.
 
-        Flushes the mitigation's batch buffers first
-        (:meth:`~repro.mitigations.base.Mitigation.prepare_for_snapshot`)
-        so no activation is parked in a credit buffer when state is
-        captured — flushed and buffered runs are bit-identical by the
-        batching contract, so this changes no result.
-        """
-        self.mitigation.prepare_for_snapshot()
+        Either loop leaves no activation deferred when it returns, so
+        the mitigation's state is complete here."""
         return (
             [core.snapshot_state() for core in cores],
             [channel.snapshot_state() for channel in self.channels],

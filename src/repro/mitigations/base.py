@@ -25,46 +25,16 @@ matching the paper's per-bank HRT/RIT sizing (Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 BankKey = Tuple[int, int, int]  # (channel, rank, bank)
 
-# Batched-path sentinels: a mitigation with no count bound on deferral
-# uses INFINITE_CREDIT (TRR defers on a time deadline instead); one
-# with no time bound uses NO_DEADLINE.
+# Deferral sentinels (``BankBatchedMitigation.batch_credit``): a
+# mitigation with no count bound on deferral uses INFINITE_CREDIT (TRR
+# defers on a time deadline instead); one with no time bound uses
+# NO_DEADLINE.
 INFINITE_CREDIT = 1 << 60
 NO_DEADLINE = float("inf")
-
-
-class ChannelBatchState:
-    """Per-channel activation-deferral state (DESIGN.md §9).
-
-    Created by :meth:`Mitigation.make_batch_state` and driven inline by
-    the controller: while ``credits[bank] > 0`` and the completion time
-    is before ``deadlines[bank]``, an activation is appended to the
-    bank's buffer instead of calling into the mitigation. Credits are
-    *guaranteed-noop horizons* — the mitigation proves that many future
-    activations cannot trigger any action — so buffered activations are
-    replayed in bulk at the next flush with bit-identical results.
-
-    The lists are shared by reference between the controller (which
-    decrements/appends) and the mitigation (which refreshes credits at
-    flushes and window ends); banks are indexed rank-major, matching
-    the controller's flat bank table.
-    """
-
-    __slots__ = ("channel", "keys", "credits", "deadlines", "rows", "times",
-                 "index_of")
-
-    def __init__(self, channel: int, bank_keys: Sequence[BankKey]) -> None:
-        self.channel = channel
-        self.keys: List[BankKey] = list(bank_keys)
-        n = len(self.keys)
-        self.credits: List[int] = [0] * n
-        self.deadlines: List[float] = [NO_DEADLINE] * n
-        self.rows: List[List[int]] = [[] for _ in range(n)]
-        self.times: List[List[float]] = [[] for _ in range(n)]
-        self.index_of = {key: i for i, key in enumerate(self.keys)}
 
 
 @dataclass
@@ -177,55 +147,35 @@ class Mitigation:
         return 0
 
     # ------------------------------------------------------------------
-    # Batched activation path (opt-in; scalar on_activation is the
-    # reference oracle — see DESIGN.md §9)
+    # Activation deferral (the compiled loop only; DESIGN.md §9). The
+    # scalar controller calls ``on_activation`` for every activation.
     # ------------------------------------------------------------------
-    # "bank": per-bank credits/buffers; "global": one shared credit cell
+    # "bank": per-bank credits and buffers
+    # (``BankBatchedMitigation.batch_credit``/``apply_deferred``);
+    # "global": one credit for every bank and row, from ``run_credit``
     # (PARA's rng draws are consumed in global activation order); None:
-    # no batch support, the controller uses the scalar path. Setting it
-    # to None on an instance before the simulator is built forces that
-    # instance onto the scalar oracle (equivalence tests and benches).
+    # every activation goes to ``on_activation``. Setting it to None on
+    # an instance forces that instance onto the per-activation hook
+    # (equivalence tests and benches).
     batch_scope: Optional[str] = None
-
-    def make_batch_state(
-        self, channel: int, bank_keys: Sequence[BankKey]
-    ) -> Optional[ChannelBatchState]:
-        """Create (and retain a reference to) one channel's deferral
-        state, with credits primed; None opts out of batching."""
-        return None
-
-    def on_activation_batch(
-        self,
-        bank_key: BankKey,
-        rows: Sequence[int],
-        cycles: Sequence[float],
-    ) -> MitigationOutcome:
-        """Process a run-grouped block of activations for one bank.
-
-        Contract: every element except the last is within a previously
-        granted noop horizon (provably cannot trigger an action); only
-        the final element — at ``cycles[-1]`` — may act, and its outcome
-        is returned. Implementations must refresh the bank's credit and
-        deadline in their batch state before returning.
-        """
-        raise NotImplementedError
 
     def hot_row_tracker(self, bank_key: BankKey) -> Optional[Tuple[object, int]]:
         """This bank's Misra-Gries tracker (an ``ArrayMisraGries``) and
         its action threshold, for the compiled loop to run itself; None
         (the default) keeps the bank on the activation hooks.
 
-        The compiled loop consults it on channels with per-bank batch
-        state (``block_kernel.replay_hot_rows`` on any bank) and then
-        owns the tracker's updates: it observes the *logical* row of
-        every activation and calls :meth:`on_hot_row` only when the
-        estimate lands on a non-zero multiple of the threshold, so an
-        override's ``on_activation`` must be exactly that observe, check
-        and act. The tracker is loaded with ``snapshot_state`` at loop
-        entry and after window ends and written back with
-        ``restore_state`` before window callbacks and whenever the loop
-        returns; in between it is stale, and :meth:`on_hot_row` reads
-        membership from its ``tracked`` predicate."""
+        The compiled loop consults it for every bank when
+        ``batch_scope`` is ``"bank"`` (``block_kernel.replay_hot_rows``
+        for any bank) and then owns the tracker's updates: it observes
+        the *logical* row of every activation and calls
+        :meth:`on_hot_row` only when the estimate lands on a non-zero
+        multiple of the threshold, so an override's ``on_activation``
+        must be exactly that observe, check and act. The tracker is
+        loaded with ``snapshot_state`` at loop entry and after window
+        ends and written back with ``restore_state`` before window
+        callbacks and whenever the loop returns; in between it is
+        stale, and :meth:`on_hot_row` reads membership from its
+        ``tracked`` predicate."""
         return None
 
     def on_hot_row(
@@ -252,19 +202,8 @@ class Mitigation:
     # Snapshotable (repro.state). The base class carries no mutable
     # simulation state, so its snapshot is empty; stateful defenses
     # override both methods. Restores happen onto a freshly constructed
-    # mitigation whose batch state (if any) was already primed by the
-    # controller, so overrides must re-prime credits/views from the
-    # restored trackers before returning.
+    # mitigation.
     # ------------------------------------------------------------------
-    def prepare_for_snapshot(self) -> None:
-        """Bring deferred work to a snapshot-clean point.
-
-        Called by the simulator immediately before ``snapshot_state``.
-        Batched defenses flush their deferral buffers here (the replays
-        are guaranteed-noop, so results are unchanged); the default is
-        a no-op.
-        """
-
     def snapshot_state(self) -> Tuple:
         return ()
 

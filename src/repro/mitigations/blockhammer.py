@@ -60,9 +60,9 @@ class BlockHammer(Mitigation):
     collapses to zero as soon as any counter nears the threshold —
     exactly the attack regime the bench measures — and recomputing the
     bound costs a full ``max_counter()`` scan of both Bloom tables per
-    flush. Batching therefore degenerated to scalar replay plus that
-    overhead (0.95x in BENCH_mitigation.json); ``batch_scope = None``
-    routes every activation straight to the scalar path instead.
+    flush. Deferral therefore degenerated to per-activation replay plus
+    that overhead (0.95x in BENCH_mitigation.json); ``batch_scope =
+    None`` sends every activation straight to ``on_activation``.
     """
 
     name = "BlockHammer"
@@ -77,7 +77,6 @@ class BlockHammer(Mitigation):
         # window boundaries.
         self._filters: Dict[BankKey, Tuple[CountingBloomFilter, CountingBloomFilter]] = {}
         self._last_act_ns: Dict[Tuple[BankKey, int], float] = {}
-        self._half = 0
 
     # ------------------------------------------------------------------
     # Mitigation interface
@@ -126,7 +125,6 @@ class BlockHammer(Mitigation):
     def snapshot_state(self) -> tuple:
         return (
             self.blacklisted_delays,
-            self._half,
             {
                 key: (active.snapshot_state(), shadow.snapshot_state())
                 for key, (active, shadow) in self._filters.items()
@@ -135,9 +133,8 @@ class BlockHammer(Mitigation):
         )
 
     def restore_state(self, state: tuple) -> None:
-        blacklisted_delays, half, filters, last_act = state
+        blacklisted_delays, filters, last_act = state
         self.blacklisted_delays = blacklisted_delays
-        self._half = half
         self._filters = {}
         for key, (active_state, shadow_state) in filters.items():
             active, shadow = (

@@ -84,22 +84,20 @@ class Graphene(BankBatchedMitigation):
 
     def on_window_end(self, window_index: int) -> None:
         """Tracker state is per refresh window."""
-        self._flush_batch_buffers()
         for tracker in self._trackers.values():
             tracker.reset()
-        self._reset_batch_credits()
 
     # ------------------------------------------------------------------
-    # Batched activation path (mixin hooks)
+    # Deferral hooks (BankBatchedMitigation)
     # ------------------------------------------------------------------
-    def _apply_deferred(self, bank_key, rows, times, count):
-        self._tracker(bank_key).observe_block(rows, count)
+    def apply_deferred(self, bank_key, rows, times):
+        self._tracker(bank_key).observe_block(rows, len(rows))
 
     def on_activation_run(self, bank_key, row, physical_row, count):
         """Credited activations: the tracker counts the physical row."""
         self._tracker(bank_key).observe_run(physical_row, count)
 
-    def _batch_credit(self, bank_key):
+    def batch_credit(self, bank_key):
         return self._tracker(bank_key).noop_horizon(self.threshold), NO_DEADLINE
 
     # ------------------------------------------------------------------
@@ -124,7 +122,6 @@ class Graphene(BankBatchedMitigation):
             )
             tracker.restore_state(tracker_state)
             self._trackers[key] = tracker
-        self._reset_batch_credits()
 
     def storage_bits_per_bank(self, rows_per_bank: int) -> int:
         """Tracker entries x (row id + counter + valid)."""

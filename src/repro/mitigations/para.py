@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.mitigations.base import (
     BankKey,
-    ChannelBatchState,
     Mitigation,
     MitigationOutcome,
     NOOP_OUTCOME,
@@ -48,16 +47,15 @@ class PARA(Mitigation):
         self.rows_per_bank = rows_per_bank
         self._rng = DeterministicRng(seed, "para")
         self.refreshes_issued = 0
-        # Batched-path state: coin flips are consumed in *global*
-        # activation order (one shared rng across banks and channels),
-        # so the deferral credit is a single shared cell holding the
-        # number of draws until the next success. Draws are precomputed
-        # in chunks; Generator.random(n) consumes the bit stream
-        # identically to n scalar draws, so decisions are bit-identical
-        # to the scalar path.
+        # Coin flips are drawn in precomputed blocks: ``_draws`` holds
+        # the draws of the coming activations, in order, and ``_hit``
+        # indexes the first success among them. Generator.random(n)
+        # consumes the bit stream identically to n scalar draws, and
+        # every path consumes the block the same way (a block is drawn
+        # here and when a success finds none after it), so the state
+        # after k activations does not depend on which hook took them.
         self._draws = np.empty(0, dtype=np.float64)
-        self._hit = 0
-        self._credit_cell = None
+        self._hit = self._next_gap()
 
     @classmethod
     def for_threshold(
@@ -74,8 +72,11 @@ class PARA(Mitigation):
         self, bank_key: BankKey, row: int, physical_row: int, now_ns: float
     ) -> MitigationOutcome:
         """Coin-flip a neighbour refresh for this activation."""
-        if self._rng.random() >= self.probability:
+        self._draws = self._draws[1:]
+        if self._hit:
+            self._hit -= 1
             return NOOP_OUTCOME
+        self._hit = self._next_gap()
         victims = [
             physical_row + offset
             for distance in range(1, self.blast_radius + 1)
@@ -86,42 +87,26 @@ class PARA(Mitigation):
         return MitigationOutcome(refresh_rows=victims)
 
     # ------------------------------------------------------------------
-    # Batched activation path (global scope: no buffers, just a shared
-    # countdown of guaranteed-miss coin flips)
+    # Run contract and deferral: the draws before the next success are
+    # misses whatever the bank and row, so one global credit covers
+    # every activation (the compiled loop keeps it in one cell).
     # ------------------------------------------------------------------
     batch_scope = "global"
 
     _CHUNK = 4096
 
-    def make_batch_state(self, channel, bank_keys):
-        state = ChannelBatchState(channel, bank_keys)
-        if self._credit_cell is None:
-            self._credit_cell = [self._next_gap()]
-        state.credits = self._credit_cell  # one cell, shared by channels
-        return state
+    def run_credit(self, bank_key, row, physical_row, now_ns):
+        """Draws left before the next success."""
+        return self._hit
 
-    def on_activation_batch(self, bank_key, rows, cycles):
-        # The countdown expired: this activation's draw is the
-        # precomputed success. Consume it and refill the cell.
-        physical_row = rows[-1]
-        self._draws = self._draws[self._hit + 1:]
-        self._credit_cell[0] = self._next_gap()
-        victims = [
-            physical_row + offset
-            for distance in range(1, self.blast_radius + 1)
-            for offset in (-distance, distance)
-            if 0 <= physical_row + offset < self.rows_per_bank
-        ]
-        self.refreshes_issued += len(victims)
-        return MitigationOutcome(refresh_rows=victims)
+    def on_activation_run(self, bank_key, row, physical_row, count):
+        """Consume ``count`` credited misses."""
+        self._draws = self._draws[count:]
+        self._hit -= count
 
     # ------------------------------------------------------------------
-    # Snapshotable (repro.state): the PCG64 stream position, the
-    # precomputed draw block, and — under batching — how much of the
-    # shared credit countdown is left (draws consumed since the last
-    # refill are deferred, so the cell is not derivable from ``_hit``).
-    # The cell is restored *in place*: every channel's batch state
-    # aliases the same list.
+    # Snapshotable (repro.state): the PCG64 stream position and the
+    # precomputed draws still ahead.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
@@ -129,17 +114,14 @@ class PARA(Mitigation):
             self.refreshes_issued,
             self._draws.copy(),
             self._hit,
-            None if self._credit_cell is None else self._credit_cell[0],
         )
 
     def restore_state(self, state: tuple) -> None:
-        rng_state, refreshes_issued, draws, hit, credit = state
+        rng_state, refreshes_issued, draws, hit = state
         self._rng.restore_state(rng_state)
         self.refreshes_issued = refreshes_issued
         self._draws = draws.copy()
         self._hit = hit
-        if self._credit_cell is not None and credit is not None:
-            self._credit_cell[0] = credit
 
     def _next_gap(self) -> int:
         """Draws until (excluding) the next success, extending the

@@ -71,13 +71,12 @@ class TargetedRowRefresh(BankBatchedMitigation):
         return MitigationOutcome(refresh_rows=victims)
 
     # ------------------------------------------------------------------
-    # Batched activation path (mixin hooks). TRR acts on a *time*
+    # Deferral hooks (BankBatchedMitigation). TRR acts on a *time*
     # deadline, not a count: every activation completing before the
     # bank's next tREFI opportunity is noop, so the credit is infinite
-    # and the deadline carries the deferral bound. No window-end hook:
-    # the sample is not window-scoped, so buffers stay pending.
+    # and the deadline carries the deferral bound.
     # ------------------------------------------------------------------
-    def _apply_deferred(self, bank_key, rows, times, count):
+    def apply_deferred(self, bank_key, rows, times):
         sample = self._samples.setdefault(bank_key, Counter())
         size = self.sample_size
         if len(sample) >= size:
@@ -85,16 +84,15 @@ class TargetedRowRefresh(BankBatchedMitigation):
             # increments — order-free, apply per unique row. Counter
             # insertion order (the most_common tie-break) is untouched
             # because no keys are created.
-            for row, hits in Counter(rows[:count]).items():
+            for row, hits in Counter(rows).items():
                 if row in sample:
                     sample[row] += hits
         else:
-            for i in range(count):
-                row = rows[i]
+            for row in rows:
                 if len(sample) < size or row in sample:
                     sample[row] += 1
 
-    def _batch_credit(self, bank_key):
+    def batch_credit(self, bank_key):
         return (
             INFINITE_CREDIT,
             self._next_trr_ns.get(bank_key, float(self.t_refi_ns)),
@@ -121,4 +119,3 @@ class TargetedRowRefresh(BankBatchedMitigation):
                 sample[row] = hits
             self._samples[key] = sample
         self._next_trr_ns = dict(next_trr)
-        self._reset_batch_credits()

@@ -14,9 +14,8 @@ Every class that holds mutable simulation state implements two methods:
   config (seeds, tables, capacity), which is what makes the scheme
   deterministic without serializing closures or object graphs.
 
-Aliased structures (PARA's cross-channel credit cell) must be restored
-*in place* — mutate the shared object, never rebind it — so every alias
-observes the restored state.
+Aliased structures must be restored *in place* — mutate the shared
+object, never rebind it — so every alias observes the restored state.
 
 ``STATE_SCHEMA_VERSION`` stamps every serialized checkpoint; loading a
 payload from a different schema fails loudly instead of misreading it.
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, Tuple, runtime_checkable
 
-STATE_SCHEMA_VERSION = 3
+STATE_SCHEMA_VERSION = 4
 
 
 class NotSnapshotable(RuntimeError):

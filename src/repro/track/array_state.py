@@ -1,8 +1,8 @@
-"""Array-state Misra-Gries tracker: the batched-path hot-row tracker.
+"""Array-state Misra-Gries tracker: the hot-row tracker of RRS and Graphene.
 
 Same Figure-3 semantics and Invariant-1 guarantee as the reference
-:class:`repro.track.misra_gries.MisraGriesTracker`, reorganized for the
-controller's batched ``on_activation`` path:
+:class:`repro.track.misra_gries.MisraGriesTracker`, reorganized for
+deferred and run-length replay:
 
 * Counters live in stable *slots* (parallel ``_rows``/``_counts``
   arrays) instead of dict churn — an eviction reuses the victim's slot,
@@ -18,11 +18,11 @@ controller's batched ``on_activation`` path:
   one row with a single counter bump once the row holds a slot.
 * ``noop_horizon`` computes how many *future* activations are provably
   unable to land any counter on a threshold multiple — the credit the
-  controller uses to defer scalar mitigation calls (DESIGN.md §9).
+  compiled loop uses to defer mitigation calls (DESIGN.md §9).
 
 The compiled system loop and Figure 5's replay run a C copy of this
 tracker for RRS (``mem/block_loop.c``, DESIGN.md §12.1) with the same
-rules: they load and write back the ``snapshot_state`` 5-tuple and, in
+rules: they load and write back the ``snapshot_state`` 4-tuple and, in
 between, leave this object stale (a swap asks C for membership). So
 this class is the tracker of the scalar loop, the attack harnesses and
 Graphene, and the fallback where the loop cannot be compiled.
@@ -139,7 +139,7 @@ class ArrayMisraGries:
         return len(self._slot_of)
 
     # ------------------------------------------------------------------
-    # Batched path
+    # Deferred and run-length replay
     # ------------------------------------------------------------------
     # repro-oracle: tracker-observe-block -- kernel
     def observe_block(self, rows, count: int) -> None:
@@ -258,12 +258,14 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): slots, the spill counter, and whether
     # the lazy eviction heap has materialized. The heap and the residue
-    # histogram are derived views — rebuilt after a restore (the heap at
-    # the next full-table miss) so a restored tracker makes the same
-    # lazy/eager transitions at the same points an uninterrupted one
-    # would. A heap rebuilt from exact counts picks the same victims as
-    # one holding stale lower bounds: the settled top is the minimum
-    # (count, slot) pair either way.
+    # histogram are derived views: the heap is rebuilt at the next
+    # full-table miss, so a restored tracker makes the same lazy/eager
+    # transitions at the same points an uninterrupted one would (a heap
+    # rebuilt from exact counts picks the same victims as one holding
+    # stale lower bounds: the settled top is the minimum (count, slot)
+    # pair either way), and the histogram at the next ``noop_horizon``.
+    # Only deferring runs ask for a horizon, so leaving the histogram
+    # out keeps a snapshot independent of the loop that took it.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
@@ -271,11 +273,10 @@ class ArrayMisraGries:
             list(self._rows),
             list(self._counts),
             self._heap is not None,
-            self._residue_t,
         )
 
     def restore_state(self, state: tuple) -> None:
-        spill, rows, counts, heap_built, residue_t = state
+        spill, rows, counts, heap_built = state
         self.spill = spill
         self._rows = list(rows)
         self._counts = list(counts)
@@ -284,8 +285,6 @@ class ArrayMisraGries:
         self._residue_t = 0
         self._residue_hist = None
         self._residue_max = 0
-        if residue_t:
-            self._build_residue_hist(residue_t)
 
     # ------------------------------------------------------------------
     # Internals

@@ -92,8 +92,8 @@ class CATMisraGriesTracker:
         return len(self.cat)
 
     # ------------------------------------------------------------------
-    # Batched-path interface (scalar replay: CAT installs depend on
-    # set occupancy, so there is no order-free bulk form)
+    # Deferral interface (scalar replay: CAT installs depend on set
+    # occupancy, so there is no order-free bulk form)
     # ------------------------------------------------------------------
     def observe_block(self, rows, count: int) -> None:
         """Apply the first ``count`` activations of ``rows``."""

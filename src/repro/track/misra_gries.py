@@ -110,7 +110,7 @@ class MisraGriesTracker:
         return len(self._counts)
 
     # ------------------------------------------------------------------
-    # Batched-path interface (kept for backend interchangeability; the
+    # Deferral interface (kept for backend interchangeability; the
     # array-state tracker implements the bulk fast path)
     # ------------------------------------------------------------------
     def observe_block(self, rows, count: int) -> None:

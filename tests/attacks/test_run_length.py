@@ -86,7 +86,7 @@ MITIGATIONS = {
 }
 
 # Mitigations whose every activation stays on the per-activation step.
-NO_CREDIT = {"trr", "para", "blockhammer"}
+NO_CREDIT = {"trr", "blockhammer"}
 
 ATTACKS = {
     "single": lambda: SingleSidedAttack(100),
@@ -147,9 +147,8 @@ def _plain(value):
 
 
 def _tracker_credits(mitigation):
-    """Every tracker's noop horizon. Asking also builds the residue
-    view the snapshot names, which otherwise only the run path builds
-    (it is the structure the credit query reads, not tracker state)."""
+    """Every tracker's noop horizon: the credit each path would grant
+    next."""
     if isinstance(mitigation, RandomizedRowSwap):
         t = mitigation.config.t_rrs
         return {k: s.tracker.noop_horizon(t) for k, s in mitigation._banks.items()}

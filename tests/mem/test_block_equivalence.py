@@ -178,17 +178,25 @@ class TestLoopDispatch:
         assert calls == ["block"]
 
     def test_env_cannot_select_the_oracle_paths(self, calls, monkeypatch):
-        """A plain columnar run takes the block loop and RRS batches,
-        even with the retired loop and batch selector variables set.
-        The names are spelled in pieces so that they appear nowhere
-        else in the tree."""
+        """A plain columnar run takes the block loop and defers
+        activations, even with the retired loop and batch selector
+        variables set. The names are spelled in pieces so that they
+        appear nowhere else in the tree."""
         for name in ("BLOCK_CONTROLLER", "BATCH_MITIGATION"):
             monkeypatch.setenv("REPRO_" + name, "0")
         _run(NoMitigation, records=200)
         assert calls == ["block"]
-        rrs = _factories()["rrs"]()
-        sim = SystemSimulator(SystemConfig(dram=_dram(), cores=CORES), rrs)
-        assert all(c._batch is not None for c in sim.controllers)
+        replayed = []
+        apply_deferred = Graphene.apply_deferred
+
+        def spy(self, bank_key, rows, times):
+            replayed.extend(rows)
+            return apply_deferred(self, bank_key, rows, times)
+
+        monkeypatch.setattr(Graphene, "apply_deferred", spy)
+        _run(_factories()["graphene"], records=200)
+        assert calls == ["block", "block"]
+        assert replayed
 
     def test_columnar_run_takes_the_compiled_loop(self, calls):
         _run(_factories()["rrs"], records=200)
@@ -197,15 +205,17 @@ class TestLoopDispatch:
 
     def test_compiled_loop_hands_rrs_only_its_swaps(self, monkeypatch):
         """RRS's tracker runs inside the compiled loop: Python sees one
-        on_hot_row call per swap and no per-activation hook at all,
-        while a CAT-tracker RRS keeps the per-activation hand-off."""
-        calls = {"on_activation": 0, "on_activation_batch": 0, "on_hot_row": 0}
+        on_hot_row call per swap and, per bank, only the first
+        activation (which creates the bank's state, as the scalar loop
+        does, and hands its tracker to C), while a CAT-tracker RRS
+        keeps the per-activation hand-off."""
+        calls = {"on_activation": [], "on_activation_batch": [], "on_hot_row": []}
         for name in calls:
             original = getattr(RandomizedRowSwap, name)
 
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
+            def counted(self, bank_key, *args, _name=name, _original=original):
+                calls[_name].append(bank_key)
+                return _original(self, bank_key, *args)
 
             monkeypatch.setattr(RandomizedRowSwap, name, counted)
         metrics = run_workload(
@@ -219,11 +229,10 @@ class TestLoopDispatch:
             cores=CORES,
         )
         assert metrics.swaps > 0
-        assert calls == {
-            "on_activation": 0,
-            "on_activation_batch": 0,
-            "on_hot_row": metrics.swaps,
-        }
+        first = calls["on_activation"]
+        assert first and len(set(first)) == len(first)
+        assert calls["on_activation_batch"] == []
+        assert len(calls["on_hot_row"]) == metrics.swaps
         cat = RandomizedRowSwap(
             dataclasses.replace(
                 RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE),

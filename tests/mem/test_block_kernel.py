@@ -5,7 +5,7 @@ The loop's results are pinned against the scalar oracle in
 this module covers what those cannot see: that the library is really
 built where a compiler exists, how the build is cached, that a host
 without one falls back to the scalar loop, that the C-side
-deferral buffers drain into their Python homes with nothing lost or
+deferral buffers replay into the mitigation with nothing lost or
 reordered, and that the C tracker's full-table misses match.
 """
 
@@ -82,10 +82,10 @@ def test_compiler_on_path_means_the_compiled_loop_loads():
     "name", ["rrs", "rrs_scalar", "rrs_tiny_tracker", "para", "trr"]
 )
 def test_tiny_buffers_drain_without_changing_state(name, monkeypatch, scalar_loop):
-    """Deferral buffers a few entries long spill into Python on almost
-    every deferred activation; results and every cut's full state
-    (mitigation buffers, credits and trackers, which the C-tracked RRS
-    banks bypass) still match the scalar oracle."""
+    """Deferral buffers a few entries long replay into the mitigation
+    on almost every deferred activation; results and every cut's full
+    state (trackers and samples, which the C-tracked RRS banks keep in
+    C) still match the per-activation scalar loop."""
     with scalar_loop():
         expected = _cut_run(name)
     assert expected[0].windows == 2

@@ -1,20 +1,24 @@
-"""Batched activation path vs the scalar oracle: bit-identical runs.
+"""Deferred activations vs the per-activation hook: bit-identical runs.
 
-The controller's batched path (deferral credits, run-grouped
-``on_activation_batch`` flushes, bulk tracker updates, the sparse
-forward-dict route view and the run-tally opt-out) must be
-*observationally invisible*: for every mitigation, a full simulation
-on the batched path must produce the same ``SimMetrics`` dict — hence
-the same cache keys — as the scalar reference path, which a run selects
-by setting ``batch_scope = None`` on the mitigation instance it built.
+The compiled loop's deferral (credits, run-grouped
+``on_activation_batch`` flushes, bulk tracker updates and the
+run-tally opt-out) must be *observationally invisible*: for every
+mitigation, a full simulation that defers must produce the same
+``SimMetrics`` dict — hence the same cache keys — as one that calls
+``on_activation`` for every activation, which a run selects by setting
+``batch_scope = None`` on the mitigation instance it built.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.analysis.perf import run_workload
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
+from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig
+from repro.mem import block_kernel
 from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 from repro.mitigations.graphene import Graphene
 from repro.mitigations.para import PARA
@@ -116,68 +120,100 @@ class TestBatchedScalarEquivalence:
 
 
 class TestOptOut:
-    def test_hammered_banks_opt_out_and_stay_identical(self, scalar_loop):
+    def test_hammered_banks_opt_out_and_stay_identical(self, monkeypatch, scalar_loop):
         """At scale 64 the scaled T_RRS is tiny, so noop horizons sit
-        near zero and mean run lengths fall under the opt-out cutoff:
-        hammered banks must pin their credit to the -1 sentinel (the
-        controller then routes them straight to the scalar oracle),
-        and the results must still match the scalar run exactly. RRS
-        defers through credits only in the scalar loop (the compiled
-        loop runs its tracker in C), so the batched run takes it."""
+        near zero and mean run lengths fall under the opt-out cutoff.
+        RRS with the CAT tracker defers through credits in the compiled
+        loop (the array tracker runs in C instead), so hammered banks
+        opt out there: after a bank's first activation, which arms it,
+        ``on_activation`` is reached directly only from an opted-out
+        bank. The results still match the per-activation scalar loop."""
         scale = 64
 
         def factory():
             return RandomizedRowSwap(
-                RRSConfig.for_threshold(4800, DRAMConfig()).scaled(scale),
+                dataclasses.replace(
+                    RRSConfig.for_threshold(4800, DRAMConfig()).scaled(scale),
+                    tracker_backend="cat",
+                ),
                 _dram(scale),
             )
 
+        calls = {"on_activation": 0, "on_activation_batch": 0}
+        for name in calls:
+            original = getattr(RandomizedRowSwap, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(RandomizedRowSwap, name, counted)
+        deferred, _ = _run(factory, batched=True, scale=scale, records=4_000)
+        assert calls["on_activation_batch"] >= block_kernel.OPT_OUT_RUNS
+        # Each flush makes one on_activation call; arming makes at most
+        # one per bank.
+        direct = calls["on_activation"] - calls["on_activation_batch"]
+        banks = len(AddressMapper(_dram(scale)).bank_key_table)
+        assert direct > banks, "no bank ever opted out"
         with scalar_loop():
-            batched, mitigation = _run(
-                factory, batched=True, scale=scale, records=4_000
-            )
-        credits = [
-            credit
-            for state in mitigation._batch_states.values()
-            for credit in state.credits
-        ]
-        assert -1 in credits, "no bank ever hit the opt-out sentinel"
-        scalar, _ = _run(factory, batched=False, scale=scale, records=4_000)
-        assert batched.to_dict() == scalar.to_dict()
+            scalar, _ = _run(factory, batched=True, scale=scale, records=4_000)
+        assert deferred.to_dict() == scalar.to_dict()
 
     def test_window_reset_clears_the_opt_out(self):
-        """Window rollover re-primes credits from fresh-state values,
-        so an opted-out bank gets another chance next epoch."""
+        """A bank with zero credit flushes runs of one until the tally
+        opts it out; the next window's credit comes from a fresh
+        ``batch_credit`` and defers again."""
+        from repro.mitigations.base import INFINITE_CREDIT, NO_DEADLINE, NOOP_OUTCOME
         from repro.mitigations.batching import BankBatchedMitigation
 
         class Recording(BankBatchedMitigation):
             name = "recording"
 
             def __init__(self):
-                self.applied = []
+                self.window = 0
+                self.events = []
 
             def on_activation(self, bank_key, row, physical_row, now_ns):
-                from repro.mitigations.base import NOOP_OUTCOME
-
+                self.events.append((self.window, bank_key, "act"))
                 return NOOP_OUTCOME
 
-            def _apply_deferred(self, bank_key, rows, times, count):
-                self.applied.append(list(rows[:count]))
+            def on_activation_batch(self, bank_key, rows, cycles):
+                self.events.append((self.window, bank_key, "flush"))
+                return super().on_activation_batch(bank_key, rows, cycles)
 
-            def _batch_credit(self, bank_key):
-                from repro.mitigations.base import NO_DEADLINE
+            def apply_deferred(self, bank_key, rows, times):
+                self.events.append((self.window, bank_key, "deferred"))
 
-                return 0, NO_DEADLINE
+            def batch_credit(self, bank_key):
+                return (INFINITE_CREDIT if self.window else 0), NO_DEADLINE
 
+            def on_window_end(self, window_index):
+                self.window += 1
+
+        scale = 256
         mitigation = Recording()
-        key = (0, 0, 0)
-        state = mitigation.make_batch_state(0, [key])
-        # Zero credit -> every activation flushes as a run of one; the
-        # tally crosses OPT_OUT_RUNS and pins the sentinel.
-        for i in range(BankBatchedMitigation.OPT_OUT_RUNS):
-            mitigation.on_activation_batch(key, [i], [float(i)])
-        assert state.credits[0] == -1
-        mitigation._flush_batch_buffers()
-        mitigation._reset_batch_credits()
-        assert state.credits[0] == 0  # re-primed from _batch_credit
-        assert mitigation._run_tally == {}
+        metrics = run_workload(
+            get_workload("hmmer"), mitigation, scale=scale,
+            records_per_core=6_000, cores=4,
+        )
+        assert metrics.windows == 2
+        by_bank = {}
+        for window, key, event in mitigation.events:
+            by_bank.setdefault(key, []).append((window, event))
+        opted = 0
+        for events in by_bank.values():
+            first = [event for window, event in events if window == 0]
+            runs = block_kernel.OPT_OUT_RUNS
+            if len(first) > 2 * (runs + 1):
+                # arm, OPT_OUT_RUNS flushes (each an "act" inside a
+                # "flush"), then direct activations only
+                assert first[:3] == ["act", "flush", "act"]
+                assert first.count("flush") == runs
+                assert set(first[1 + 2 * runs:]) == {"act"}
+                opted += 1
+            later = {event for window, event in events if window > 0}
+            assert later <= {"deferred"}
+        assert opted
+        assert any(
+            event == "deferred" for window, _, event in mitigation.events if window
+        )

@@ -207,15 +207,18 @@ class TestTieBreak:
         assert reference.tracked_rows() == {1, 5}
 
     def test_restore_after_heap_build_evicts_the_same_victims(self):
-        """A snapshot taken in the eviction regime keeps the 5-tuple
-        layout (state schema v2) and restores into a tracker that
+        """A snapshot taken in the eviction regime keeps the 4-tuple
+        layout (state schema v4: no residue view, even after a
+        ``noop_horizon`` built one) and restores into a tracker that
         evicts exactly what the uninterrupted one evicts."""
         tracker = ArrayMisraGries(entries=8)
         rows = _stream(3, length=600, universe=40)
         tracker.observe_block(rows, len(rows))
+        before = tracker.snapshot_state()
         tracker.noop_horizon(5)
         state = tracker.snapshot_state()
-        assert [type(part) for part in state] == [int, list, list, bool, int]
+        assert state == before
+        assert [type(part) for part in state] == [int, list, list, bool]
         assert state[3] is True  # full table, heap built
         restored = ArrayMisraGries(entries=8)
         restored.restore_state(state)
