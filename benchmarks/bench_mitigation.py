@@ -1,8 +1,8 @@
 """Per-mitigation activation-path throughput: deferred vs per-activation.
 
-The compiled loop defers guaranteed-noop activations (deferral credits,
-bulk tracker updates through ``apply_deferred``, RRS's tracker in C)
-unless the mitigation's ``batch_scope`` is None, when it calls
+The compiled loop defers guaranteed-noop activations (deferral credits
+and bulk tracker updates through ``apply_deferred``; RRS's and
+Graphene's Misra-Gries trackers run in C) unless the mitigation's ``batch_scope`` is None, when it calls
 ``on_activation`` for every activation. Both must produce bit-identical
 ``SimMetrics``; this bench measures what deferral is *worth* per
 mitigation on an attack-heavy stream (hmmer at the bench scale drives
@@ -21,8 +21,10 @@ aggregate against its recorded baseline.
 
 Expectations encoded here: on a 2-vCPU host at 6,000 records per core
 (min of 3), deferral gave PARA 2.91x (one global credit), RRS 2.72x
-(its tracker runs in C), Graphene 2.20x and TRR 2.04x (TRR defers
-whole tREFI intervals); BlockHammer defers nothing and runs at parity. The assertion is
+(its tracker runs in C) and TRR 2.04x (TRR defers whole tREFI
+intervals); Graphene, whose tracker also runs in C, gave 2.7x (min of
+7, two alternating runs; 2.0x when it deferred through credits);
+BlockHammer defers nothing and runs at parity. The assertion is
 therefore *no mitigation regresses meaningfully*, not that every one
 speeds up.
 """

@@ -2,9 +2,10 @@
 
 Every batched kernel in this repo is justified by a scalar *oracle* it
 must stay bit-identical to: ``on_activation_batch`` replays through
-``on_activation``, block decode matches ``records_reference``,
-``ArrayMisraGries`` matches ``MisraGriesTracker``, the vectorized Monte
-Carlo matches its scalar reference. The equivalence suites prove each
+``on_activation``, ``observe_run`` through ``observe``, block decode
+matches ``records_reference``, ``ArrayMisraGries`` matches
+``MisraGriesTracker``, the vectorized Monte Carlo matches its scalar
+reference. The equivalence suites prove each
 pair equal on every tier-1 run; this pass makes sure every pair *has*
 such a suite.
 
@@ -23,7 +24,9 @@ Pair discovery
 * **Auto-discovered** naming conventions, within one class or module
   scope (skipped when a marker already claims the definition):
   ``f`` ↔ ``f_batch``, ``f_reference`` ↔ ``f``, and
-  ``observe`` ↔ ``observe_block``.
+  ``observe`` ↔ ``observe_block`` (the CAT tracker's pair;
+  ``ArrayMisraGries.observe`` is claimed by ``tracker-observe-run``, so
+  its ``observe_block``, a plain loop over ``observe``, forms none).
 
 Verdict
 -------

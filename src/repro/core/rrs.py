@@ -34,6 +34,7 @@ from repro.mitigations.base import (
     MitigationOutcome,
     NO_DEADLINE,
     NOOP_OUTCOME,
+    tracker_run_credit,
 )
 from repro.mitigations.batching import BankBatchedMitigation
 from repro.track.array_state import ArrayMisraGries
@@ -189,26 +190,27 @@ class RandomizedRowSwap(BankBatchedMitigation):
             self.detector.end_window()
 
     # ------------------------------------------------------------------
-    # Deferral hooks (BankBatchedMitigation)
+    # Run contract (attack harnesses): the logical row's own counter
     # ------------------------------------------------------------------
-    def apply_deferred(self, bank_key, rows, times):
+    def run_credit(self, bank_key, row, physical_row, now_ns):
         state = self._banks.get(bank_key)
         if state is None:
-            state = self._bank(bank_key)
-        state.tracker.observe_block(rows, len(rows))
+            return 0
+        return tracker_run_credit(state.tracker, row, self.config.t_rrs)
 
     def on_activation_run(self, bank_key, row, physical_row, count):
         """Credited activations: the tracker counts the logical row."""
-        state = self._banks.get(bank_key)
-        if state is None:
-            state = self._bank(bank_key)
-        state.tracker.observe_run(row, count)
+        self._bank(bank_key).tracker.observe_run(row, count)
+
+    # ------------------------------------------------------------------
+    # Deferral hooks (BankBatchedMitigation): only the CAT tracker gets
+    # here, since the array tracker runs in C (``hot_row_tracker``)
+    # ------------------------------------------------------------------
+    def apply_deferred(self, bank_key, rows, times):
+        self._bank(bank_key).tracker.observe_block(rows, len(rows))
 
     def batch_credit(self, bank_key):
-        state = self._banks.get(bank_key)
-        if state is None:
-            state = self._bank(bank_key)
-        return state.tracker.noop_horizon(self.config.t_rrs), NO_DEADLINE
+        return self._bank(bank_key).tracker.noop_horizon(self.config.t_rrs), NO_DEADLINE
 
     def storage_bits_per_bank(self, rows_per_bank: int) -> int:
         """SRAM bits per bank (Table 5 geometry; see analysis.storage)."""

@@ -8,8 +8,8 @@ registered oracle). The per-request recurrence runs in C
 the route lookup, open-page bank timing, the channel bus, the stats
 folds, each core's ROB window, the mitigation's credit fast path, and
 the Misra-Gries hot-row tracker of every bank whose mitigation hands it
-over (``Mitigation.hot_row_tracker``: RRS's ``ArrayMisraGries``, kept
-in :class:`HotRowTrackers`). The C routine returns to the Python event
+over (``Mitigation.hot_row_tracker``: RRS's and Graphene's
+``ArrayMisraGries``, kept in :class:`HotRowTrackers`). The C routine returns to the Python event
 loop below only for events that need Python objects, and is re-entered
 after each:
 

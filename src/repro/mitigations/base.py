@@ -71,6 +71,29 @@ class MitigationOutcome:
 NOOP_OUTCOME = MitigationOutcome()
 
 
+def tracker_run_credit(tracker, row: int, threshold: int) -> int:
+    """The run credit (:meth:`Mitigation.run_credit`) of ``row`` on a
+    Misra-Gries ``tracker`` that acts when an estimate lands on a
+    non-zero multiple of ``threshold``: ``T - 1 - b % T``, where ``b``
+    is the row's estimate or, for an untracked row, the spill counter.
+
+    Proof, for a run of ``k`` activations of ``row`` alone (Figure 3;
+    ``ArrayMisraGries`` and ``CATMisraGriesTracker`` alike):
+
+    * A tracked row's counter moves only by its own hits, so the run's
+      estimates are ``b + 1, ..., b + k``.
+    * An untracked row spills (estimate 0, a noop) until it is
+      installed at ``spill' + 1``, where ``spill0 <= spill' <= spill0 +
+      j`` after ``j`` spills, and then only bumps. So every non-zero
+      estimate of the run lies in ``[spill0 + 1, spill0 + k]``.
+
+    Either way no estimate of the run reaches the next multiple of T
+    above ``b`` while ``k <= T - 1 - b % T``.
+    """
+    base = tracker.estimate(row) or tracker.spill
+    return threshold - 1 - base % threshold
+
+
 class Mitigation:
     """Base class: observes activations, requests no action."""
 
@@ -162,12 +185,15 @@ class Mitigation:
     def hot_row_tracker(self, bank_key: BankKey) -> Optional[Tuple[object, int]]:
         """This bank's Misra-Gries tracker (an ``ArrayMisraGries``) and
         its action threshold, for the compiled loop to run itself; None
-        (the default) keeps the bank on the activation hooks.
+        (the default) keeps the bank on the activation hooks. RRS (with
+        the array tracker) and Graphene hand theirs over.
 
         The compiled loop consults it for every bank when
         ``batch_scope`` is ``"bank"`` (``block_kernel.replay_hot_rows``
         for any bank) and then owns the tracker's updates: it observes
-        the *logical* row of every activation and calls
+        the *logical* row of every activation (RRS's tracker index; a
+        mitigation that never routes, like Graphene, sees its physical
+        rows) and calls
         :meth:`on_hot_row` only when the estimate lands on a non-zero
         multiple of the threshold, so an override's ``on_activation``
         must be exactly that observe, check and act. The tracker is

@@ -2,7 +2,10 @@
 
 The compiled system loop (:mod:`repro.mem.block_kernel`) owns every
 deferral structure: per-bank credits, deadlines and buffers, and the
-opt-out tally. A bank-scoped mitigation only answers two questions:
+opt-out tally. A bank whose mitigation hands over its Misra-Gries
+tracker (``hot_row_tracker``: RRS with the array tracker, Graphene) runs
+that tracker in C and defers nothing; TRR and CAT-tracker RRS defer,
+and a bank-scoped mitigation then only answers two questions:
 
 * :meth:`BankBatchedMitigation.batch_credit` — how many further
   activations of the bank are guaranteed noops, and until when (its
@@ -23,12 +26,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.mitigations.base import (
-    BankKey,
-    Mitigation,
-    MitigationOutcome,
-    NO_DEADLINE,
-)
+from repro.mitigations.base import BankKey, Mitigation, MitigationOutcome
 
 
 class BankBatchedMitigation(Mitigation):
@@ -51,13 +49,6 @@ class BankBatchedMitigation(Mitigation):
         if last:
             self.apply_deferred(bank_key, rows[:last], cycles[:last])
         return self.on_activation(bank_key, rows[last], rows[last], cycles[last])
-
-    def run_credit(self, bank_key, row, physical_row, now_ns):
-        """The bank's guaranteed-noop horizon (``batch_credit``) when it
-        has no time deadline; a deadline-bound bank (TRR) stays on the
-        per-activation hook."""
-        credit, deadline = self.batch_credit(bank_key)
-        return credit if deadline == NO_DEADLINE else 0
 
     # ------------------------------------------------------------------
     # Subclass hooks

@@ -19,15 +19,19 @@ from typing import Dict
 from repro.mitigations.base import (
     BankKey,
     MitigationOutcome,
-    NO_DEADLINE,
     NOOP_OUTCOME,
+    tracker_run_credit,
 )
 from repro.mitigations.batching import BankBatchedMitigation
 from repro.track.array_state import ArrayMisraGries
 
 
 class Graphene(BankBatchedMitigation):
-    """Per-bank Misra-Gries tracking + neighbour refresh."""
+    """Per-bank Misra-Gries tracking + neighbour refresh.
+
+    A ``BankBatchedMitigation`` because ``batch_scope = "bank"`` is what
+    makes the compiled loop ask for :meth:`hot_row_tracker`; every armed
+    bank is then C-tracked, so no bank takes the deferral hooks."""
 
     name = "Graphene"
 
@@ -73,14 +77,23 @@ class Graphene(BankBatchedMitigation):
         # multiple are caught at the next one).
         if estimate == 0 or estimate % self.threshold != 0:
             return NOOP_OUTCOME
+        return self.on_hot_row(bank_key, physical_row, now_ns, tracker.__contains__)
+
+    def on_hot_row(self, bank_key, row, now_ns, tracked):
+        """Refresh the row's neighbours (the compiled loop calls this
+        directly). Graphene never routes, so ``row`` is physical."""
         victims = [
-            physical_row + offset
+            row + offset
             for distance in range(1, self.blast_radius + 1)
             for offset in (-distance, distance)
-            if 0 <= physical_row + offset < self.rows_per_bank
+            if 0 <= row + offset < self.rows_per_bank
         ]
         self.refreshes_issued += len(victims)
         return MitigationOutcome(refresh_rows=victims)
+
+    def hot_row_tracker(self, bank_key):
+        """The bank's array tracker and threshold, for the compiled loop."""
+        return self._tracker(bank_key), self.threshold
 
     def on_window_end(self, window_index: int) -> None:
         """Tracker state is per refresh window."""
@@ -88,17 +101,17 @@ class Graphene(BankBatchedMitigation):
             tracker.reset()
 
     # ------------------------------------------------------------------
-    # Deferral hooks (BankBatchedMitigation)
+    # Run contract (attack harnesses): the physical row's own counter
     # ------------------------------------------------------------------
-    def apply_deferred(self, bank_key, rows, times):
-        self._tracker(bank_key).observe_block(rows, len(rows))
+    def run_credit(self, bank_key, row, physical_row, now_ns):
+        tracker = self._trackers.get(bank_key)
+        if tracker is None:
+            return 0
+        return tracker_run_credit(tracker, physical_row, self.threshold)
 
     def on_activation_run(self, bank_key, row, physical_row, count):
         """Credited activations: the tracker counts the physical row."""
         self._tracker(bank_key).observe_run(physical_row, count)
-
-    def batch_credit(self, bank_key):
-        return self._tracker(bank_key).noop_horizon(self.threshold), NO_DEADLINE
 
     # ------------------------------------------------------------------
     # Snapshotable (repro.state)

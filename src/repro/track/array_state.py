@@ -2,7 +2,7 @@
 
 Same Figure-3 semantics and Invariant-1 guarantee as the reference
 :class:`repro.track.misra_gries.MisraGriesTracker`, reorganized for
-deferred and run-length replay:
+run-length replay and for the compiled loop's C copy:
 
 * Counters live in stable *slots* (parallel ``_rows``/``_counts``
   arrays) instead of dict churn — an eviction reuses the victim's slot,
@@ -12,20 +12,17 @@ deferred and run-length replay:
   entry is a lower bound on its slot's count, and a full-table miss
   corrects stale entries at the top until the top is exact — O(log N)
   per correction instead of a scan of the minimum-count entries.
-* ``observe_block`` replays a run of activations in one inlined loop;
-  only a miss on a full table leaves it, for the same helper
-  ``observe`` uses. ``observe_run`` applies ``count`` activations of
-  one row with a single counter bump once the row holds a slot.
-* ``noop_horizon`` computes how many *future* activations are provably
-  unable to land any counter on a threshold multiple — the credit the
-  compiled loop uses to defer mitigation calls (DESIGN.md §9).
+* ``observe_run`` applies ``count`` activations of one row with a
+  single counter bump once the row holds a slot. The attack harnesses
+  size those runs from the row's own counter
+  (:func:`repro.mitigations.base.tracker_run_credit`, DESIGN.md §9.7).
 
 The compiled system loop and Figure 5's replay run a C copy of this
-tracker for RRS (``mem/block_loop.c``, DESIGN.md §12.1) with the same
-rules: they load and write back the ``snapshot_state`` 4-tuple and, in
-between, leave this object stale (a swap asks C for membership). So
-this class is the tracker of the scalar loop, the attack harnesses and
-Graphene, and the fallback where the loop cannot be compiled.
+tracker for RRS and Graphene (``mem/block_loop.c``, DESIGN.md §12.1)
+with the same rules: they load and write back the ``snapshot_state``
+4-tuple and, in between, leave this object stale (an action asks C for
+membership). So this class is the tracker of the scalar loop and the
+attack harnesses, and the fallback where the loop cannot be compiled.
 
 Tie-break policy: the reference tracker evicts the minimum-count entry
 that reached that count first (its buckets are insertion-ordered);
@@ -50,10 +47,9 @@ from typing import Dict, List, Optional, Set, Tuple
 
 # repro-oracle: tracker-misra-gries -- kernel
 class ArrayMisraGries:
-    """Misra-Gries tracker with slot storage and block-apply support."""
+    """Misra-Gries tracker with slot storage and run-apply support."""
 
-    __slots__ = ("entries", "spill", "_rows", "_counts", "_slot_of",
-                 "_heap", "_residue_t", "_residue_hist", "_residue_max")
+    __slots__ = ("entries", "spill", "_rows", "_counts", "_slot_of", "_heap")
 
     def __init__(self, entries: int) -> None:
         if entries <= 0:
@@ -70,16 +66,6 @@ class ArrayMisraGries:
         # A restored tracker whose heap was built holds [] until its
         # next full-table miss rebuilds it.
         self._heap: Optional[List[Tuple[int, int]]] = None
-        # Residue histogram for O(1) noop_horizon: once a threshold T is
-        # seen, ``_residue_hist[r]`` counts live slots with count % T ==
-        # r and ``_residue_max`` upper-bounds the largest populated
-        # residue (fixed up lazily by scanning downward, <= T steps).
-        # Every bump/install/evict maintains it in O(1), so the horizon
-        # query never rescans the counter table — the scan that
-        # otherwise dominates flush cost for small scaled T_RRS.
-        self._residue_t = 0
-        self._residue_hist: Optional[List[int]] = None
-        self._residue_max = 0
 
     @classmethod
     def sized_for(cls, window_activations: int, threshold: int) -> "ArrayMisraGries":
@@ -91,15 +77,14 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Scalar path (the oracle's tracker operations)
     # ------------------------------------------------------------------
-    # repro-oracle: tracker-observe-block -- oracle
     # repro-oracle: tracker-observe-run -- oracle
     def observe(self, row: int) -> int:
         """Record one activation of ``row``; returns its new estimate."""
         slot = self._slot_of.get(row)
         if slot is not None:
-            count = self._counts[slot]
-            self._bump(slot, count, count + 1)
-            return count + 1
+            count = self._counts[slot] + 1
+            self._counts[slot] = count
+            return count
 
         if len(self._slot_of) < self.entries:
             return self._install(row, self.spill + 1)
@@ -114,13 +99,6 @@ class ArrayMisraGries:
         """The rows currently holding counters."""
         return set(self._slot_of)
 
-    def rows_with_estimate_at_least(self, threshold: int) -> Set[int]:
-        """Rows whose estimate has reached ``threshold``."""
-        return {
-            row for row, slot in self._slot_of.items()
-            if self._counts[slot] >= threshold
-        }
-
     def reset(self) -> None:
         """Window rollover: drop all counters and the spill counter."""
         self.spill = 0
@@ -128,9 +106,6 @@ class ArrayMisraGries:
         self._counts.clear()
         self._slot_of.clear()
         self._heap = None
-        self._residue_t = 0
-        self._residue_hist = None
-        self._residue_max = 0
 
     def __contains__(self, row: int) -> bool:
         return row in self._slot_of
@@ -141,58 +116,14 @@ class ArrayMisraGries:
     # ------------------------------------------------------------------
     # Deferred and run-length replay
     # ------------------------------------------------------------------
-    # repro-oracle: tracker-observe-block -- kernel
     def observe_block(self, rows, count: int) -> None:
         """Apply the first ``count`` activations of ``rows`` in order.
 
-        Bumps and installs update counts and the residue histogram
-        inline (``_residue_max`` stays an upper bound the horizon query
-        tightens lazily); a miss on a full table goes through
-        ``_full_miss`` exactly as ``observe`` sends it, so the result is
-        the scalar one bit-for-bit.
-        """
-        slot_of = self._slot_of
-        slot_rows = self._rows
-        counts = self._counts
-        entries = self.entries
-        # Stable across the block: the residue threshold only changes
-        # inside noop_horizon (never called from here).
-        t = self._residue_t
-        hist = self._residue_hist
-        get = slot_of.get
-        rmax = self._residue_max
+        No simulation path calls it (the compiled loop runs this
+        tracker in C); ``perfbench/spans.py`` patches it by name."""
+        observe = self.observe
         for i in range(count):
-            row = rows[i]
-            slot = get(row)
-            if slot is not None:
-                old = counts[slot]
-                counts[slot] = old + 1
-                if t:
-                    old_residue = old % t
-                    hist[old_residue] -= 1
-                    # new = old + 1, so the new residue is the old
-                    # one stepped once around the ring.
-                    residue = old_residue + 1
-                    if residue == t:
-                        residue = 0
-                    hist[residue] += 1
-                    if residue > rmax:
-                        rmax = residue
-            elif len(slot_of) < entries:
-                estimate = self.spill + 1
-                slot_of[row] = len(slot_rows)
-                slot_rows.append(row)
-                counts.append(estimate)
-                if t:
-                    residue = estimate % t
-                    hist[residue] += 1
-                    if residue > rmax:
-                        rmax = residue
-            else:
-                self._residue_max = rmax
-                self._full_miss(row)
-                rmax = self._residue_max
-        self._residue_max = rmax
+            observe(rows[i])
 
     # repro-oracle: tracker-observe-run -- kernel
     def observe_run(self, row: int, count: int) -> int:
@@ -209,63 +140,21 @@ class ArrayMisraGries:
         while count > 0:
             slot = slot_of.get(row)
             if slot is not None:
-                old = self._counts[slot]
-                estimate = old + count
-                self._bump(slot, old, estimate)
+                estimate = self._counts[slot] + count
+                self._counts[slot] = estimate
                 break
             estimate = self.observe(row)
             count -= 1
         return estimate
 
-    def noop_horizon(self, threshold: int) -> int:
-        """Activations guaranteed not to land any estimate on a
-        non-zero multiple of ``threshold``.
-
-        Increment path: a tracked counter at ``c`` needs ``T - c % T``
-        more hits to reach a multiple. Install path: an installed
-        estimate is ``spill + 1`` and the spill counter grows at most
-        one per activation, so after ``j`` activations every install
-        estimate is at most ``spill0 + j`` — safe while that stays
-        below the next multiple of T above ``spill0``.
-        """
-        t = threshold
-        if t != self._residue_t:
-            self._build_residue_hist(t)
-        hist = self._residue_hist
-        max_residue = self._residue_max
-        while max_residue > 0 and not hist[max_residue]:
-            max_residue -= 1
-        self._residue_max = max_residue
-        inc_safe = t - max_residue - 1
-        install_safe = t - (self.spill % t) - 1
-        horizon = inc_safe if inc_safe < install_safe else install_safe
-        return horizon if horizon > 0 else 0
-
-    def _build_residue_hist(self, threshold: int) -> None:
-        """(Re)build the residue histogram for a new threshold — once
-        per threshold per window; all later maintenance is O(1)."""
-        hist = [0] * threshold
-        max_residue = 0
-        for count in self._counts:
-            residue = count % threshold
-            hist[residue] += 1
-            if residue > max_residue:
-                max_residue = residue
-        self._residue_t = threshold
-        self._residue_hist = hist
-        self._residue_max = max_residue
-
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): slots, the spill counter, and whether
-    # the lazy eviction heap has materialized. The heap and the residue
-    # histogram are derived views: the heap is rebuilt at the next
-    # full-table miss, so a restored tracker makes the same lazy/eager
-    # transitions at the same points an uninterrupted one would (a heap
-    # rebuilt from exact counts picks the same victims as one holding
-    # stale lower bounds: the settled top is the minimum (count, slot)
-    # pair either way), and the histogram at the next ``noop_horizon``.
-    # Only deferring runs ask for a horizon, so leaving the histogram
-    # out keeps a snapshot independent of the loop that took it.
+    # the lazy eviction heap has materialized. The heap is a derived
+    # view, rebuilt at the next full-table miss, so a restored tracker
+    # makes the same lazy/eager transitions at the same points an
+    # uninterrupted one would (a heap rebuilt from exact counts picks
+    # the same victims as one holding stale lower bounds: the settled
+    # top is the minimum (count, slot) pair either way).
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
         return (
@@ -282,9 +171,6 @@ class ArrayMisraGries:
         self._counts = list(counts)
         self._slot_of = dict(zip(self._rows, range(len(self._rows))))
         self._heap = [] if heap_built else None
-        self._residue_t = 0
-        self._residue_hist = None
-        self._residue_max = 0
 
     # ------------------------------------------------------------------
     # Internals
@@ -326,35 +212,10 @@ class ArrayMisraGries:
         self._rows[slot] = row
         counts[slot] = estimate
         self._slot_of[row] = slot
-        t = self._residue_t
-        if t:
-            hist = self._residue_hist
-            hist[count % t] -= 1
-            residue = estimate % t
-            hist[residue] += 1
-            if residue > self._residue_max:
-                self._residue_max = residue
         return estimate
-
-    def _bump(self, slot: int, old: int, new: int) -> None:
-        self._counts[slot] = new
-        t = self._residue_t
-        if t:
-            hist = self._residue_hist
-            hist[old % t] -= 1
-            residue = new % t
-            hist[residue] += 1
-            if residue > self._residue_max:
-                self._residue_max = residue
 
     def _install(self, row: int, count: int) -> int:
         self._slot_of[row] = len(self._rows)
         self._rows.append(row)
         self._counts.append(count)
-        t = self._residue_t
-        if t:
-            residue = count % t
-            self._residue_hist[residue] += 1
-            if residue > self._residue_max:
-                self._residue_max = residue
         return count

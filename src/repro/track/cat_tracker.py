@@ -109,8 +109,12 @@ class CATMisraGriesTracker:
         return estimate
 
     def noop_horizon(self, threshold: int) -> int:
-        """Activations guaranteed not to land any estimate on a
-        non-zero multiple of ``threshold`` (see ArrayMisraGries)."""
+        """Activations of the bank, of any rows, guaranteed not to land
+        any estimate on a non-zero multiple of ``threshold``: a counter
+        at ``c`` needs ``T - c % T`` more hits to reach one, and an
+        install lands at ``spill + 1`` with the spill counter growing
+        at most one per activation. The compiled loop's deferral credit
+        for CAT-tracker RRS banks."""
         t = threshold
         counts = [value for _, value in self.cat.items()]
         if counts:

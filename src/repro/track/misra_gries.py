@@ -92,10 +92,6 @@ class MisraGriesTracker:
         """The rows currently holding counters."""
         return set(self._counts)
 
-    def rows_with_estimate_at_least(self, threshold: int) -> Set[int]:
-        """Rows whose estimate has reached ``threshold``."""
-        return {row for row, c in self._counts.items() if c >= threshold}
-
     def reset(self) -> None:
         """Window rollover: drop all counters and the spill counter."""
         self.spill = 0
@@ -108,27 +104,6 @@ class MisraGriesTracker:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    # ------------------------------------------------------------------
-    # Deferral interface (kept for backend interchangeability; the
-    # array-state tracker implements the bulk fast path)
-    # ------------------------------------------------------------------
-    def observe_block(self, rows, count: int) -> None:
-        """Apply the first ``count`` activations of ``rows``."""
-        for i in range(count):
-            self.observe(rows[i])
-
-    def noop_horizon(self, threshold: int) -> int:
-        """Activations guaranteed not to land any estimate on a
-        non-zero multiple of ``threshold`` (see ArrayMisraGries)."""
-        t = threshold
-        if self._counts:
-            inc_safe = t - max(c % t for c in self._counts.values()) - 1
-        else:
-            inc_safe = t - 1
-        install_safe = t - (self.spill % t) - 1
-        horizon = min(inc_safe, install_safe)
-        return horizon if horizon > 0 else 0
 
     # ------------------------------------------------------------------
     # Bucketed min-tracking internals

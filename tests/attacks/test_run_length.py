@@ -146,20 +146,6 @@ def _plain(value):
     return value
 
 
-def _tracker_credits(mitigation):
-    """Every tracker's noop horizon: the credit each path would grant
-    next."""
-    if isinstance(mitigation, RandomizedRowSwap):
-        t = mitigation.config.t_rrs
-        return {k: s.tracker.noop_horizon(t) for k, s in mitigation._banks.items()}
-    if isinstance(mitigation, Graphene):
-        return {
-            k: tracker.noop_horizon(mitigation.threshold)
-            for k, tracker in mitigation._trackers.items()
-        }
-    return {}
-
-
 def _replay(
     make_mitigation, attack, oracle, harness_kwargs=None, runs=1, traced=False,
     **run_kwargs,
@@ -184,7 +170,6 @@ def _replay(
         "bank": harness.bank.snapshot_state(),
         "now_ns": harness.now_ns,
         "window_index": harness.window_index,
-        "credits": _tracker_credits(mitigation),
         "mitigation": _plain(mitigation.snapshot_state()),
         "rows_read": rows.read,
         "rounds": getattr(attack, "rounds", None),
@@ -427,7 +412,6 @@ def _adaptive(make_mitigation, banks, budget, oracle, t_rrs=800):
     state = {
         "result": astuple(result),
         "per_bank_order": list(result.per_bank_activations),
-        "credits": _tracker_credits(harness.mitigation),
         "mitigation": _plain(harness.mitigation.snapshot_state()),
     }
     return state, created[0]

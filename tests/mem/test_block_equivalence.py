@@ -187,14 +187,14 @@ class TestLoopDispatch:
         _run(NoMitigation, records=200)
         assert calls == ["block"]
         replayed = []
-        apply_deferred = Graphene.apply_deferred
+        apply_deferred = TargetedRowRefresh.apply_deferred
 
         def spy(self, bank_key, rows, times):
             replayed.extend(rows)
             return apply_deferred(self, bank_key, rows, times)
 
-        monkeypatch.setattr(Graphene, "apply_deferred", spy)
-        _run(_factories()["graphene"], records=200)
+        monkeypatch.setattr(TargetedRowRefresh, "apply_deferred", spy)
+        _run(_factories()["trr"], records=200)
         assert calls == ["block", "block"]
         assert replayed
 
@@ -241,6 +241,49 @@ class TestLoopDispatch:
             _dram(),
         )
         assert cat.hot_row_tracker((0, 0, 0)) is None
+
+    def test_compiled_loop_hands_graphene_only_its_refreshes(
+        self, monkeypatch, scalar_loop
+    ):
+        """Graphene's tracker runs inside the compiled loop too: Python
+        sees each bank's first activation and one on_hot_row call per
+        refresh, and no deferred activation is ever replayed. A
+        threshold of 4 makes hmmer refresh; the scalar loop agrees."""
+        calls = {"on_activation": [], "on_hot_row": [], "apply_deferred": []}
+        for name in calls:
+            original = getattr(Graphene, name)
+
+            def counted(self, bank_key, *args, _name=name, _original=original):
+                calls[_name].append(bank_key)
+                return _original(self, bank_key, *args)
+
+            monkeypatch.setattr(Graphene, name, counted)
+        dram = _dram(256)
+
+        def run():
+            graphene = Graphene(
+                t_rh=16,
+                mitigation_threshold=4,
+                window_activations=dram.acts_per_refresh_window,
+                rows_per_bank=dram.rows_per_bank,
+            )
+            metrics = run_workload(
+                get_workload("hmmer"),
+                graphene,
+                scale=256,
+                records_per_core=3_000,
+                cores=CORES,
+            )
+            return metrics.to_dict(), graphene.snapshot_state()
+
+        compiled = run()
+        first = calls["on_activation"]
+        assert first and len(set(first)) == len(first)
+        assert calls["on_hot_row"]
+        assert compiled[1][0] >= len(calls["on_hot_row"])  # refreshes issued
+        assert calls["apply_deferred"] == []
+        with scalar_loop():
+            assert run() == compiled
 
     def test_sanitized_run_takes_the_scalar_loop(self, calls, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")

@@ -2,6 +2,10 @@
 
 * ``ArrayMisraGries.observe_run(row, k)`` against ``k`` ``observe``
   calls, through the spill and eviction regime of a full table;
+* the per-row run credit (``tracker_run_credit``, DESIGN.md §9.7): on
+  the tracker and through RRS (array and CAT tracker) and Graphene,
+  ``run_credit`` further activations of a row are all noops, and for a
+  tracked row the one after them acts;
 * ``DisturbanceModel.on_activate_run(row, k)`` against single
   ``on_activate`` calls up to and including the first one that records
   a flip, and ``activations_to_flip`` against where that flip lands;
@@ -12,16 +16,20 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import RRSConfig
+from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
 from repro.dram.faults import DisturbanceModel
 from repro.dram.timing import BankTimingState
+from repro.mitigations.base import tracker_run_credit
+from repro.mitigations.graphene import Graphene
 from repro.track.array_state import ArrayMisraGries
 
 runs = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=11),  # row (small universe)
         st.integers(min_value=1, max_value=40),  # run length
-        st.booleans(),  # ask for the noop horizon afterwards
+        st.booleans(),  # check the row's run credit afterwards
     ),
     min_size=1,
     max_size=40,
@@ -47,8 +55,78 @@ def test_observe_run_equals_repeated_observe(entries, threshold, steps):
         for tracked in oracle.tracked_rows() | {row}:
             assert kernel.estimate(tracked) == oracle.estimate(tracked)
         if query:
-            assert kernel.noop_horizon(threshold) == oracle.noop_horizon(threshold)
-            assert kernel.snapshot_state() == oracle.snapshot_state()
+            credit = tracker_run_credit(kernel, row, threshold)
+            probe = ArrayMisraGries(entries=entries)
+            probe.restore_state(kernel.snapshot_state())
+            for _ in range(credit):
+                estimate = probe.observe(row)
+                assert estimate == 0 or estimate % threshold != 0
+            if row in kernel:
+                assert probe.observe(row) % threshold == 0
+
+
+RUN_ROWS = 1024
+RUN_BANK = (0, 0, 0)
+
+
+def _run_mitigation(kind: str, entries: int, threshold: int):
+    if kind == "graphene":
+        return Graphene(
+            t_rh=4 * threshold,
+            mitigation_threshold=threshold,
+            window_activations=entries * threshold,
+            rows_per_bank=RUN_ROWS,
+        )
+    config = RRSConfig(
+        t_rh=4 * threshold,
+        t_rrs=threshold,
+        window_activations=entries * threshold,
+        rows_per_bank=RUN_ROWS,
+        tracker_entries=entries,
+        rit_capacity_tuples=400,
+        tracker_backend="cat" if kind == "rrs-cat" else "reference",
+    )
+    return RandomizedRowSwap(
+        config, DRAMConfig(channels=1, banks_per_rank=1, rows_per_bank=RUN_ROWS)
+    )
+
+
+def _tracked(mitigation, row: int, physical_row: int) -> bool:
+    if isinstance(mitigation, Graphene):
+        return physical_row in mitigation._trackers[RUN_BANK]
+    return row in mitigation.bank_state(RUN_BANK).tracker
+
+
+@given(
+    kind=st.sampled_from(["rrs", "rrs-cat", "graphene"]),
+    entries=st.sampled_from([1, 3, 8]),
+    threshold=st.sampled_from([2, 5, 16]),
+    prefix=st.lists(st.integers(min_value=0, max_value=11), max_size=120),
+    row=st.integers(min_value=0, max_value=11),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_credit_activations_are_noops(kind, entries, threshold, prefix, row):
+    """After any observe prefix, the next ``run_credit(row)`` activations
+    of ``row`` through ``on_activation`` are noops; for a tracked row
+    the activation after them acts. A bank with no state has credit 0."""
+    mitigation = _run_mitigation(kind, entries, threshold)
+    route = mitigation.route
+    assert mitigation.run_credit(RUN_BANK, row, route(RUN_BANK, row), 0.0) == 0
+    for prior in prefix:
+        mitigation.on_activation(RUN_BANK, prior, route(RUN_BANK, prior), 0.0)
+    physical_row = route(RUN_BANK, row)
+    credit = mitigation.run_credit(RUN_BANK, row, physical_row, 0.0)
+    if not prefix:
+        assert credit == 0
+        return
+    assert 0 <= credit < threshold
+    tracked = _tracked(mitigation, row, physical_row)
+    for _ in range(credit):
+        outcome = mitigation.on_activation(RUN_BANK, row, physical_row, 0.0)
+        assert outcome.is_noop
+        assert route(RUN_BANK, row) == physical_row
+    if tracked:
+        assert not mitigation.on_activation(RUN_BANK, row, physical_row, 0.0).is_noop
 
 
 FAULT_ROWS = 12

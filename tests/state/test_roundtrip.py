@@ -12,6 +12,7 @@ cut-before-the-first-request (0) and cut-after-the-last-request
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import json
 import subprocess
@@ -75,6 +76,15 @@ def _mitigation(name: str):
     if name == "rrs":
         return RandomizedRowSwap(
             RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE), dram
+        )
+    if name == "rrs_cat":
+        # RRS with the CAT tracker: deferred through per-bank credits.
+        return RandomizedRowSwap(
+            dataclasses.replace(
+                RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE),
+                tracker_backend="cat",
+            ),
+            dram,
         )
     if name == "rrs_scalar":
         # RRS on the scalar on_activation oracle instead of batching.
@@ -248,13 +258,13 @@ def test_rrs_resume_with_swapped_rows_matches_on_both_loops(scalar_loop):
         assert finals == [texts[end]]
 
 
-@pytest.mark.parametrize("name", ["para", "graphene", "trr"])
+@pytest.mark.parametrize("name", ["para", "rrs_cat", "trr"])
 def test_resume_from_a_cut_with_deferred_activations_on_both_loops(
     name, scalar_loop, monkeypatch
 ):
     """A cut taken in the compiled loop while it holds deferred
-    activations (PARA's consumed global credit, Graphene's and TRR's
-    per-bank buffers) replays them before the snapshot; resumed under
+    activations (PARA's consumed global credit, CAT-tracker RRS's and
+    TRR's per-bank buffers) replays them before the snapshot; resumed under
     either loop, the run finishes exactly as the uninterrupted one,
     down to the final cut's text."""
     mitigation_type = type(_mitigation(name))

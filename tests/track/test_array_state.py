@@ -1,6 +1,6 @@
 """ArrayMisraGries: equivalence with the reference tracker and the
-batched-path contracts (observe_block exactness, noop_horizon safety,
-residue-histogram consistency, defined eviction tie-break)."""
+replay contracts (observe_block exactness, the per-row run credit's
+safety, defined eviction tie-break)."""
 
 import random
 
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mitigations.base import tracker_run_credit
 from repro.track.array_state import ArrayMisraGries
 from repro.track.misra_gries import MisraGriesTracker
 
@@ -127,56 +128,38 @@ class TestObserveBlock:
 
 
 class TestNoopHorizon:
+    """A row's noop horizon: the run credit its own counter grants."""
+
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("threshold", [3, 7, 12])
     def test_horizon_activations_cannot_hit_a_multiple(self, seed, threshold):
-        """The contract the controller's deferral credit rests on: for
-        ANY sequence of up to `horizon` further activations, no
-        estimate returned by observe() lands on a non-zero multiple of
-        the threshold."""
+        """The contract the harnesses' run credit rests on: after any
+        prefix, ``tracker_run_credit(row)`` further activations of that
+        row land no estimate on a non-zero multiple of the threshold,
+        for tracked and untracked rows through spills and evictions;
+        for a tracked row the next activation after them does."""
         rng = random.Random(seed)
         tracker = ArrayMisraGries(entries=6)
         for _ in range(rng.randrange(0, 300)):
             tracker.observe(rng.randrange(25))
-        horizon = tracker.noop_horizon(threshold)
-        # Adversarial future: hammer rows closest to their next multiple.
-        for _ in range(horizon):
-            victim = None
-            best_gap = threshold + 1
-            for row in tracker.tracked_rows():
-                gap = threshold - tracker.estimate(row) % threshold
-                if gap < best_gap:
-                    best_gap = gap
-                    victim = row
-            row = victim if victim is not None else rng.randrange(25)
-            estimate = tracker.observe(row)
-            assert estimate == 0 or estimate % threshold != 0
+        for row in range(25):
+            probe = ArrayMisraGries(entries=6)
+            probe.restore_state(tracker.snapshot_state())
+            tracked = row in probe
+            credit = tracker_run_credit(probe, row, threshold)
+            assert 0 <= credit < threshold
+            for _ in range(credit):
+                estimate = probe.observe(row)
+                assert estimate == 0 or estimate % threshold != 0
+            if tracked:
+                assert probe.observe(row) % threshold == 0
 
     def test_horizon_is_zero_when_a_counter_is_one_short(self):
         tracker = ArrayMisraGries(entries=4)
         for _ in range(6):
             tracker.observe(1)
-        assert tracker.noop_horizon(7) == 0
-
-    def test_residue_histogram_stays_consistent(self):
-        """The O(1)-maintained histogram must always equal a fresh
-        rebuild, across observes, blocks, evictions and resets."""
-        rng = random.Random(5)
-        tracker = ArrayMisraGries(entries=5)
-        for step in range(400):
-            if step % 3 == 0:
-                chunk = [rng.randrange(30) for _ in range(rng.randrange(1, 6))]
-                tracker.observe_block(chunk, len(chunk))
-            tracker.observe(rng.randrange(30))
-            if step % 7 == 0:
-                threshold = rng.choice([4, 9])
-                tracker.noop_horizon(threshold)
-                expected = [0] * threshold
-                for count in (
-                    tracker._counts[slot] for slot in tracker._slot_of.values()
-                ):
-                    expected[count % threshold] += 1
-                assert tracker._residue_hist == expected
+        assert tracker_run_credit(tracker, 1, 7) == 0
+        assert tracker_run_credit(tracker, 2, 7) == 6  # spill 0
 
 
 class TestTieBreak:
@@ -208,16 +191,12 @@ class TestTieBreak:
 
     def test_restore_after_heap_build_evicts_the_same_victims(self):
         """A snapshot taken in the eviction regime keeps the 4-tuple
-        layout (state schema v4: no residue view, even after a
-        ``noop_horizon`` built one) and restores into a tracker that
+        layout (state schema v4) and restores into a tracker that
         evicts exactly what the uninterrupted one evicts."""
         tracker = ArrayMisraGries(entries=8)
         rows = _stream(3, length=600, universe=40)
         tracker.observe_block(rows, len(rows))
-        before = tracker.snapshot_state()
-        tracker.noop_horizon(5)
         state = tracker.snapshot_state()
-        assert state == before
         assert [type(part) for part in state] == [int, list, list, bool]
         assert state[3] is True  # full table, heap built
         restored = ArrayMisraGries(entries=8)
@@ -260,12 +239,6 @@ class _BruteForceTracker:
         self.counts[victim] = self.spill + 1
         return self.spill + 1
 
-    def noop_horizon(self, threshold):
-        top = max((count % threshold for count in self.counts), default=0)
-        inc_safe = threshold - top - 1
-        install_safe = threshold - self.spill % threshold - 1
-        return max(0, min(inc_safe, install_safe))
-
 
 @given(data=st.data(), entries=st.sampled_from([1, 2, 3, 8, 64]))
 @settings(max_examples=150, deadline=None)
@@ -273,14 +246,14 @@ def test_matches_brute_force_lowest_slot_model(data, entries):
     """Every tracker operation, interleaved arbitrarily, agrees with the
     brute-force model: observe and observe_block (random chunk sizes,
     partial counts), bursts of fresh rows that push the spill counter
-    up to the minimum, noop_horizon, reset, and snapshot/restore."""
+    up to the minimum, reset, and snapshot/restore."""
     tracker = ArrayMisraGries(entries=entries)
     model = _BruteForceTracker(entries)
     hot_row = st.integers(min_value=0, max_value=2 * entries + 1)
     fresh = 10_000
     for _ in range(data.draw(st.integers(min_value=1, max_value=60))):
         op = data.draw(
-            st.sampled_from(["observe", "block", "burst", "horizon", "reset", "restore"])
+            st.sampled_from(["observe", "block", "burst", "reset", "restore"])
         )
         if op == "observe":
             row = data.draw(hot_row)
@@ -297,9 +270,6 @@ def test_matches_brute_force_lowest_slot_model(data, entries):
             tracker.observe_block(rows, count)
             for row in rows[:count]:
                 model.observe(row)
-        elif op == "horizon":
-            threshold = data.draw(st.integers(min_value=1, max_value=12))
-            assert tracker.noop_horizon(threshold) == model.noop_horizon(threshold)
         elif op == "reset":
             tracker.reset()
             model.reset()

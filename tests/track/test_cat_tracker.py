@@ -147,8 +147,10 @@ class TestObserveBlockShadowSync:
 
     def test_noop_horizon_matches_reference_tracker(self):
         """Same stream into the CAT tracker and the set-based reference
-        at eviction-free sizing: identical estimates, spill and noop
-        horizons (the credit source for the controller's batched path)."""
+        at eviction-free sizing gives identical estimates and spill; the
+        noop horizon (the compiled loop's deferral credit for CAT banks)
+        equals a brute force over the CAT's counters and spill, at
+        eviction-free sizing and on a spilling, evicting small CAT."""
         rng = DeterministicRng(7, "cat-horizon").generator
         rows = [int(r) for r in rng.integers(0, 120, size=900)]
         cat = CATMisraGriesTracker(entries=1700)
@@ -156,5 +158,12 @@ class TestObserveBlockShadowSync:
         for row in rows:
             assert cat.observe(row) == reference.observe(row)
         assert cat.spill == reference.spill
-        for threshold in (3, 8, 17):
-            assert cat.noop_horizon(threshold) == reference.noop_horizon(threshold)
+        small = _small_tracker()
+        for row in rng.integers(0, 80, size=2000):
+            small.observe(int(row))
+        assert small.spill > 0
+        for tracker in (cat, small):
+            for threshold in (3, 8, 17):
+                safe = [threshold - 1 - value % threshold for _, value in tracker.cat.items()]
+                safe.append(threshold - 1 - tracker.spill % threshold)
+                assert tracker.noop_horizon(threshold) == min(safe)

@@ -109,15 +109,6 @@ def test_reset_clears_state():
     assert tracker.estimate(1) == 0
 
 
-def test_rows_with_estimate_at_least():
-    tracker = MisraGriesTracker(entries=8)
-    for _ in range(5):
-        tracker.observe(1)
-    tracker.observe(2)
-    assert tracker.rows_with_estimate_at_least(5) == {1}
-    assert tracker.rows_with_estimate_at_least(1) == {1, 2}
-
-
 def test_counts_increment_one_by_one_when_tracked():
     """Equality-triggered mitigation relies on tracked counters passing
     through every integer."""
