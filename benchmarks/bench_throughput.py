@@ -54,13 +54,6 @@ from repro.workloads.suites import get_workload
 SCALE = 32
 WORKLOADS = ("hmmer", "bzip2", "stream", "gromacs")
 
-# Attack-heavy phase: PARA on hmmer drives ~70% of requests through the
-# mitigation's on_activation path, so this is the number the batched
-# activation kernels move. The PR 4 baseline is the serial figure the
-# acceptance bar (>= 1.5x) is measured against.
-ATTACK_WORKLOAD = "hmmer"
-PR4_SERIAL_BASELINE = 209_000.0
-
 
 def _records_per_core() -> int:
     override = os.environ.get("REPRO_BENCH_RECORDS", "")
@@ -129,31 +122,6 @@ def _timed_traced_run(points) -> tuple:
     return results, time.perf_counter() - started, trace_events
 
 
-def _timed_attack_run(records: int, batched: bool) -> tuple:
-    """One attack-heavy run: PARA over hmmer at the bench scale.
-
-    ``batched=False`` clears the instance's ``batch_scope``, so the
-    compiled loop calls ``on_activation`` for every activation instead
-    of deferring — the two must produce bit-identical
-    :class:`SimMetrics`.
-    """
-    from repro.dram.config import DRAMConfig
-    from repro.mitigations.para import PARA
-
-    mitigation = PARA(rows_per_bank=DRAMConfig().scaled(SCALE).rows_per_bank)
-    if not batched:
-        mitigation.batch_scope = None
-    started = time.perf_counter()
-    metrics = run_workload(
-        get_workload(ATTACK_WORKLOAD),
-        mitigation,
-        scale=SCALE,
-        records_per_core=records,
-        seed=0,
-    )
-    return metrics, time.perf_counter() - started
-
-
 def _git_sha() -> str:
     """HEAD's short SHA, suffixed ``-dirty`` when the measured tree has
     uncommitted changes (the entry then describes a change on top of
@@ -198,38 +166,6 @@ def _measure():
         serial_s = min(serial_s, elapsed)
         traced_results, elapsed, trace_events = _timed_traced_run(points)
         traced_s = min(traced_s, elapsed)
-
-    # Attack-heavy phase: batched vs scalar mitigation path, same
-    # interleaved min-of-reps discipline as serial/traced above. The
-    # 4x record budget makes each run long enough (~0.5s) to average
-    # through transient host-CPU contention, which otherwise dominates
-    # sub-second samples on shared 1-vCPU boxes.
-    attack_records = records * 4
-    attack_batched_s = attack_scalar_s = float("inf")
-    attack_batched = attack_scalar = None
-    attack_rounds = 0
-    while True:
-        for _ in range(max(reps, 7)):
-            attack_batched, elapsed = _timed_attack_run(attack_records, batched=True)
-            attack_batched_s = min(attack_batched_s, elapsed)
-            attack_scalar, elapsed = _timed_attack_run(attack_records, batched=False)
-            attack_scalar_s = min(attack_scalar_s, elapsed)
-        attack_rounds += 1
-        attack_requests = attack_batched.accesses
-        # Shared hosts go through multi-second contended epochs where
-        # every sample in a round lands 30%+ slow; when the headline
-        # misses the acceptance bar, wait the epoch out and fold in
-        # another round of samples before concluding (bounded at 3).
-        if (
-            attack_requests / attack_batched_s >= 1.5 * PR4_SERIAL_BASELINE
-            or attack_rounds >= 3
-        ):
-            break
-        time.sleep(8.0)
-    assert attack_batched.to_dict() == attack_scalar.to_dict(), (
-        "batched and scalar mitigation paths must produce bit-identical "
-        "SimMetrics"
-    )
 
     if jobs > 1:
         parallel_results, parallel_s = _timed_run(
@@ -301,18 +237,6 @@ def _measure():
         "tracer_enabled_requests_per_second": requests / traced_s,
         "tracer_enabled_slowdown": traced_s / serial_s,
         "trace_events_recorded": trace_events,
-        # Attack-heavy phase: the batched-mitigation acceptance numbers.
-        "attack_workload": ATTACK_WORKLOAD,
-        "attack_records_per_core": attack_records,
-        "attack_rounds": attack_rounds,
-        "attack_requests_simulated": attack_requests,
-        "attack_activation_rate": attack_batched.activations / attack_requests,
-        "attack_serial_seconds": attack_batched_s,
-        "attack_scalar_seconds": attack_scalar_s,
-        "attack_serial_requests_per_second": attack_requests / attack_batched_s,
-        "attack_scalar_requests_per_second": attack_requests / attack_scalar_s,
-        "attack_batched_speedup": attack_scalar_s / attack_batched_s,
-        "pr4_serial_baseline_requests_per_second": PR4_SERIAL_BASELINE,
     }
 
 
@@ -321,7 +245,6 @@ HISTORY_PHASES = (
     ("serial", "serial_requests_per_second", ()),
     ("parallel", "parallel_requests_per_second", ("jobs",)),
     ("traced", "tracer_enabled_requests_per_second", ("tracer_enabled_slowdown",)),
-    ("attack", "attack_serial_requests_per_second", ("attack_batched_speedup",)),
 )
 
 
@@ -329,8 +252,8 @@ def _append_history(data: dict, target: Path) -> None:
     """Fold this run into the ``history`` trajectory the results file
     carries across runs: prior entries are preserved, and each phase's
     throughput is appended as one entry keyed by (``phase``,
-    ``records_per_core``) — the run length of the sweep, which the
-    attack phase multiplies by 4 — plus SHA and date, so a regression
+    ``records_per_core``) — the run length of the sweep — plus SHA and
+    date, so a regression
     can be bisected from the file alone and only like is compared with
     like. A skipped phase (no parallel pool) records nothing."""
     history = []
@@ -382,13 +305,6 @@ def test_throughput(benchmark, record_result):
          f"{data['tracer_enabled_requests_per_second']:,.0f} req/s "
          f"({data['tracer_enabled_slowdown']:.2f}x serial, "
          f"{data['trace_events_recorded']:,} events)"],
-        [f"attack-heavy batched (PARA/{data['attack_workload']})",
-         f"{data['attack_serial_seconds']:.2f}s",
-         f"{data['attack_serial_requests_per_second']:,.0f} req/s "
-         f"({data['attack_activation_rate']:.0%} ACT rate)"],
-        ["attack-heavy scalar oracle", f"{data['attack_scalar_seconds']:.2f}s",
-         f"{data['attack_scalar_requests_per_second']:,.0f} req/s "
-         f"({data['attack_batched_speedup']:.2f}x from batching)"],
     ]
     record_result(
         "bench_throughput",
@@ -405,16 +321,6 @@ def test_throughput(benchmark, record_result):
 
     # Warm cache must be dramatically faster than simulating.
     assert data["warm_cache_seconds"] < data["serial_seconds"]
-    # Acceptance bar: the attack-heavy batched path clears 1.5x the
-    # PR 4 serial baseline. Only enforced at a representative record
-    # budget — smoke runs amortize too little warmup to say anything.
-    if data["records_per_core"] >= 6_000:
-        floor = 1.5 * data["pr4_serial_baseline_requests_per_second"]
-        assert data["attack_serial_requests_per_second"] >= floor, (
-            f"attack-heavy serial throughput "
-            f"{data['attack_serial_requests_per_second']:,.0f} req/s is "
-            f"below the 1.5x PR 4 bar ({floor:,.0f} req/s)"
-        )
     # The >=2x parallel-speedup bar applies where the hardware offers
     # the parallelism (the acceptance criterion's 4-core runner).
     if data["cpus"] >= 4 and data["jobs"] >= 4:

@@ -1,8 +1,8 @@
 """Oracle-pair registry and completeness check (rule ORA001).
 
 Every batched kernel in this repo is justified by a scalar *oracle* it
-must stay bit-identical to: ``on_activation_batch`` replays through
-``on_activation``, ``observe_run`` through ``observe``, block decode
+must stay bit-identical to: ``run_block_loop`` matches the scalar
+system loop, ``observe_run`` matches ``observe``, block decode
 matches ``records_reference``, ``ArrayMisraGries`` matches
 ``MisraGriesTracker``, the vectorized Monte Carlo matches its scalar
 reference. The equivalence suites prove each
@@ -15,18 +15,15 @@ Pair discovery
   the comment block directly above it; a definition may carry several
   markers, one per pair)::
 
-      # repro-oracle: mitigation-activation -- oracle
-      def on_activation(self, ...):
+      # repro-oracle: tracker-observe-run -- oracle
+      def observe(self, row):
 
-      # repro-oracle: mitigation-activation -- kernel
-      def on_activation_batch(self, ...):
+      # repro-oracle: tracker-observe-run -- kernel
+      def observe_run(self, row, count):
 
 * **Auto-discovered** naming conventions, within one class or module
   scope (skipped when a marker already claims the definition):
-  ``f`` ↔ ``f_batch``, ``f_reference`` ↔ ``f``, and
-  ``observe`` ↔ ``observe_block`` (the CAT tracker's pair;
-  ``ArrayMisraGries.observe`` is claimed by ``tracker-observe-run``, so
-  its ``observe_block``, a plain loop over ``observe``, forms none).
+  ``f`` ↔ ``f_batch`` and ``f_reference`` ↔ ``f``.
 
 Verdict
 -------
@@ -141,8 +138,6 @@ def discover_pairs(graph: ProjectGraph) -> Dict[str, OraclePair]:
                 oracle_qual = names[name[: -len("_batch")]]
             elif name + "_reference" in names:
                 oracle_qual = names[name + "_reference"]
-            elif name == "observe_block" and "observe" in names:
-                oracle_qual = names["observe"]
             if oracle_qual is None or oracle_qual in claimed:
                 continue
             pair_id = _short(qualname)

@@ -31,12 +31,11 @@ from repro.core.swap import SwapEngine
 from repro.dram.config import DRAMConfig
 from repro.mitigations.base import (
     BankKey,
+    Mitigation,
     MitigationOutcome,
-    NO_DEADLINE,
     NOOP_OUTCOME,
     tracker_run_credit,
 )
-from repro.mitigations.batching import BankBatchedMitigation
 from repro.track.array_state import ArrayMisraGries
 from repro.track.cat_tracker import CATMisraGriesTracker
 
@@ -97,7 +96,7 @@ class _BankState:
     swaps_this_window: int = 0
 
 
-class RandomizedRowSwap(BankBatchedMitigation):
+class RandomizedRowSwap(Mitigation):
     """The paper's defense, pluggable into :class:`MemoryController`."""
 
     name = "RRS"
@@ -172,7 +171,7 @@ class RandomizedRowSwap(BankBatchedMitigation):
 
     def hot_row_tracker(self, bank_key):
         """The bank's array tracker and T_RRS; the CAT tracker stays on
-        the activation hooks."""
+        ``on_activation``."""
         if self.config.tracker_backend == "cat":
             return None
         return self._bank(bank_key).tracker, self.config.t_rrs
@@ -201,16 +200,6 @@ class RandomizedRowSwap(BankBatchedMitigation):
     def on_activation_run(self, bank_key, row, physical_row, count):
         """Credited activations: the tracker counts the logical row."""
         self._bank(bank_key).tracker.observe_run(row, count)
-
-    # ------------------------------------------------------------------
-    # Deferral hooks (BankBatchedMitigation): only the CAT tracker gets
-    # here, since the array tracker runs in C (``hot_row_tracker``)
-    # ------------------------------------------------------------------
-    def apply_deferred(self, bank_key, rows, times):
-        self._bank(bank_key).tracker.observe_block(rows, len(rows))
-
-    def batch_credit(self, bank_key):
-        return self._bank(bank_key).tracker.noop_horizon(self.config.t_rrs), NO_DEADLINE
 
     def storage_bits_per_bank(self, rows_per_bank: int) -> int:
         """SRAM bits per bank (Table 5 geometry; see analysis.storage)."""

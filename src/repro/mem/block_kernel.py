@@ -6,35 +6,30 @@ registered oracle). The per-request recurrence runs in C
 (``block_loop.c``, loaded through :mod:`ctypes`): the
 ``(issue_at, core_id)`` heap, the refresh gate with its tREFI bursts,
 the route lookup, open-page bank timing, the channel bus, the stats
-folds, each core's ROB window, the mitigation's credit fast path, and
-the Misra-Gries hot-row tracker of every bank whose mitigation hands it
-over (``Mitigation.hot_row_tracker``: RRS's and Graphene's
-``ArrayMisraGries``, kept in :class:`HotRowTrackers`). The C routine returns to the Python event
-loop below only for events that need Python objects, and is re-entered
-after each:
+folds, each core's ROB window, and the Misra-Gries hot-row tracker of
+every bank whose mitigation hands it over
+(``Mitigation.hot_row_tracker``: RRS's and Graphene's
+``ArrayMisraGries``, kept in :class:`HotRowTrackers`). The C routine
+returns to the Python event loop below only for events that need
+Python objects, and is re-entered after each:
 
-* an activation the mitigation must see (credit exhausted or deadline
-  passed, a bank's first activation, the bank opted out, the mitigation
-  defers nothing, or a C-tracked estimate landed on a multiple of the
-  threshold, which calls ``on_hot_row``) and each ``route`` /
+* an activation the mitigation must see: every activation of a
+  mitigation that observes them (``on_activation``), except on a bank
+  whose tracker runs in C, which returns only when an estimate lands on
+  a multiple of the threshold (``on_hot_row``); and each ``route`` /
   ``pre_activate_delay_ns`` call of a mitigation with no
   ``route_table`` or with a throttle;
 * a refresh-window end, whose callbacks run in Python;
 * the end of a core's trace block (the next one is generated, decoded
   and precomputed here);
-* ``stop_at`` (a checkpoint cut), the end of the run, and a full
-  deferral buffer.
+* ``stop_at`` (a checkpoint cut) and the end of the run.
 
-This loop is the only place that defers activations (DESIGN.md §9): it
-owns the per-bank credits, deadlines and buffers, the global credit and
-the opt-out tally. A mitigation only answers ``batch_credit`` and
-replays deferred activations through ``apply_deferred`` (per-bank
-scope), or answers ``run_credit`` and applies consumed misses through
-``on_activation_run`` (global scope, PARA). Every buffer is replayed
-when one fills, before window callbacks and whenever the loop returns,
-so the live objects never hold a deferred activation between entries.
-
-C trackers are loaded from their Python trackers when a bank's first
+A bank's first activation goes to ``on_activation``, which creates the
+mitigation's per-bank state when the scalar loop creates it (so a cut
+holds the same state under either loop); a mitigation that overrides
+``hot_row_tracker`` is then asked for the bank's tracker, and the bank
+runs it in C from the next activation on (DESIGN.md §9). C trackers
+are loaded from their Python trackers when a bank's first
 activation arms it and after each window's callbacks, and written back
 before the callbacks and on return; in between, a swap asks C for
 membership (``on_hot_row``'s ``tracked``). :func:`replay_hot_rows`
@@ -85,45 +80,25 @@ SOURCE = Path(__file__).with_name("block_loop.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 
 # Slot layout of block_loop.c (the enums at its top).
-(I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
- I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
- I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
- I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_MODE, I_COUNT) = range(26)
+(I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_STOP,
+ I_SERVICED, I_BURSTS, I_PHASE, I_HEAP_N, I_CUR_CORE, I_CORE, I_IDX,
+ I_INST, I_WRITE, I_ROW, I_BANK, I_PROW, I_IN, I_TRK_CAP, I_TRK_MASK,
+ I_MITIGATES, I_COUNT) = range(23)
 (D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
  D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
  D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
-(P_I, P_D, P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
- P_DEADLINES, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK, P_RT_PTR, P_BUS,
- P_ST_I, P_ST_D, P_CH_TABLES, P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX,
- P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX,
- P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS,
- P_TRK_TABLE, P_TRK_HEAP, P_COUNT) = range(40)
-(EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
- EV_BLOCK, EV_BAD_ROW) = range(9)
-MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK = range(4)
-KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL, KIND_HOT = range(4)
+(P_I, P_D, P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_RT_MASK,
+ P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_TABLES, P_TIME, P_INST, P_RETIRED,
+ P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER,
+ P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK,
+ P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_COUNT) = range(35)
+(EV_DONE, EV_STOP, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT, EV_BLOCK,
+ EV_BAD_ROW) = range(8)
 # Per-bank tracker fields (rows of the P_TRK array).
 T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N = range(6)
 # Per-channel stats columns: int64 (reads, writes, activations,
 # row-buffer hits) and double (swap-blocked, throttle, latency ns).
 S_N, S_D = 4, 3
-
-# Per-bank capacity of the deferral buffers. When one fills, every
-# buffer is replayed into the mitigation; a small capacity keeps peak
-# memory flat.
-BUFFER_CAPACITY = 256
-
-# Opt-out guard for degenerate deferral: after ``OPT_OUT_RUNS`` flushes
-# of a bank in one window, if the mean run length (activations per
-# flush) is below ``OPT_OUT_MEAN_RUN``, the bank's credit is pinned to
-# the sentinel -1 and its activations go straight to ``on_activation``
-# until the window ends. Under a sustained hammer at small scaled
-# thresholds the noop horizon sits near zero (with ~W/T live counters
-# some counter is almost always one hit from a threshold multiple), so
-# every run degenerates to one or two activations and the buffer
-# round-trip is pure overhead. Only the path changes, never a result.
-OPT_OUT_RUNS = 16
-OPT_OUT_MEAN_RUN = 6.0
 
 _UNRESOLVED = object()
 _library = _UNRESOLVED
@@ -463,117 +438,39 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         P_TOTAL, np.array([b.total_activations for b in bank_objs], np.int64)
     )
 
-    # ---- mitigation hand-off: mode, credits, buffers, route tables ----
+    # ---- mitigation hand-off: trackers, route tables ----
     c0 = controllers[0]
     route = mitigation.route
     pre_delay = mitigation.pre_activate_delay_ns
     on_act = mitigation.on_activation
     on_hot_row = mitigation.on_hot_row
-    scope = mitigation.batch_scope
-    if not c0._mitigates_acts:
-        mode = MODE_NONE
-    elif scope == "bank":
-        mode = MODE_BANK
-    elif scope == "global":
-        mode = MODE_GLOBAL
-    else:
-        mode = MODE_SCALAR
     # A mitigation that publishes per-bank route tables (RRS's RIT
     # forward dicts) is routed by C's hash-table mirror of them; any
     # other routing mitigation gets an EV_ROUTE call per access.
     has_tables = type(mitigation).route_table is not Mitigation.route_table
-    # Under per-bank deferral, a bank's first activation in this call
-    # goes to ``on_activation`` (credit -1) and then arms the bank: a
-    # bank whose mitigation hands over its hot-row tracker runs that
-    # tracker in C, any other gets credits and a deferral buffer. Arming
-    # at the first activation creates the mitigation's per-bank state
-    # when the scalar loop creates it, so a cut holds the same state
-    # under either loop.
-    unarmed = [mode == MODE_BANK] * n_banks
+    # A bank's first activation in this call goes to ``on_activation``
+    # and then arms the bank: when the mitigation hands over the bank's
+    # hot-row tracker, the bank runs it in C from then on. Arming at the
+    # first activation creates the mitigation's per-bank state when the
+    # scalar loop creates it, so a cut holds the same state under
+    # either loop.
     hands_over = type(mitigation).hot_row_tracker is not Mitigation.hot_row_tracker
+    unarmed = [hands_over] * n_banks
     hot = HotRowTrackers(lib, [None] * n_banks)
     keep.append(hot)
     hot.share(P, I)
-    credited: list = []
-    # Credits of the banks, then the global credit (MODE_GLOBAL).
-    credits = point(P_CREDITS, np.full(n_banks + 1, -1, np.int64))
-    deadlines = point(P_DEADLINES, np.full(n_banks, np.inf))
-    credits_v = memoryview(credits)
-    deadlines_v = memoryview(deadlines)
-    buffer_capacity = BUFFER_CAPACITY if mode == MODE_BANK else 1
-    buf_n = point(P_BUF_N, np.zeros(n_banks, np.int64))
-    buf_rows = point(P_BUF_ROWS, np.empty(n_banks * buffer_capacity, np.int64))
-    buf_times = point(P_BUF_TIMES, np.empty(n_banks * buffer_capacity))
-    buf_n_v = memoryview(buf_n)
     routes = RouteTables(lib, n_banks)
     point(P_RT_MASK, routes.mask)
     point(P_RT_PTR, routes.ptr)
     keep.append(routes)
     point(P_CH_TABLES, np.full(n_channels, has_tables, np.int64))
-    if mode == MODE_BANK:
-        on_act_batch = mitigation.on_activation_batch
-        apply_deferred = mitigation.apply_deferred
-        batch_credit = mitigation.batch_credit
-    else:
-        on_act_batch = apply_deferred = batch_credit = None
-    # Per-bank (flushes, activations) since the last priming, for the
-    # opt-out guard.
-    tally = [[0, 0] for _ in range(n_banks)]
-    # The global credit as last primed: what it has dropped by since
-    # is the misses consumed in C.
-    primed = 0
-
-    def prime(gfb: int) -> None:
-        credit, deadline = batch_credit(key_table[gfb])
-        credits_v[gfb] = credit
-        deadlines_v[gfb] = float(deadline)
-        tally[gfb] = [0, 0]
 
     def arm(gfb: int) -> None:
         unarmed[gfb] = False
-        pair = mitigation.hot_row_tracker(key_table[gfb]) if hands_over else None
-        if pair is None:
-            credited.append(gfb)
-            prime(gfb)
-        else:
+        pair = mitigation.hot_row_tracker(key_table[gfb])
+        if pair is not None:
             hot.add(gfb, pair)
             hot.share(P, I)
-
-    def prime_global() -> None:
-        # A global credit holds for any bank and row.
-        nonlocal primed
-        primed = credits_v[n_banks] = mitigation.run_credit(key_table[0], 0, 0, 0.0)
-
-    def prime_credits() -> None:
-        """Credits from the mitigation's current state: the armed
-        banks' ``batch_credit`` and the global ``run_credit``."""
-        for gfb in credited:
-            prime(gfb)
-        if mode == MODE_GLOBAL:
-            prime_global()
-
-    def flush_global(key, row: int, physical_row: int) -> None:
-        """Apply the global credit's consumed misses."""
-        nonlocal primed
-        consumed = primed - credits_v[n_banks]
-        if consumed:
-            mitigation.on_activation_run(key, row, physical_row, consumed)
-            primed -= consumed
-
-    def flush() -> None:
-        """Replay every deferred activation into the mitigation (exact
-        whenever it happens, by the credit contract)."""
-        if mode == MODE_GLOBAL:
-            flush_global(key_table[0], 0, 0)
-        for gfb, n in enumerate(buf_n.tolist()):
-            if n:
-                offset = gfb * buffer_capacity
-                apply_deferred(
-                    key_table[gfb],
-                    buf_rows[offset:offset + n].tolist(),
-                    buf_times[offset:offset + n].tolist(),
-                )
-                buf_n_v[gfb] = 0
 
     def trackers_from_py() -> None:
         for gfb in hot.banks:
@@ -588,7 +485,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             for gfb in range(n_banks):
                 routes.build(gfb, mitigation.route_table(key_table[gfb]))
 
-    prime_credits()
     sync_all_routes()
 
     # ---- channels ----
@@ -716,9 +612,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     I[I_PRE_DELAY] = c0._has_pre_delay
     I[I_ROUTE_CALL] = c0._has_route
     I[I_RCAP] = rob_capacity
-    I[I_BUFCAP] = buffer_capacity
     I[I_STOP] = stop_at
-    I[I_MODE] = mode
+    I[I_MITIGATES] = c0._mitigates_acts
     I[I_BANK] = -1
     D[D_LOOKUP] = c0._lookup_ns
     D[D_TCAS] = config.t_cas
@@ -742,39 +637,13 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         if event == EV_ACT:
             gfb = iv[I_BANK]
             now = dv[D_COMPLETION]
-            kind = iv[I_KIND]
             key = key_table[gfb]
-            if kind == KIND_HOT:
+            if hot.trackers[gfb] is not None:
                 action = on_hot_row(key, iv[I_ROW], now, hot.contains(gfb))
-            elif kind == KIND_FLUSH:
-                n = buf_n_v[gfb]
-                offset = gfb * buffer_capacity
-                rows = buf_rows[offset:offset + n].tolist()
-                times = buf_times[offset:offset + n].tolist()
-                buf_n_v[gfb] = 0
-                rows.append(iv[I_ROW])
-                times.append(now)
-                action = on_act_batch(key, rows, times)
-                credit, deadline = batch_credit(key)
-                counts = tally[gfb]
-                counts[0] += 1
-                counts[1] += n + 1
-                if (
-                    counts[0] >= OPT_OUT_RUNS
-                    and counts[1] < OPT_OUT_MEAN_RUN * counts[0]
-                ):
-                    credit = -1
-                credits_v[gfb] = credit
-                deadlines_v[gfb] = float(deadline)
-            elif kind == KIND_SCALAR:
+            else:
                 action = on_act(key, iv[I_ROW], iv[I_PROW], now)
                 if unarmed[gfb]:
                     arm(gfb)
-            else:
-                # The global credit ran out: this draw is the success.
-                flush_global(key, iv[I_ROW], iv[I_PROW])
-                action = on_act(key, iv[I_ROW], iv[I_PROW], now)
-                prime_global()
             if action is not None and not action.is_noop:
                 apply_action(action, gfb, now)
                 if has_tables and action.swaps:
@@ -796,7 +665,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 adopt(core_id, block, iv[I_INST], 0)
                 iv[I_IN] = 1
         elif event == EV_WINDOW:
-            flush()
             trackers_to_py()
             refresh.refresh_bursts += iv[I_BURSTS]
             iv[I_BURSTS] = 0
@@ -806,12 +674,8 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             for callback in refresh.window_callbacks:
                 callback(completed)
             refresh.windows_completed = completed + 1
-            prime_credits()
             sync_all_routes()
             trackers_from_py()
-        elif event == EV_SPILL:
-            flush()
-            iv[I_SPILL] = 0
         elif event == EV_BAD_ROW:
             raise ValueError(
                 f"row {iv[I_PROW]} out of range [0, {rows_per_bank})"
@@ -820,7 +684,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             break
 
     # ---- write everything back to the live objects ----
-    flush()
     trackers_to_py()
     for fb, state in enumerate(
         zip(open_row.tolist(), last_act.tolist(), ready.tolist())

@@ -8,10 +8,12 @@
  * the Python side owns (numpy buffers), addressed through one table of
  * pointers, so a return and a re-entry lose nothing.
  *
- * On banks whose mitigation hands over its hot-row tracker (RRS's
- * ArrayMisraGries), the tracker itself runs here too: C observes the
- * logical row of every activation and returns only when an estimate
- * lands on a non-zero multiple of the threshold (a swap).
+ * On banks whose mitigation hands over its hot-row tracker (RRS's and
+ * Graphene's ArrayMisraGries), the tracker itself runs here too: C
+ * observes the logical row of every activation and returns only when
+ * an estimate lands on a non-zero multiple of the threshold (a swap or
+ * a refresh). On every other bank of a mitigation that observes
+ * activations (I_MITIGATES), each activation returns to Python.
  *
  * Bit-identity with SystemSimulator._run_scalar: every double
  * operation runs in the oracle's order, every max() is the oracle's
@@ -22,10 +24,10 @@
 
 /* int64 scalars: configuration, loop cursors, the request in flight. */
 enum {
-    I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_BUFCAP,
-    I_STOP, I_SERVICED, I_BURSTS, I_PHASE, I_SPILL, I_HEAP_N,
-    I_CUR_CORE, I_CORE, I_IDX, I_INST, I_WRITE, I_ROW, I_BANK, I_PROW,
-    I_KIND, I_IN, I_TRK_CAP, I_TRK_MASK, I_MODE, I_COUNT
+    I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_STOP,
+    I_SERVICED, I_BURSTS, I_PHASE, I_HEAP_N, I_CUR_CORE, I_CORE, I_IDX,
+    I_INST, I_WRITE, I_ROW, I_BANK, I_PROW, I_IN, I_TRK_CAP, I_TRK_MASK,
+    I_MITIGATES, I_COUNT
 };
 
 /* double scalars: timing constants, refresh cursors, request times. */
@@ -36,12 +38,10 @@ enum {
 };
 
 /* Pointer table slots. Bank arrays are indexed by the mapper's flat
- * bank (P_CREDITS has one more slot after the banks: the global
- * credit); channel arrays by channel; core arrays by core id. */
+ * bank; channel arrays by channel; core arrays by core id. */
 enum {
     P_I, P_D,
-    P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_CREDITS,
-    P_DEADLINES, P_BUF_N, P_BUF_ROWS, P_BUF_TIMES, P_RT_MASK, P_RT_PTR,
+    P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_RT_MASK, P_RT_PTR,
     P_BUS, P_ST_I, P_ST_D, P_CH_TABLES,
     P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
     P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
@@ -51,18 +51,12 @@ enum {
 
 /* Events returned to Python. */
 enum {
-    EV_DONE, EV_STOP, EV_SPILL, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT,
-    EV_BLOCK, EV_BAD_ROW
+    EV_DONE, EV_STOP, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT, EV_BLOCK,
+    EV_BAD_ROW
 };
 
 /* Resume points. */
 enum { PH_TOP, PH_WINDOW, PH_ROUTE, PH_DELAY, PH_ACT, PH_BLOCK };
-
-/* How activations reach the mitigation (I_MODE). */
-enum { MODE_NONE, MODE_SCALAR, MODE_GLOBAL, MODE_BANK };
-
-/* Which mitigation hook an EV_ACT needs. */
-enum { KIND_SCALAR, KIND_FLUSH, KIND_GLOBAL, KIND_HOT };
 
 /* Per-bank tracker fields (P_TRK rows); T_THRESH 0: not tracked here. */
 enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N };
@@ -364,11 +358,6 @@ int64_t rk_run(const uint64_t *P)
     double *ready = PTR(double, P_READY);
     const int64_t *chan = PTR(int64_t, P_CHAN);
     int64_t *total = PTR(int64_t, P_TOTAL);
-    int64_t *credits = PTR(int64_t, P_CREDITS);
-    const double *deadlines = PTR(double, P_DEADLINES);
-    int64_t *buf_n = PTR(int64_t, P_BUF_N);
-    int64_t *buf_rows = PTR(int64_t, P_BUF_ROWS);
-    double *buf_times = PTR(double, P_BUF_TIMES);
     const int64_t *rt_mask = PTR(int64_t, P_RT_MASK);
     const uint64_t *rt_ptr = PTR(uint64_t, P_RT_PTR);
     double *bus = PTR(double, P_BUS);
@@ -394,9 +383,8 @@ int64_t rk_run(const uint64_t *P)
     const int64_t pre_delay = I[I_PRE_DELAY];
     const int64_t route_call = I[I_ROUTE_CALL];
     const int64_t rcap = I[I_RCAP];
-    const int64_t bufcap = I[I_BUFCAP];
     const int64_t stop = I[I_STOP];
-    const int64_t act_mode = I[I_MODE];
+    const int64_t mitigates = I[I_MITIGATES];
     const double lookup = D[D_LOOKUP], t_cas = D[D_TCAS], t_rcd = D[D_TRCD];
     const double t_rp = D[D_TRP], t_rc = D[D_TRC], t_ras = D[D_TRAS];
     const double line = D[D_LINE], t_refi = D[D_TREFI], t_rfc = D[D_TRFC];
@@ -405,21 +393,20 @@ int64_t rk_run(const uint64_t *P)
     double next_refi = D[D_NEXT_REFI], next_window = D[D_NEXT_WINDOW];
     double due = D[D_DUE], cur_t = D[D_CUR_T];
     int64_t serviced = I[I_SERVICED], bursts = I[I_BURSTS];
-    int64_t spill = I[I_SPILL], heap_n = I[I_HEAP_N], cur_core = I[I_CUR_CORE];
+    int64_t heap_n = I[I_HEAP_N], cur_core = I[I_CUR_CORE];
 
     /* the request in flight */
     int64_t core = I[I_CORE], idx = I[I_IDX], inst = I[I_INST];
     int64_t is_write = I[I_WRITE], row = I[I_ROW], gfb = I[I_BANK];
-    int64_t prow = I[I_PROW], kind = 0;
+    int64_t prow = I[I_PROW];
     double arrival = D[D_ARRIVAL], start_floor = D[D_FLOOR];
     double completion = D[D_COMPLETION];
     int64_t ch = gfb >= 0 ? chan[gfb] : 0;
 
-    int64_t ev, phase = PH_TOP, nxt, n, mode, credit, orow, slot;
-    int64_t threshold, estimate;
+    int64_t ev, phase = PH_TOP, nxt, orow, slot, threshold, estimate;
     double start, data, la, act_at, pre_at, floor_at, end, bus_free;
     double issue_at;
-    int hit, activated;
+    int hit, activated, act;
     struct tracker hot;
 
     switch (I[I_PHASE]) {
@@ -432,10 +419,6 @@ int64_t rk_run(const uint64_t *P)
     }
 
     for (;;) {
-        if (spill) {
-            ev = EV_SPILL;
-            goto out;
-        }
         if (cur_core < 0) {
             ev = EV_DONE;
             goto out;
@@ -546,42 +529,16 @@ int64_t rk_run(const uint64_t *P)
             st_i[ch * S_N + S_HITS]++;
         if (activated) {
             st_i[ch * S_N + S_ACTS]++;
-            mode = act_mode;
             threshold = trk[gfb * T_N + T_THRESH];
             if (threshold > 0) {
-                /* the bank's tracker runs here: hand over only a swap */
+                /* the bank's tracker runs here: hand over only a hot row */
                 hot = tracker_of(P, gfb);
                 estimate = mg_observe(&hot, row);
-                if (estimate == 0 || estimate % threshold != 0)
-                    mode = MODE_NONE;
-                else
-                    kind = KIND_HOT;
-            } else if (mode == MODE_BANK) {
-                credit = credits[gfb];
-                if (credit > 0 && completion < deadlines[gfb]) {
-                    /* defer: inside the mitigation's noop horizon */
-                    credits[gfb] = credit - 1;
-                    n = buf_n[gfb];
-                    buf_rows[gfb * bufcap + n] = row;
-                    buf_times[gfb * bufcap + n] = completion;
-                    buf_n[gfb] = ++n;
-                    if (n == bufcap)
-                        spill = 1;
-                    mode = MODE_NONE;
-                } else {
-                    kind = credit < 0 ? KIND_SCALAR : KIND_FLUSH;
-                }
-            } else if (mode == MODE_GLOBAL) {
-                if (credits[n_banks] > 0) {
-                    credits[n_banks]--;
-                    mode = MODE_NONE;
-                } else {
-                    kind = KIND_GLOBAL;
-                }
-            } else if (mode == MODE_SCALAR) {
-                kind = KIND_SCALAR;
+                act = estimate != 0 && estimate % threshold == 0;
+            } else {
+                act = mitigates != 0;
             }
-            if (mode != MODE_NONE) {
+            if (act) {
                 ev = EV_ACT;
                 phase = PH_ACT;
                 goto out;
@@ -661,7 +618,6 @@ out:
     I[I_PHASE] = phase;
     I[I_SERVICED] = serviced;
     I[I_BURSTS] = bursts;
-    I[I_SPILL] = spill;
     I[I_HEAP_N] = heap_n;
     I[I_CUR_CORE] = cur_core;
     I[I_CORE] = core;
@@ -671,7 +627,6 @@ out:
     I[I_ROW] = row;
     I[I_BANK] = gfb;
     I[I_PROW] = prow;
-    I[I_KIND] = kind;
     D[D_NEXT_REFI] = next_refi;
     D[D_NEXT_WINDOW] = next_window;
     D[D_DUE] = due;

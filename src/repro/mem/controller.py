@@ -13,8 +13,8 @@ the mitigation's ``route`` hook, then the bank's own timing model
 full-system block loop (:func:`repro.mem.block_kernel.run_block_loop`)
 fuses the same steps and must match it bit for bit. Writes are serviced
 inline, exactly like reads. Every activation reaches the mitigation
-through ``Mitigation.on_activation``; only the compiled loop defers
-guaranteed-noop activations (DESIGN.md §9).
+through ``Mitigation.on_activation``; only the compiled loop runs a
+handed-over hot-row tracker itself (DESIGN.md §9).
 """
 
 from __future__ import annotations

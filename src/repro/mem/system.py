@@ -143,8 +143,9 @@ class SystemSimulator:
     def checkpoint_payload(self, cores: List[Core]) -> tuple:
         """Pure-data snapshot of every layer of this simulator + cores.
 
-        Either loop leaves no activation deferred when it returns, so
-        the mitigation's state is complete here."""
+        Either loop leaves every activation applied to the live objects
+        when it returns (the compiled loop writes its C trackers back),
+        so the mitigation's state is complete here."""
         return (
             [core.snapshot_state() for core in cores],
             [channel.snapshot_state() for channel in self.channels],

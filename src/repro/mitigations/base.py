@@ -29,12 +29,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 BankKey = Tuple[int, int, int]  # (channel, rank, bank)
 
-# Deferral sentinels (``BankBatchedMitigation.batch_credit``): a
-# mitigation with no count bound on deferral uses INFINITE_CREDIT (TRR
-# defers on a time deadline instead); one with no time bound uses
-# NO_DEADLINE.
+# The run credit (``Mitigation.run_credit``) of a mitigation that never
+# acts on an activation (``NoMitigation``).
 INFINITE_CREDIT = 1 << 60
-NO_DEADLINE = float("inf")
 
 
 @dataclass
@@ -120,7 +117,6 @@ class Mitigation:
         """Delay imposed before an ACT may issue (throttling defenses)."""
         return 0.0
 
-    # repro-oracle: mitigation-activation -- oracle
     def on_activation(
         self,
         bank_key: BankKey,
@@ -170,33 +166,26 @@ class Mitigation:
         return 0
 
     # ------------------------------------------------------------------
-    # Activation deferral (the compiled loop only; DESIGN.md §9). The
+    # Tracker hand-off (the compiled loop only; DESIGN.md §9). The
     # scalar controller calls ``on_activation`` for every activation.
     # ------------------------------------------------------------------
-    # "bank": per-bank credits and buffers
-    # (``BankBatchedMitigation.batch_credit``/``apply_deferred``);
-    # "global": one credit for every bank and row, from ``run_credit``
-    # (PARA's rng draws are consumed in global activation order); None:
-    # every activation goes to ``on_activation``. Setting it to None on
-    # an instance forces that instance onto the per-activation hook
-    # (equivalence tests and benches).
-    batch_scope: Optional[str] = None
-
     def hot_row_tracker(self, bank_key: BankKey) -> Optional[Tuple[object, int]]:
         """This bank's Misra-Gries tracker (an ``ArrayMisraGries``) and
         its action threshold, for the compiled loop to run itself; None
-        (the default) keeps the bank on the activation hooks. RRS (with
-        the array tracker) and Graphene hand theirs over.
+        (the default) keeps the bank on ``on_activation``. RRS (with the
+        array tracker) and Graphene hand theirs over; a test or bench
+        that wants the per-activation hook overrides this method on the
+        instance to return None.
 
-        The compiled loop consults it for every bank when
-        ``batch_scope`` is ``"bank"`` (``block_kernel.replay_hot_rows``
-        for any bank) and then owns the tracker's updates: it observes
-        the *logical* row of every activation (RRS's tracker index; a
-        mitigation that never routes, like Graphene, sees its physical
-        rows) and calls
-        :meth:`on_hot_row` only when the estimate lands on a non-zero
-        multiple of the threshold, so an override's ``on_activation``
-        must be exactly that observe, check and act. The tracker is
+        The compiled loop consults it, when the class overrides it, at
+        each bank's first activation (``block_kernel.replay_hot_rows``
+        for its one bank) and then owns the tracker's updates: it
+        observes the *logical* row of every activation (RRS's tracker
+        index; a mitigation that never routes, like Graphene, sees its
+        physical rows) and calls :meth:`on_hot_row` only when the
+        estimate lands on a non-zero multiple of the threshold, so an
+        override's ``on_activation`` must be exactly that observe, check
+        and act. The tracker is
         loaded with ``snapshot_state`` at loop entry and after window
         ends and written back with ``restore_state`` before window
         callbacks and whenever the loop returns; in between it is

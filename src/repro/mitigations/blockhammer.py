@@ -55,18 +55,12 @@ class BlockHammerConfig:
 class BlockHammer(Mitigation):
     """Counting-Bloom blacklisting + activation throttling.
 
-    Deliberately *not* a :class:`BankBatchedMitigation`: its noop
-    credit is ``blacklist_threshold - (sum of filter maxima)``, which
-    collapses to zero as soon as any counter nears the threshold —
-    exactly the attack regime the bench measures — and recomputing the
-    bound costs a full ``max_counter()`` scan of both Bloom tables per
-    flush. Deferral therefore degenerated to per-activation replay plus
-    that overhead (0.95x in BENCH_mitigation.json); ``batch_scope =
-    None`` sends every activation straight to ``on_activation``.
+    Every activation goes to ``on_activation`` under either loop: the
+    Bloom filters are not a Misra-Gries tracker the compiled loop could
+    run itself (``hot_row_tracker``).
     """
 
     name = "BlockHammer"
-    batch_scope = None
 
     def __init__(self, config: BlockHammerConfig = BlockHammerConfig()) -> None:
         self.config = config

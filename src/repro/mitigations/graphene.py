@@ -18,20 +18,20 @@ from typing import Dict
 
 from repro.mitigations.base import (
     BankKey,
+    Mitigation,
     MitigationOutcome,
     NOOP_OUTCOME,
     tracker_run_credit,
 )
-from repro.mitigations.batching import BankBatchedMitigation
 from repro.track.array_state import ArrayMisraGries
 
 
-class Graphene(BankBatchedMitigation):
+class Graphene(Mitigation):
     """Per-bank Misra-Gries tracking + neighbour refresh.
 
-    A ``BankBatchedMitigation`` because ``batch_scope = "bank"`` is what
-    makes the compiled loop ask for :meth:`hot_row_tracker`; every armed
-    bank is then C-tracked, so no bank takes the deferral hooks."""
+    Hands each bank's tracker to the compiled loop
+    (:meth:`hot_row_tracker`), which then calls Python only at a
+    refresh (:meth:`on_hot_row`)."""
 
     name = "Graphene"
 

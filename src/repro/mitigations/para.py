@@ -87,12 +87,9 @@ class PARA(Mitigation):
         return MitigationOutcome(refresh_rows=victims)
 
     # ------------------------------------------------------------------
-    # Run contract and deferral: the draws before the next success are
-    # misses whatever the bank and row, so one global credit covers
-    # every activation (the compiled loop keeps it in one cell).
+    # Run contract (attack harnesses): the draws before the next success
+    # are misses whatever the bank and row.
     # ------------------------------------------------------------------
-    batch_scope = "global"
-
     _CHUNK = 4096
 
     def run_credit(self, bank_key, row, physical_row, now_ns):

@@ -18,14 +18,13 @@ from typing import Dict
 
 from repro.mitigations.base import (
     BankKey,
-    INFINITE_CREDIT,
+    Mitigation,
     MitigationOutcome,
     NOOP_OUTCOME,
 )
-from repro.mitigations.batching import BankBatchedMitigation
 
 
-class TargetedRowRefresh(BankBatchedMitigation):
+class TargetedRowRefresh(Mitigation):
     """Sampling + per-tREFI neighbour refresh (in-DRAM TRR)."""
 
     name = "TRR"
@@ -69,34 +68,6 @@ class TargetedRowRefresh(BankBatchedMitigation):
         ]
         self.refreshes_issued += len(victims)
         return MitigationOutcome(refresh_rows=victims)
-
-    # ------------------------------------------------------------------
-    # Deferral hooks (BankBatchedMitigation). TRR acts on a *time*
-    # deadline, not a count: every activation completing before the
-    # bank's next tREFI opportunity is noop, so the credit is infinite
-    # and the deadline carries the deferral bound.
-    # ------------------------------------------------------------------
-    def apply_deferred(self, bank_key, rows, times):
-        sample = self._samples.setdefault(bank_key, Counter())
-        size = self.sample_size
-        if len(sample) >= size:
-            # Full sample: no admissions possible, only member
-            # increments — order-free, apply per unique row. Counter
-            # insertion order (the most_common tie-break) is untouched
-            # because no keys are created.
-            for row, hits in Counter(rows).items():
-                if row in sample:
-                    sample[row] += hits
-        else:
-            for row in rows:
-                if len(sample) < size or row in sample:
-                    sample[row] += 1
-
-    def batch_credit(self, bank_key):
-        return (
-            INFINITE_CREDIT,
-            self._next_trr_ns.get(bank_key, float(self.t_refi_ns)),
-        )
 
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): samples are captured as ordered pairs

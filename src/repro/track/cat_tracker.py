@@ -92,14 +92,9 @@ class CATMisraGriesTracker:
         return len(self.cat)
 
     # ------------------------------------------------------------------
-    # Deferral interface (scalar replay: CAT installs depend on set
-    # occupancy, so there is no order-free bulk form)
+    # Run contract (attack harnesses; scalar replay: CAT installs
+    # depend on set occupancy, so there is no order-free bulk form)
     # ------------------------------------------------------------------
-    def observe_block(self, rows, count: int) -> None:
-        """Apply the first ``count`` activations of ``rows``."""
-        for i in range(count):
-            self.observe(rows[i])
-
     def observe_run(self, row: int, count: int) -> int:
         """Apply ``count`` consecutive activations of ``row``; returns
         its final estimate."""
@@ -107,23 +102,6 @@ class CATMisraGriesTracker:
         for _ in range(count):
             estimate = self.observe(row)
         return estimate
-
-    def noop_horizon(self, threshold: int) -> int:
-        """Activations of the bank, of any rows, guaranteed not to land
-        any estimate on a non-zero multiple of ``threshold``: a counter
-        at ``c`` needs ``T - c % T`` more hits to reach one, and an
-        install lands at ``spill + 1`` with the spill counter growing
-        at most one per activation. The compiled loop's deferral credit
-        for CAT-tracker RRS banks."""
-        t = threshold
-        counts = [value for _, value in self.cat.items()]
-        if counts:
-            inc_safe = t - max(c % t for c in counts) - 1
-        else:
-            inc_safe = t - 1
-        install_safe = t - (self.spill % t) - 1
-        horizon = min(inc_safe, install_safe)
-        return horizon if horizon > 0 else 0
 
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): the CAT carries the entries; the

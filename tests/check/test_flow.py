@@ -213,7 +213,7 @@ class TestOracleDrift:
 
     def test_repo_pairs_cover_the_kernel_suite(self, repo_graph):
         pairs = discover_pairs(repo_graph)
-        assert "mitigation-activation" in pairs
+        assert "system-loop" in pairs
         assert "tracker-misra-gries" in pairs
         assert "dram.address.AddressMapper.decode_batch" in pairs
         assert "analysis.buckets.BucketsAndBalls.success_probability" in pairs

@@ -6,7 +6,7 @@ once as production dispatches them and once forced onto the scalar loop
 (the ``scalar_loop`` fixture), across every mitigation and
 representative workloads, with and without ``REPRO_SANITIZE=1`` and
 with the fault model attached. ``TestLoopDispatch`` pins which loop a
-run takes.
+run takes and which mitigation hooks the compiled loop calls.
 """
 
 import dataclasses
@@ -41,13 +41,19 @@ def _dram(scale=SCALE):
 def _factories(scale=SCALE):
     dram = _dram(scale)
     scaled_t_rh = max(12, 4800 // scale)
+    rrs_config = RRSConfig.for_threshold(4800, DRAMConfig()).scaled(scale)
     return {
         "none": NoMitigation,
-        "rrs": lambda: RandomizedRowSwap(
-            RRSConfig.for_threshold(4800, DRAMConfig()).scaled(scale), dram
+        "rrs": lambda: RandomizedRowSwap(rrs_config, dram),
+        # Every activation goes through on_activation (no C tracker).
+        "rrs_cat": lambda: RandomizedRowSwap(
+            dataclasses.replace(rrs_config, tracker_backend="cat"), dram
         ),
+        # A threshold of 3 makes both hmmer and stream refresh within
+        # 1,000 records per core, so the compiled run calls on_hot_row.
         "graphene": lambda: Graphene(
             t_rh=scaled_t_rh,
+            mitigation_threshold=3,
             window_activations=dram.acts_per_refresh_window,
             rows_per_bank=dram.rows_per_bank,
         ),
@@ -84,9 +90,34 @@ class TestBlockLoopEquivalence:
     @pytest.mark.parametrize("workload", ["hmmer", "stream"])
     def test_full_run_bit_identical(self, name, workload, scalar_loop):
         factory = _factories()[name]
-        block = _run(factory, workload=workload)
+        mitigation = factory()
+        block = _run(lambda: mitigation, workload=workload)
         with scalar_loop():
             scalar = _run(factory, workload=workload)
+        assert block.to_dict() == scalar.to_dict()
+        if name == "graphene":
+            assert mitigation.refreshes_issued > 0
+
+    @pytest.mark.parametrize("name", ["rrs", "rrs_cat"])
+    def test_rrs_exercises_real_swaps(self, name, scalar_loop):
+        """The equivalence claim is vacuous for RRS unless the run
+        swaps: scale 64 shrinks T_RRS enough that hmmer forces swaps,
+        which the array tracker reaches through on_hot_row and the CAT
+        tracker through on_activation."""
+        scale = 64
+        factory = _factories(scale)[name]
+        mitigation = factory()
+        block = run_workload(
+            get_workload("hmmer"), mitigation, scale=scale,
+            records_per_core=6_000, cores=8,
+        )
+        assert mitigation.total_swaps > 0
+        assert block.swaps == mitigation.total_swaps
+        with scalar_loop():
+            scalar = run_workload(
+                get_workload("hmmer"), factory(), scale=scale,
+                records_per_core=6_000, cores=8,
+            )
         assert block.to_dict() == scalar.to_dict()
 
     @pytest.mark.parametrize("workload", ["bzip2", "gromacs"])
@@ -135,8 +166,9 @@ class TestBlockLoopEquivalence:
 
 
 class TestLoopDispatch:
-    """The loop and the batch path follow only from what the run
-    itself shows: observability, trace form, and the mitigation."""
+    """The loop and the mitigation hooks it calls follow only from what
+    the run itself shows: observability, trace form, and the
+    mitigation."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -178,25 +210,46 @@ class TestLoopDispatch:
         assert calls == ["block"]
 
     def test_env_cannot_select_the_oracle_paths(self, calls, monkeypatch):
-        """A plain columnar run takes the block loop and defers
-        activations, even with the retired loop and batch selector
+        """A plain columnar run takes the block loop and runs RRS's
+        tracker in C, even with the retired loop and batch selector
         variables set. The names are spelled in pieces so that they
         appear nowhere else in the tree."""
         for name in ("BLOCK_CONTROLLER", "BATCH_MITIGATION"):
             monkeypatch.setenv("REPRO_" + name, "0")
         _run(NoMitigation, records=200)
         assert calls == ["block"]
-        replayed = []
-        apply_deferred = TargetedRowRefresh.apply_deferred
+        handed = []
+        hot_row_tracker = RandomizedRowSwap.hot_row_tracker
 
-        def spy(self, bank_key, rows, times):
-            replayed.extend(rows)
-            return apply_deferred(self, bank_key, rows, times)
+        def spy(self, bank_key):
+            handed.append(bank_key)
+            return hot_row_tracker(self, bank_key)
 
-        monkeypatch.setattr(TargetedRowRefresh, "apply_deferred", spy)
-        _run(_factories()["trr"], records=200)
+        monkeypatch.setattr(RandomizedRowSwap, "hot_row_tracker", spy)
+        _run(_factories()["rrs"], records=200)
         assert calls == ["block", "block"]
-        assert replayed
+        assert handed
+
+    @pytest.mark.parametrize("name", ["rrs_declined", "trr", "para", "blockhammer"])
+    def test_per_activation_hook(self, name, monkeypatch):
+        """A mitigation that hands over no tracker (or whose
+        ``hot_row_tracker`` returns None on the instance) sees every
+        activation of the compiled loop through ``on_activation``."""
+        if name == "rrs_declined":
+            mitigation = _factories()["rrs"]()
+            mitigation.hot_row_tracker = lambda bank_key: None
+        else:
+            mitigation = _factories()[name]()
+        seen = []
+        on_activation = type(mitigation).on_activation
+
+        def spy(self, bank_key, row, physical_row, now_ns):
+            seen.append(row)
+            return on_activation(self, bank_key, row, physical_row, now_ns)
+
+        monkeypatch.setattr(type(mitigation), "on_activation", spy)
+        metrics = _run(lambda: mitigation, records=300)
+        assert len(seen) == metrics.activations > 0
 
     def test_columnar_run_takes_the_compiled_loop(self, calls):
         _run(_factories()["rrs"], records=200)
@@ -209,7 +262,7 @@ class TestLoopDispatch:
         activation (which creates the bank's state, as the scalar loop
         does, and hands its tracker to C), while a CAT-tracker RRS
         keeps the per-activation hand-off."""
-        calls = {"on_activation": [], "on_activation_batch": [], "on_hot_row": []}
+        calls = {"on_activation": [], "on_hot_row": []}
         for name in calls:
             original = getattr(RandomizedRowSwap, name)
 
@@ -231,7 +284,6 @@ class TestLoopDispatch:
         assert metrics.swaps > 0
         first = calls["on_activation"]
         assert first and len(set(first)) == len(first)
-        assert calls["on_activation_batch"] == []
         assert len(calls["on_hot_row"]) == metrics.swaps
         cat = RandomizedRowSwap(
             dataclasses.replace(
@@ -247,9 +299,9 @@ class TestLoopDispatch:
     ):
         """Graphene's tracker runs inside the compiled loop too: Python
         sees each bank's first activation and one on_hot_row call per
-        refresh, and no deferred activation is ever replayed. A
-        threshold of 4 makes hmmer refresh; the scalar loop agrees."""
-        calls = {"on_activation": [], "on_hot_row": [], "apply_deferred": []}
+        refresh. A threshold of 4 makes hmmer refresh; the scalar loop
+        agrees."""
+        calls = {"on_activation": [], "on_hot_row": []}
         for name in calls:
             original = getattr(Graphene, name)
 
@@ -281,7 +333,6 @@ class TestLoopDispatch:
         assert first and len(set(first)) == len(first)
         assert calls["on_hot_row"]
         assert compiled[1][0] >= len(calls["on_hot_row"])  # refreshes issued
-        assert calls["apply_deferred"] == []
         with scalar_loop():
             assert run() == compiled
 

@@ -1,12 +1,11 @@
-"""The compiled block loop's build, cache, fallback and drain paths.
+"""The compiled block loop's build, cache and fallback paths.
 
 The loop's results are pinned against the scalar oracle in
 ``test_block_equivalence.py`` and ``tests/state/test_roundtrip.py``;
 this module covers what those cannot see: that the library is really
 built where a compiler exists, how the build is cached, that a host
-without one falls back to the scalar loop, that the C-side
-deferral buffers replay into the mitigation with nothing lost or
-reordered, and that the C tracker's full-table misses match.
+without one falls back to the scalar loop, and that the C tracker's
+full-table misses match.
 """
 
 import dataclasses
@@ -20,13 +19,11 @@ from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
 from repro.mem import block_kernel
-from repro.mitigations.para import PARA
-from repro.mitigations.trr import TargetedRowRefresh
 from repro.state.checkpoint import CheckpointSession
 from repro.workloads.suites import get_workload
 
-# A short run that crosses two refresh windows and swaps thousands of
-# times (RRS), refreshes victims (TRR, PARA) and crosses block ends.
+# A short run that crosses two refresh windows, swaps thousands of
+# times and crosses block ends.
 SCALE = 256
 RECORDS = 6_000
 CORES = 4
@@ -37,22 +34,15 @@ def _compiler() -> bool:
     return bool(shutil.which("cc") or shutil.which("gcc"))
 
 
-def _mitigation(name: str):
-    dram = DRAMConfig().scaled(SCALE)
-    if name == "para":
-        return PARA(probability=0.02, rows_per_bank=dram.rows_per_bank, seed=3)
-    if name == "trr":
-        return TargetedRowRefresh(rows_per_bank=dram.rows_per_bank)
+def _tiny_tracker_rrs():
+    """RRS with a 16-entry hot-row tracker."""
     config = RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE)
-    if name == "rrs_tiny_tracker":
-        config = dataclasses.replace(config, tracker_entries=16)
-    rrs = RandomizedRowSwap(config, dram)
-    if name == "rrs_scalar":
-        rrs.batch_scope = None
-    return rrs
+    return RandomizedRowSwap(
+        dataclasses.replace(config, tracker_entries=16), DRAMConfig().scaled(SCALE)
+    )
 
 
-def _cut_run(name: str):
+def _cut_run():
     """SimMetrics plus the serialized state at every cut."""
     texts = {}
     session = CheckpointSession(
@@ -61,7 +51,7 @@ def _cut_run(name: str):
     )
     metrics = run_workload(
         get_workload("hmmer"),
-        _mitigation(name),
+        _tiny_tracker_rrs(),
         scale=SCALE,
         records_per_core=RECORDS,
         cores=CORES,
@@ -78,21 +68,6 @@ def test_compiler_on_path_means_the_compiled_loop_loads():
     assert block_kernel.load() is not None
 
 
-@pytest.mark.parametrize(
-    "name", ["rrs", "rrs_scalar", "rrs_tiny_tracker", "para", "trr"]
-)
-def test_tiny_buffers_drain_without_changing_state(name, monkeypatch, scalar_loop):
-    """Deferral buffers a few entries long replay into the mitigation
-    on almost every deferred activation; results and every cut's full
-    state (trackers and samples, which the C-tracked RRS banks keep in
-    C) still match the per-activation scalar loop."""
-    with scalar_loop():
-        expected = _cut_run(name)
-    assert expected[0].windows == 2
-    monkeypatch.setattr(block_kernel, "BUFFER_CAPACITY", 2)
-    assert _cut_run(name) == expected
-
-
 def test_full_table_tracker_misses_match_the_scalar_loop(scalar_loop):
     """A 16-entry hot-row tracker misses on a full table thousands of
     times per window (spills and lowest-slot evictions), and swaps
@@ -100,11 +75,11 @@ def test_full_table_tracker_misses_match_the_scalar_loop(scalar_loop):
     each cut's full state, tracker slots and spill counters included,
     match the scalar oracle."""
     with scalar_loop():
-        expected = _cut_run("rrs_tiny_tracker")
+        expected = _cut_run()
     metrics, texts = expected
     assert metrics.windows == 2 and metrics.swaps > 1_000
     assert sorted(texts) == list(CUTS)
-    assert _cut_run("rrs_tiny_tracker") == expected
+    assert _cut_run() == expected
 
 
 def test_build_is_cached_by_source_and_flags(tmp_path, monkeypatch):

@@ -91,23 +91,3 @@ def test_window_rotation_preserves_history():
 def test_storage_bits():
     bh = _blockhammer()
     assert bh.storage_bits_per_bank(128 * 1024) == 2 * 256 * 7
-
-
-def test_scalar_fallback_pins_batched_speedup():
-    """Regression pin for the 0.95x batched slowdown: BlockHammer must
-    opt out of the batched activation path entirely, so the "batched"
-    bench configuration runs the identical scalar code and its speedup
-    is 1.0 by construction."""
-    from repro.dram.address import AddressMapper
-    from repro.dram.config import DRAMConfig
-    from repro.dram.device import Channel
-
-    from repro.mem.controller import MemoryController
-
-    assert BlockHammer.batch_scope is None
-
-    dram = DRAMConfig().scaled(32)
-    controller = MemoryController(
-        dram, Channel(dram), _blockhammer(), AddressMapper(dram)
-    )
-    assert controller._batch is None

@@ -12,7 +12,6 @@ cut-before-the-first-request (0) and cut-after-the-last-request
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import json
 import subprocess
@@ -77,19 +76,11 @@ def _mitigation(name: str):
         return RandomizedRowSwap(
             RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE), dram
         )
-    if name == "rrs_cat":
-        # RRS with the CAT tracker: deferred through per-bank credits.
-        return RandomizedRowSwap(
-            dataclasses.replace(
-                RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE),
-                tracker_backend="cat",
-            ),
-            dram,
-        )
     if name == "rrs_scalar":
-        # RRS on the scalar on_activation oracle instead of batching.
+        # RRS on on_activation for every activation: the compiled loop
+        # runs no tracker for a bank whose hot_row_tracker is None.
         mitigation = _mitigation("rrs")
-        mitigation.batch_scope = None
+        mitigation.hot_row_tracker = lambda bank_key: None
         return mitigation
     if name == "para":
         return PARA(probability=0.02, rows_per_bank=rows, seed=SEED)
@@ -208,13 +199,13 @@ def test_roundtrip_matches_block_controller_loop(scalar_loop):
         assert plain == baseline == resumed
 
 
-def _swapping_rrs(session=None, name="rrs"):
-    """An xz_17 run; under RRS (the default) it swaps by request 80 and
-    keeps revisiting the swapped rows after it (lbm at this scale never
+def _swapping_rrs(session=None):
+    """An xz_17 run; under RRS it swaps by request 80 and keeps
+    revisiting the swapped rows after it (lbm at this scale never
     swaps)."""
     return run_workload(
         get_workload("xz_17"),
-        _mitigation(name),
+        _mitigation("rrs"),
         scale=SCALE,
         records_per_core=1_000,
         cores=CORES,
@@ -254,54 +245,6 @@ def test_rrs_resume_with_swapped_rows_matches_on_both_loops(scalar_loop):
                 )
             )
             plain = _swapping_rrs()
-        assert plain == baseline == resumed
-        assert finals == [texts[end]]
-
-
-@pytest.mark.parametrize("name", ["para", "rrs_cat", "trr"])
-def test_resume_from_a_cut_with_deferred_activations_on_both_loops(
-    name, scalar_loop, monkeypatch
-):
-    """A cut taken in the compiled loop while it holds deferred
-    activations (PARA's consumed global credit, CAT-tracker RRS's and
-    TRR's per-bank buffers) replays them before the snapshot; resumed under
-    either loop, the run finishes exactly as the uninterrupted one,
-    down to the final cut's text."""
-    mitigation_type = type(_mitigation(name))
-    replay = "on_activation_run" if name == "para" else "apply_deferred"
-    events = []
-    for hook in (replay, "on_activation"):
-        original = getattr(mitigation_type, hook)
-
-        def spy(self, *args, _hook=hook, _original=original):
-            events.append(_hook)
-            return _original(self, *args)
-
-        monkeypatch.setattr(mitigation_type, hook, spy)
-    end = CORES * 1_000
-    texts = {}
-
-    def sink(ckpt):
-        events.append("cut")
-        texts.setdefault(ckpt.serviced, ckpt.dumps())
-
-    baseline = _swapping_rrs(CheckpointSession(cuts=(80, end), sink=sink), name)
-    # The step before the first cut replayed deferred activations, and
-    # no activation followed: the loop's write-back on stopping did it.
-    assert events[events.index("cut") - 1] == replay
-    reloaded = SimCheckpoint.loads(texts[80])
-    for forced in (contextlib.nullcontext, scalar_loop):
-        finals = []
-        with forced():
-            resumed = _swapping_rrs(
-                CheckpointSession(
-                    resume=reloaded,
-                    cuts=(end,),
-                    sink=lambda ckpt: finals.append(ckpt.dumps()),
-                ),
-                name,
-            )
-            plain = _swapping_rrs(name=name)
         assert plain == baseline == resumed
         assert finals == [texts[end]]
 

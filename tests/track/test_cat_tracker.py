@@ -92,44 +92,9 @@ def test_oversized_entry_count_rejected():
 
 
 # ----------------------------------------------------------------------
-# Batched-path interface: observe_block is defined as exact scalar
-# replay (CAT installs depend on set occupancy, so there is no
-# order-free bulk form) — the whole shadow state must match, not just
-# the estimates.
+# Shadow state: the SetMin registers must follow the set contents.
 # ----------------------------------------------------------------------
-def _shadow_state(tracker):
-    """Everything the batched path could desynchronize: spill, CAT
-    contents, and the per-set SetMin registers."""
-    return {
-        "spill": tracker.spill,
-        "len": len(tracker),
-        "items": sorted(tracker.cat.items()),
-        "set_min": tracker._set_min,
-    }
-
-
 class TestObserveBlockShadowSync:
-    def test_block_apply_equals_sequential_observe(self):
-        rng = DeterministicRng(3, "cat-block").generator
-        rows = [int(r) for r in rng.integers(0, 60, size=1200)]
-        blocked = _small_tracker()
-        sequential = _small_tracker()
-        cursor = 0
-        while cursor < len(rows):
-            size = 1 + int(rng.integers(0, 29))
-            chunk = rows[cursor : cursor + size]
-            blocked.observe_block(chunk, len(chunk))
-            for row in chunk:
-                sequential.observe(row)
-            cursor += size
-        assert _shadow_state(blocked) == _shadow_state(sequential)
-
-    def test_partial_count_applies_prefix_only(self):
-        tracker = _small_tracker()
-        tracker.observe_block([7, 7, 7, 9], 2)
-        assert tracker.estimate(7) == 2
-        assert 9 not in tracker
-
     def test_set_min_registers_match_set_contents(self):
         """After heavy traffic (spills + evictions through _global_min)
         every SetMin register equals a fresh recompute of its set."""
@@ -144,26 +109,3 @@ class TestObserveBlockShadowSync:
                 stored = tracker.cat._sets[table][set_index]
                 expected = min(stored.values()) if stored else None
                 assert tracker._set_min[table][set_index] == expected
-
-    def test_noop_horizon_matches_reference_tracker(self):
-        """Same stream into the CAT tracker and the set-based reference
-        at eviction-free sizing gives identical estimates and spill; the
-        noop horizon (the compiled loop's deferral credit for CAT banks)
-        equals a brute force over the CAT's counters and spill, at
-        eviction-free sizing and on a spilling, evicting small CAT."""
-        rng = DeterministicRng(7, "cat-horizon").generator
-        rows = [int(r) for r in rng.integers(0, 120, size=900)]
-        cat = CATMisraGriesTracker(entries=1700)
-        reference = MisraGriesTracker(entries=1700)
-        for row in rows:
-            assert cat.observe(row) == reference.observe(row)
-        assert cat.spill == reference.spill
-        small = _small_tracker()
-        for row in rng.integers(0, 80, size=2000):
-            small.observe(int(row))
-        assert small.spill > 0
-        for tracker in (cat, small):
-            for threshold in (3, 8, 17):
-                safe = [threshold - 1 - value % threshold for _, value in tracker.cat.items()]
-                safe.append(threshold - 1 - tracker.spill % threshold)
-                assert tracker.noop_horizon(threshold) == min(safe)
