@@ -160,17 +160,20 @@ def validate_window_model(
     target_balls: int = 4,
     trials: int = 50_000,
     seed: int = 9,
-    chunk_draws: int = 4_000_000,
+    chunk_draws: int = 1 << 18,
 ) -> MonteCarloValidation:
     """Wide Monte Carlo validation of the window-success model.
 
-    Runs the vectorized buckets-and-balls engine (chunked 2-D draws,
-    bit-identical to the scalar reference stream) for ``trials``
-    windows and compares against the analytic probability. The trial
-    budget that used to take minutes in the scalar loop runs in a
-    couple of seconds, so Table 4 validation can afford 50K-100K
-    trials — enough to resolve rare-event points (k >= 6) where a few
-    hundred trials would see single-digit hit counts.
+    Runs the vectorized buckets-and-balls engine for ``trials`` windows
+    and compares against the analytic probability. The engine draws
+    chunked 2-D int32 throws (the same ``next_uint32`` stream as the
+    scalar reference's int64 draws, so hit counts are bit-identical),
+    sorts each window and tests it for a run of ``target_balls`` equal
+    throws. The trial budget that used to take minutes in the scalar
+    loop runs in well under a second, so Table 4 validation can afford
+    50K-100K trials — enough to resolve rare-event points (k >= 6)
+    where a few hundred trials would see single-digit hit counts.
+    Raises ValueError when ``trials`` is not positive.
     """
     experiment = BucketsAndBalls(
         buckets=buckets,

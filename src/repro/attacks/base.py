@@ -23,8 +23,10 @@ whose commands an observer watches, go through the per-activation step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, List, Optional
 
+from repro.attacks.patterns import RowRuns
 from repro.dram.bank import Bank
 from repro.dram.config import DRAMConfig
 from repro.dram.faults import BitFlipEvent, DisturbanceModel
@@ -112,11 +114,13 @@ class AttackHarness:
     ) -> AttackResult:
         """Drive logical-row activations until a limit or a bit flip.
 
-        ``rows`` is typically an infinite generator; bound the run with
-        ``max_activations`` and/or ``max_windows``. Rows are read one
-        at a time, exactly as far as an activation-by-activation replay
-        reads them (one past the last activation when a limit stops the
-        run, none past a flip that stops it).
+        ``rows`` is typically an infinite stream; bound the run with
+        ``max_activations`` and/or ``max_windows``. Rows are read
+        exactly as far as an activation-by-activation replay reads them
+        (one past the last activation when a limit stops the run, none
+        past a flip that stops it). A pattern's :class:`RowRuns` stream
+        hands over each credited run in one ``read_run`` step; any
+        other iterable is read one row at a time.
         """
         if max_activations is None and max_windows is None:
             raise ValueError("bound the attack with max_activations or max_windows")
@@ -128,6 +132,10 @@ class AttackHarness:
         scramble = self.scramble
         result = self.result
         stream = iter(rows)
+        if type(stream) is RowRuns:
+            read_run = stream.read_run
+        else:
+            read_run = partial(_read_run, stream)
         logical_row = next(stream, _END)
         while logical_row is not _END:
             if max_activations is not None and result.activations >= max_activations:
@@ -166,7 +174,7 @@ class AttackHarness:
                 limit = min(limit, max_activations - result.activations)
             limit = self._window_fit(limit, window_ns)
             limit = disturbance.activations_to_flip(wordline, limit) or limit
-            count, logical_next = _read_run(stream, logical_row, limit)
+            count, logical_next = read_run(logical_row, limit)
             self._activate_run(logical_row, physical_row, wordline, count)
             if stop_on_flip and disturbance.flips:
                 break
@@ -324,7 +332,9 @@ def _read_run(stream: Iterator[int], row: int, limit: int):
     Returns ``(run length, next row)``: the run counts ``row`` itself;
     the next row is the first different one read (``_END`` at the end
     of the stream), or None when the run stopped at ``limit`` and
-    nothing more was read.
+    nothing more was read. The harness reads a pattern's
+    :class:`RowRuns` through its own ``read_run``, with the same
+    contract; this loop serves every other iterable.
     """
     count = 1
     while count < limit:

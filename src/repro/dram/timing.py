@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dram.config import DRAMConfig
+
+# Shortest run whose ACT recurrence :meth:`BankTimingState.activate_run`
+# evaluates with numpy; shorter runs are cheaper in the loop.
+VECTOR_MIN_RUN = 64
 
 
 @dataclass(slots=True)
@@ -131,7 +137,15 @@ class BankTimingState:
         per ACT, as the attack harness's clock advances); returns the
         clock after the last. Same state as ``count`` ``activate_only``
         calls; only an unobserved bank may take it (no command is
-        emitted)."""
+        emitted).
+
+        A run of at least ``VECTOR_MIN_RUN`` ACTs on an open bank first
+        takes the prefix :meth:`_clock_bound_prefix` verifies; the loop
+        finishes the run from the first ACT it rejects.
+        """
+        if count >= VECTOR_MIN_RUN and self.open_row >= 0 and row >= 0:
+            done, now_ns = self._clock_bound_prefix(row, now_ns, step_ns, count)
+            count -= done
         last = self.last_act_ns
         ready = self.ready_ns
         open_row = self.open_row
@@ -158,6 +172,42 @@ class BankTimingState:
         self.last_act_ns = last
         self.ready_ns = ready
         return now_ns
+
+    def _clock_bound_prefix(
+        self, row: int, now_ns: float, step_ns: float, count: int
+    ) -> "tuple[int, float]":
+        """Apply the longest prefix of the run in which the clock alone
+        sets every ACT: the bank is ready, tRAS has elapsed, and the
+        ACT lands at ``clock + tRP`` with tRC already met. Requires an
+        open bank. Returns ``(ACTs applied, clock after them)``.
+
+        ``np.add.accumulate`` adds sequentially, so the clock values
+        are the loop's bit for bit; each ACT's three maxes are then
+        checked elementwise with the loop's own float operations, and
+        the prefix ends at the first ACT where any of them would pick
+        another operand.
+        """
+        clock = np.full(count + 1, step_ns)
+        clock[0] = now_ns
+        np.add.accumulate(clock, out=clock)
+        now = clock[1:]
+        act = now + self._t_rp
+        last = np.empty(count)
+        last[0] = self.last_act_ns
+        last[1:] = act[:-1]
+        ready = last + self._t_rcd
+        ready[0] = self.ready_ns
+        bad = ready > now
+        bad |= last + self._t_ras > now
+        bad |= last + self._t_rc > act
+        done = int(bad.argmax())
+        if not bad[done]:
+            done = count
+        if done:
+            self.open_row = row
+            self.last_act_ns = float(act[done - 1])
+            self.ready_ns = self.last_act_ns + self._t_rcd
+        return done, float(clock[done])
 
     def precharge(self, now_ns: float) -> float:
         """Close the row buffer; returns when the bank is idle again."""

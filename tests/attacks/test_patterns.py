@@ -3,11 +3,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.attacks.base import _END, _read_run
 from repro.attacks.patterns import (
     DoubleSidedAttack,
     HalfDoubleAttack,
     ManySidedAttack,
+    RowRuns,
     SingleSidedAttack,
 )
 from repro.attacks.rrs_adaptive import RRSAdaptiveAttack
@@ -77,3 +81,86 @@ def test_validation():
         HalfDoubleAttack(100, dose_interval=0)
     with pytest.raises(ValueError):
         RRSAdaptiveAttack(t_rrs=0)
+
+
+# The generators each pattern's ``rows()`` was before patterns defined
+# their streams as runs.
+def _single_generator(attack):
+    while True:
+        yield attack.aggressor
+
+
+def _double_generator(attack):
+    low, high = attack.victim - 1, attack.victim + 1
+    while True:
+        yield low
+        yield high
+
+
+def _many_generator(attack):
+    while True:
+        yield from attack.aggressors
+
+
+def _half_double_generator(attack):
+    count = 0
+    while True:
+        count += 1
+        if count % attack.dose_interval == 0:
+            yield attack.far
+        else:
+            yield attack.near
+
+
+@pytest.mark.parametrize(
+    "attack, generator",
+    [
+        (SingleSidedAttack(100), _single_generator),
+        (DoubleSidedAttack(100), _double_generator),
+        (ManySidedAttack([10, 20, 30]), _many_generator),
+        (ManySidedAttack([5, 5, 6]), _many_generator),
+        (ManySidedAttack([5, 6, 5]), _many_generator),
+        (ManySidedAttack([7, 7]), _many_generator),
+        (HalfDoubleAttack(100, dose_interval=1), _half_double_generator),
+        (HalfDoubleAttack(100, dose_interval=2), _half_double_generator),
+        (HalfDoubleAttack(100, dose_interval=64), _half_double_generator),
+        (HalfDoubleAttack(100, dose_interval=10**9), _half_double_generator),
+    ],
+)
+def test_rows_pinned_to_the_generators(attack, generator):
+    assert _take(attack.rows(), 5_000) == _take(generator(attack), 5_000)
+
+
+@given(
+    runs=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 6)), min_size=1, max_size=6
+    ).filter(lambda runs: any(length for _, length in runs)),
+    reads=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 30)), min_size=1, max_size=30
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_read_run_matches_one_row_at_a_time(runs, reads):
+    """``RowRuns.read_run`` returns what the one-row-at-a-time read
+    returns and leaves the stream where that read leaves it."""
+    stream = RowRuns(runs)
+    plain = iter(RowRuns(runs))
+    plain = (row for row in plain)  # a foreign iterable: the loop reads it
+    for use_run, limit in reads:
+        row = next(stream)
+        assert next(plain) == row
+        if use_run:
+            got = stream.read_run(row, limit)
+            want = _read_run(plain, row, limit)
+            assert want[1] is not _END  # the stream is infinite
+            assert got == want
+    assert _take(stream, 40) == _take(plain, 40)
+
+
+def test_row_runs_validation():
+    with pytest.raises(ValueError):
+        RowRuns([])
+    with pytest.raises(ValueError):
+        RowRuns([(1, 0)])
+    with pytest.raises(ValueError):
+        RowRuns([(1, -1), (2, 1)])

@@ -146,6 +146,22 @@ def _plain(value):
     return value
 
 
+def _harness_state(harness, results):
+    """Everything a replay leaves behind: results, fault model, bank
+    timing and counts, clock and window, and the mitigation's state."""
+    return {
+        "results": results,
+        "disturbance": harness.disturbance._disturbance.tobytes(),
+        "flipped": harness.disturbance._flipped_this_window.tobytes(),
+        "fault_window": harness.disturbance.window,
+        "timing": harness.bank.timing.snapshot_state(),
+        "bank": harness.bank.snapshot_state(),
+        "now_ns": harness.now_ns,
+        "window_index": harness.window_index,
+        "mitigation": _plain(harness.mitigation.snapshot_state()),
+    }
+
+
 def _replay(
     make_mitigation, attack, oracle, harness_kwargs=None, runs=1, traced=False,
     **run_kwargs,
@@ -161,19 +177,9 @@ def _replay(
     harness = AttackHarness(mitigation, dram, **kwargs)
     rows = _Counted(attack.rows())
     results = [astuple(harness.run(rows, **run_kwargs)) for _ in range(runs)]
-    state = {
-        "results": results,
-        "disturbance": harness.disturbance._disturbance.tobytes(),
-        "flipped": harness.disturbance._flipped_this_window.tobytes(),
-        "fault_window": harness.disturbance.window,
-        "timing": harness.bank.timing.snapshot_state(),
-        "bank": harness.bank.snapshot_state(),
-        "now_ns": harness.now_ns,
-        "window_index": harness.window_index,
-        "mitigation": _plain(mitigation.snapshot_state()),
-        "rows_read": rows.read,
-        "rounds": getattr(attack, "rounds", None),
-    }
+    state = _harness_state(harness, results)
+    state["rows_read"] = rows.read
+    state["rounds"] = getattr(attack, "rounds", None)
     if harness.tracer is not None:
         state["events"] = [
             (e.category, e.name, e.ts_ns, e.args) for e in harness.tracer.events
@@ -211,6 +217,39 @@ def test_matrix_matches_per_activation(attack, mitigation, stop_on_flip):
         assert runs == []
     elif attack in ("single", "halfdouble-inf", "adaptive"):
         assert _share(runs, results) > 0.5
+
+
+# The attacks whose rows() is a pattern's RowRuns stream.
+PATTERNS = sorted(set(ATTACKS) - {"adaptive"})
+
+
+@pytest.mark.parametrize("stop_on_flip", [True, False])
+@pytest.mark.parametrize("mitigation", ["none", "rrs", "graphene", "ideal-vfm", "trr"])
+@pytest.mark.parametrize("attack", PATTERNS)
+def test_pattern_streams_match_plain_iterators(attack, mitigation, stop_on_flip):
+    """A pattern's own stream (read a run at a time) and the same rows
+    through a plain iterator (read one row at a time) leave the same
+    state, and the next row each stream yields after every ``run`` is
+    the same: both read exactly as far as the per-activation replay."""
+
+    def replay(plain):
+        harness = AttackHarness(MITIGATIONS[mitigation](), _dram(), t_rh=T_RH)
+        stream = ATTACKS[attack]().rows()
+        if plain:
+            stream = (row for row in stream)
+        results, following = [], []
+        for budget in (700, 2_345, 2_346, 6_000):
+            results.append(
+                astuple(
+                    harness.run(
+                        stream, max_activations=budget, stop_on_flip=stop_on_flip
+                    )
+                )
+            )
+            following.append(next(stream))
+        return _harness_state(harness, results), following
+
+    assert replay(plain=False) == replay(plain=True)
 
 
 @pytest.mark.parametrize("mitigation", ["none", "rrs", "graphene", "ideal-vfm", "trr"])

@@ -10,17 +10,20 @@
   ``on_activate`` calls up to and including the first one that records
   a flip, and ``activations_to_flip`` against where that flip lands;
 * ``BankTimingState.activate_run`` against ``activate_only`` calls on a
-  clock advanced one add at a time.
+  clock advanced one add at a time, for runs up to the harness's
+  ``RUN_CHUNK``, across its vectorized clock-bound prefix and the loop
+  that finishes a run from the first ACT the prefix rejects.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.base import RUN_CHUNK
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
 from repro.dram.faults import DisturbanceModel
-from repro.dram.timing import BankTimingState
+from repro.dram.timing import VECTOR_MIN_RUN, BankTimingState
 from repro.mitigations.base import tracker_run_credit
 from repro.mitigations.graphene import Graphene
 from repro.track.array_state import ArrayMisraGries
@@ -190,24 +193,22 @@ def test_on_activate_run_equals_single_activations(coupling, t_rh, events):
         assert _fault_state(kernel) == _fault_state(oracle)
 
 
-@given(
-    start=st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
-    step=st.sampled_from([45.0, 45.25, 1.0 / 3.0 + 45]),
-    count=st.integers(min_value=1, max_value=60),
-    opened=st.booleans(),
-    ready_offset=st.floats(min_value=-100.0, max_value=100.0),
-    t_ras=st.sampled_from([0, 20]),  # 0: tRC - tRP; 20 leaves tRC binding
-)
-@settings(max_examples=150, deadline=None)
-def test_activate_run_equals_repeated_activate_only(
-    start, step, count, opened, ready_offset, t_ras
-):
-    config = DRAMConfig(t_ras=t_ras)
-    kernel = BankTimingState(config=config)
+class _SpiedTiming(BankTimingState):
+    """Records ``(count, done)`` for each vectorized prefix it takes."""
+
+    def _clock_bound_prefix(self, row, now_ns, step_ns, count):
+        done, clock = super()._clock_bound_prefix(row, now_ns, step_ns, count)
+        self.seen.append((count, done))
+        return done, clock
+
+
+def _activate_run_matches(config, state, start, step, count, seen):
+    kernel = _SpiedTiming(config=config)
+    kernel.seen = seen
     oracle = BankTimingState(config=config)
-    if opened:
-        for state in (kernel, oracle):
-            state.restore_state((7, start - 40.0, start + ready_offset))
+    if state is not None:
+        for timing in (kernel, oracle):
+            timing.restore_state(state)
     clock = kernel.activate_run(9, start, step, count)
     want = start
     for _ in range(count):
@@ -215,3 +216,55 @@ def test_activate_run_equals_repeated_activate_only(
         oracle.activate_only(9, want)
     assert clock == want
     assert kernel.snapshot_state() == oracle.snapshot_state()
+    assert all(type(value) in (int, float) for value in kernel.snapshot_state())
+
+
+@given(
+    start=st.floats(min_value=0.0, max_value=1e8, allow_nan=False),
+    # Below tRC = 45, tRC binds from the second ACT (30 also trips tRAS
+    # at t_ras=20, 40 only tRC); fractional steps round the clock on
+    # every add.
+    step=st.sampled_from([45.0, 45.25, 1.0 / 3.0 + 45, 30.0, 40.0, 45.0 + 2.0**-30]),
+    count=st.integers(min_value=1, max_value=RUN_CHUNK),
+    opened=st.booleans(),
+    # Far ahead: the bank, not the clock, sets the first ACTs.
+    ready_offset=st.one_of(
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=1e3, max_value=5e4),
+    ),
+    t_ras=st.sampled_from([0, 20]),  # 0: tRC - tRP; 20 leaves tRC binding
+)
+@settings(max_examples=200, deadline=None)
+def test_activate_run_equals_repeated_activate_only(
+    start, step, count, opened, ready_offset, t_ras
+):
+    state = (7, start - 40.0, start + ready_offset) if opened else None
+    _activate_run_matches(DRAMConfig(t_ras=t_ras), state, start, step, count, [])
+
+
+def test_activate_run_takes_prefix_and_loop_tail():
+    """The examples that show each side of ``activate_run`` runs: a
+    whole run vectorized, a vectorized first ACT with the loop finishing
+    the run, and a run the loop takes from its first ACT."""
+    cases = [
+        # clock-bound throughout (tRAS and tRC met with equality)
+        (DRAMConfig(), (7, 1_000.0, 1_010.0), 1_045.5, 45.0, RUN_CHUNK, RUN_CHUNK),
+        # tRC (and tRAS) bind from the second ACT on
+        (DRAMConfig(t_ras=20), (7, 0.0, 10.0), 1_000.0, 30.0, 500, 1),
+        # tRC alone binds from the second ACT on
+        (DRAMConfig(t_ras=20), (7, 0.0, 10.0), 1_000.0, 40.0, 500, 1),
+        # ready far ahead: the bank sets the first ACT
+        (DRAMConfig(), (7, 1_000.0, 9e4), 1_045.0, 45.25, 700, 0),
+        # fractional steps, clock-bound throughout
+        (DRAMConfig(), (7, 1_000.0, 1_010.0), 1e7 + 0.1, 1.0 / 3.0 + 45, 900, 900),
+    ]
+    for config, state, start, step, count, done in cases:
+        seen = []
+        _activate_run_matches(config, state, start, step, count, seen)
+        assert seen == [(count, done)]
+    # Short runs and closed banks stay in the loop.
+    seen = []
+    short = VECTOR_MIN_RUN - 1
+    _activate_run_matches(DRAMConfig(), (7, 0.0, 10.0), 100.0, 45.0, short, seen)
+    _activate_run_matches(DRAMConfig(), None, 100.0, 45.0, 300, seen)
+    assert seen == []
