@@ -18,7 +18,7 @@ kernel-check:  ## compile the block loop's C source with every warning an error
 	$(CC) -O2 -ffp-contract=off -std=c99 -fPIC -Wall -Wextra -Werror \
 		-c src/repro/mem/block_loop.c -o build/kernel-check/block_loop.o
 
-check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow passes
+check:  ## repro.check pillars: linter, sanitizer smoke, flow passes
 	$(PYTHON) -m repro check
 
 check-flow:  ## flow passes only: snapshot coverage, oracle pairs

@@ -173,6 +173,8 @@ class AttackHarness:
             if max_activations is not None:
                 limit = min(limit, max_activations - result.activations)
             limit = self._window_fit(limit, window_ns)
+            # The one flip bound of this run: on_activate_run applies
+            # the count it is handed.
             limit = disturbance.activations_to_flip(wordline, limit) or limit
             count, logical_next = read_run(logical_row, limit)
             self._activate_run(logical_row, physical_row, wordline, count)

@@ -1,6 +1,6 @@
 """Static and runtime analysis guarding the reproduction's invariants.
 
-Four pillars, surfaced through ``python -m repro check``:
+Three pillars, surfaced through ``python -m repro check``:
 
 * :mod:`repro.check.linter` — an AST determinism linter with
   project-specific rules (RRS001...): every simulation result must be a
@@ -12,10 +12,6 @@ Four pillars, surfaced through ``python -m repro check``:
   runtime DDR4 protocol checker hooked into the banks' command streams
   plus an RRS swap-machinery auditor, raising a structured
   :class:`~repro.check.sanitizer.ProtocolViolation` on the first break.
-* :mod:`repro.check.salt` — the cache-salt drift detector: the
-  ``CACHE_SALT`` policy of :mod:`repro.exec.cache` enforced by hashing
-  every simulation-relevant source file against a committed manifest,
-  the only manifest this package keeps.
 * ``--flow`` — two passes over one shared
   :class:`~repro.check.callgraph.ProjectGraph`:
   :mod:`repro.check.statecheck` (STA001/STA002 snapshot coverage) and

@@ -1,11 +1,9 @@
 """The ``python -m repro check`` entry point.
 
-Runs up to four pillars and folds everything into one exit code:
+Runs up to three pillars and folds everything into one exit code:
 
 * ``--rules``  — the determinism linter over the simulation packages
   (or over explicit ``--paths``);
-* ``--salt``   — the cache-salt drift detector (``--update-salt``
-  re-blesses the tree after an I/O-only change or a salt bump);
 * ``--sanitize`` — a short smoke simulation with the DDR4 protocol
   sanitizer installed, proving the command streams it emits are legal;
 * ``--flow``  — the project-graph passes: snapshot coverage (STA...:
@@ -13,7 +11,7 @@ Runs up to four pillars and folds everything into one exit code:
   protocol) and oracle-pair completeness (ORA001: every
   scalar-oracle/batched-kernel pair has both sides and a test).
 
-With no pillar flag, all four run. ``--format json`` emits a single
+With no pillar flag, all three run. ``--format json`` emits a single
 machine-readable findings document. The exit code reflects only the
 error tier: warn and advice findings are printed but never fail the
 build.
@@ -28,9 +26,24 @@ from repro.check.callgraph import ProjectGraph
 from repro.check.findings import Finding, Reporter, error_count
 from repro.check.linter import lint_paths, lint_tree
 from repro.check.oracle import check_oracles
-from repro.check.salt import check_salt, find_repo_root, write_manifest
 from repro.check.sanitizer import ProtocolSanitizer, ProtocolViolation
 from repro.check.statecheck import check_statecheck
+
+
+def find_repo_root(start: Optional[Path] = None) -> Optional[Path]:
+    """Nearest ancestor containing ``pyproject.toml``, else None.
+
+    Tries ``start`` (default: cwd) first, then this module's location —
+    so the check works from any cwd inside a source checkout.
+    """
+    candidates = [Path(start) if start is not None else Path.cwd()]
+    candidates.append(Path(__file__).resolve())
+    for origin in candidates:
+        node = origin.resolve()
+        for ancestor in (node, *node.parents):
+            if (ancestor / "pyproject.toml").is_file():
+                return ancestor
+    return None
 
 
 def _run_rules(root: Optional[Path], paths: List[str]) -> List[Finding]:
@@ -47,24 +60,6 @@ def _run_rules(root: Optional[Path], paths: List[str]) -> List[Finding]:
             )
         ]
     return lint_tree(root)
-
-
-def _run_salt(root: Optional[Path], update: bool, verbose: bool) -> List[Finding]:
-    if root is None:
-        return [
-            Finding(
-                rule="SALT001",
-                path="<repo>",
-                line=1,
-                message="cannot locate the repository root (no "
-                "pyproject.toml above cwd); pass --root",
-            )
-        ]
-    if update:
-        path = write_manifest(root)
-        if verbose:
-            print(f"salt manifest refreshed: {path}")
-    return check_salt(root)
 
 
 def _run_sanitize_smoke(verbose: bool, records: int = 8000) -> List[Finding]:
@@ -137,9 +132,8 @@ def _run_flow(root: Optional[Path]) -> List[Finding]:
 def run_check(args) -> int:
     """Execute the selected pillars; returns the process exit code."""
     flow = getattr(args, "flow", False)
-    pillars_requested = args.rules or args.salt or args.sanitize or flow
+    pillars_requested = args.rules or args.sanitize or flow
     run_rules = args.rules or not pillars_requested
-    run_salt = args.salt or not pillars_requested
     run_sanitize = args.sanitize or not pillars_requested
     run_flow = flow or not pillars_requested
 
@@ -148,8 +142,6 @@ def run_check(args) -> int:
     findings: List[Finding] = []
     if run_rules:
         findings.extend(_run_rules(root, args.paths))
-    if run_salt:
-        findings.extend(_run_salt(root, args.update_salt, verbose))
     if run_sanitize:
         findings.extend(_run_sanitize_smoke(verbose))
     if run_flow:

@@ -1,7 +1,7 @@
 """Finding records, the rule table, severity tiers, and the reporters.
 
-Every check in :mod:`repro.check` — linter rules, the flow passes, salt
-drift, sanitizer smoke results — and the ledger drift detector in
+Every check in :mod:`repro.check` — linter rules, the flow passes,
+sanitizer smoke results — and the ledger drift detector in
 :mod:`repro.obs.regress` report through the same
 :class:`Finding` shape so the CLI can merge them into one exit code and
 one ``--format json`` stream.
@@ -157,12 +157,7 @@ RULES: Dict[str, RuleInfo] = {
         "drift cannot be judged yet",
         SEVERITY_ADVICE,
     ),
-    # Non-linter pillars reuse the Finding shape under these ids.
-    "SALT001": RuleInfo(
-        "cache-salt-drift",
-        "a simulation-relevant source file changed without a CACHE_SALT "
-        "bump or a manifest refresh",
-    ),
+    # The sanitizer smoke reuses the Finding shape under this id.
     "SAN001": RuleInfo(
         "protocol-violation",
         "the DDR4 protocol sanitizer observed a violation during the "

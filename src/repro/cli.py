@@ -16,9 +16,9 @@ Nine subcommands cover the library's main entry points:
   fingerprint's cuts, or verify the round-trip oracle (see
   :mod:`repro.state`)
 * ``info``     — list available workloads, defenses, and attacks
-* ``check``    — determinism linter, cache-salt drift detector, a DDR4
-  protocol-sanitizer smoke run, and the project-graph passes (snapshot
-  coverage, oracle-pair completeness; see :mod:`repro.check`)
+* ``check``    — determinism linter, a DDR4 protocol-sanitizer smoke
+  run, and the project-graph passes (snapshot coverage, oracle-pair
+  completeness; see :mod:`repro.check`)
 """
 
 from __future__ import annotations
@@ -756,12 +756,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="determinism linter + salt drift + protocol sanitizer + flow",
+        help="determinism linter + protocol sanitizer + flow",
         description=(
             "Run the repro.check analysis pillars. With no pillar flag "
-            "all four run: the determinism linter (--rules), the "
-            "cache-salt drift detector (--salt), a protocol-"
-            "sanitizer smoke simulation (--sanitize), and the "
+            "all three run: the determinism linter (--rules), a "
+            "protocol-sanitizer smoke simulation (--sanitize), and the "
             "project-graph passes (--flow: snapshot coverage, oracle "
             "pairs). Exit code is non-zero only when an error-tier "
             "finding is reported."
@@ -769,9 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--rules", action="store_true", help="run only the determinism linter"
-    )
-    check.add_argument(
-        "--salt", action="store_true", help="run only the salt drift detector"
     )
     check.add_argument(
         "--sanitize", action="store_true", help="run only the sanitizer smoke"
@@ -787,10 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--paths", nargs="*", default=[], metavar="FILE",
         help="lint these files instead of the simulation packages",
-    )
-    check.add_argument(
-        "--update-salt", action="store_true",
-        help="re-bless the tree: rewrite the salt manifest before checking",
     )
     check.add_argument(
         "--root", default=None,

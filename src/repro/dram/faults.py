@@ -103,26 +103,26 @@ class DisturbanceModel:
             self._disturb(row + 2, count * self.distance2_coupling, cause)
 
     # repro-oracle: disturbance-activate-run -- kernel
-    def on_activate_run(self, row: int, count: int) -> int:
-        """Apply up to ``count`` back-to-back single activations of
-        ``row``, stopping after the first one that records a flip;
-        returns how many were applied.
+    def on_activate_run(self, row: int, count: int) -> None:
+        """Apply ``count`` back-to-back single activations of ``row``,
+        a count the caller has already bounded by
+        :meth:`activations_to_flip`: only the last of them may record a
+        flip.
 
-        Bit-identical to that many ``on_activate(row)`` calls: each
+        Bit-identical to ``count`` ``on_activate(row)`` calls: each
         neighbour's value is ``amt`` added one add at a time, as the
         scalar path adds it (one ``count * amt`` add would round
         differently, and distance-1 neighbours also hold fractional
-        values). Flips of the stopping activation are recorded in the
+        values). Flips of the last activation are recorded in the
         scalar neighbour order (-1, +1, -2, +2).
         """
         self._check_row(row)
         if count <= 0:
-            return 0
-        applied = self.activations_to_flip(row, count) or count
+            return
         disturbance = self._disturbance
         disturbance[row] = 0.0
         for neighbour, amount in self._neighbour_amounts(row):
-            value = reduce(add, repeat(amount, applied), float(disturbance[neighbour]))
+            value = reduce(add, repeat(amount, count), float(disturbance[neighbour]))
             disturbance[neighbour] = value
             if value >= self.t_rh and not self._flipped_this_window[neighbour]:
                 self._flipped_this_window[neighbour] = True
@@ -134,7 +134,6 @@ class DisturbanceModel:
                         cause="activate",
                     )
                 )
-        return applied
 
     def activations_to_flip(self, row: int, limit: int) -> int:
         """The position (1-based) of the first of the next ``limit``

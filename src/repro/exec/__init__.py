@@ -10,11 +10,11 @@ that grid into a first-class object:
 * :class:`SweepRunner` — fans points over worker processes
   (``jobs`` / ``$REPRO_JOBS``) with bit-identical-to-serial results.
 * :class:`ResultCache` — SHA-256 content-addressed on-disk memoization
-  of :class:`~repro.mem.metrics.SimMetrics`, salted by ``CACHE_SALT``.
+  of :class:`~repro.mem.metrics.SimMetrics`, keyed on the run and on
+  :func:`~repro.exec.cache.source_digest` of the package's own code.
 """
 
 from repro.exec.cache import (
-    CACHE_SALT,
     ResultCache,
     cache_enabled_by_env,
     canonical_key,
@@ -30,7 +30,6 @@ from repro.exec.runner import (
 from repro.exec.specs import MitigationSpec, register_mitigation, registered_kinds
 
 __all__ = [
-    "CACHE_SALT",
     "ResultCache",
     "cache_enabled_by_env",
     "canonical_key",

@@ -2,20 +2,19 @@
 
 Every sweep point is hashed to a SHA-256 key over its *complete* input
 description — canonicalized system configuration, mitigation recipe,
-workload name, trace seed, request count — plus a code-version salt.
-The serialized :class:`~repro.mem.metrics.SimMetrics` for that key is
+workload name, trace seed, request count — plus the digest of the
+package's own source. The serialized :class:`~repro.mem.metrics.SimMetrics` for that key is
 stored as one JSON file, so re-running a sweep only simulates points
 whose inputs actually changed.
 
-Salt policy
------------
-``CACHE_SALT`` must be bumped whenever a change alters *simulation
-semantics* — timing rules, trace generation, mitigation behaviour,
-metric definitions — because cached results would otherwise be replayed
-for code that no longer produces them. Pure refactors, new subsystems,
-and I/O changes do not require a bump. The salt participates in every
-key, so bumping it atomically invalidates the whole cache without
-deleting files.
+Code in the key
+---------------
+:func:`source_digest` hashes every ``*.py`` and ``*.c`` file of the
+installed ``repro`` package, and :func:`canonical_key` folds it into
+every key (result-cache keys and checkpoint fingerprints alike). A
+cached result is a claim about the code that produced it, so any edit
+to the package misses the cache once — refactors included. Entries of
+older trees are never read again; ``make clean-cache`` reclaims them.
 
 Location: ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``.
 Set ``REPRO_CACHE=0`` to disable caching globally.
@@ -27,17 +26,11 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.mem.metrics import SimMetrics
-
-# Bump on any semantics-affecting simulator change (see module docs).
-# v2: tRAS-aware precharge scheduling + tRAS/tRRD/tFAW config fields.
-# This policy is machine-enforced: `python -m repro check --salt`
-# hashes every simulation-relevant source against the manifest in
-# src/repro/check/salt_manifest.json and fails CI on unsalted drift.
-CACHE_SALT = "rrs-sim-v2"
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLE = "REPRO_CACHE"
@@ -56,15 +49,40 @@ def cache_enabled_by_env() -> bool:
     return os.environ.get(_ENV_ENABLE, "1") != "0"
 
 
-def canonical_key(description: Dict[str, Any], salt: str = CACHE_SALT) -> str:
-    """SHA-256 hex key over a canonical-JSON run description + salt.
+def digest_sources(package: Path) -> str:
+    """SHA-256 over the path and bytes of every ``*.py`` and ``*.c``
+    file under ``package`` (sorted, ``__pycache__`` skipped)."""
+    package = Path(package)
+    sources = sorted(
+        (path.relative_to(package).as_posix(), path)
+        for path in package.rglob("*")
+        if path.suffix in (".py", ".c")
+        and "__pycache__" not in path.relative_to(package).parts
+    )
+    digest = hashlib.sha256()
+    for name, path in sources:
+        digest.update(name.encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def source_digest() -> str:
+    """:func:`digest_sources` of the installed ``repro`` package,
+    computed once per process."""
+    return digest_sources(Path(__file__).resolve().parents[1])
+
+
+def canonical_key(description: Dict[str, Any]) -> str:
+    """SHA-256 hex key over a canonical-JSON run description and the
+    package's :func:`source_digest`.
 
     Rejects descriptions that cannot be canonicalized stably: NaN and
     ±inf (whose JSON spellings are non-standard and compare unequal to
     themselves) and values with no JSON representation would otherwise
     produce a silently unstable — or unreachable — cache key.
     """
-    payload = {"salt": salt, "run": description}
+    payload = {"source": source_digest(), "run": description}
     try:
         text = json.dumps(
             payload, sort_keys=True, separators=(",", ":"), allow_nan=False

@@ -61,7 +61,7 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 from repro.dram.config import DRAMConfig
-from repro.exec.cache import CACHE_SALT, ResultCache, canonical_key
+from repro.exec.cache import ResultCache, canonical_key
 from repro.exec.specs import MitigationSpec
 from repro.mem.cpu import CoreConfig
 from repro.mem.metrics import SimMetrics
@@ -196,7 +196,7 @@ class SweepPoint:
             t_rh=self.t_rh,
         )
 
-    def cache_key(self, salt: str = CACHE_SALT) -> str:
+    def cache_key(self) -> str:
         """Content hash over every input that shapes the result."""
         point = self.resolved()
         description = {
@@ -206,7 +206,7 @@ class SweepPoint:
             "records_per_core": point.records_per_core,
             "seed": point.seed,
         }
-        return canonical_key(description, salt=salt)
+        return canonical_key(description)
 
     def checkpoint_fingerprint(self) -> str:
         """Fingerprint naming the *stream* this point simulates.

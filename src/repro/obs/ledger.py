@@ -14,8 +14,9 @@ Invariants
 * **Observational.** The ledger only records; nothing in the
   simulation ever reads it. A sweep with the ledger enabled produces
   bit-identical :class:`SimMetrics` to one with it disabled (asserted
-  by ``tests/exec/test_determinism.py``), so no ``CACHE_SALT`` bump is
-  ever needed for ledger changes.
+  by ``tests/exec/test_determinism.py``). Like any package edit, a
+  ledger change still misses the result cache once: cache keys carry
+  the package's source digest (:func:`repro.exec.cache.source_digest`).
 * **Append-only.** :meth:`RunLedger.append` writes one JSON line per
   entry with a single ``write`` call on a line-buffered append handle;
   concurrent sweeps interleave whole lines, never torn ones (POSIX

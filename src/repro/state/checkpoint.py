@@ -3,7 +3,8 @@
 :class:`SimCheckpoint` is one cut of a run: the schema version, a
 config *fingerprint* (the SHA-256 canonical key of everything that
 shapes the simulation — workload, system config, mitigation recipe,
-seed, and the behaviour-relevant env toggles), the number of requests
+seed, the behaviour-relevant env toggles, and the package's source
+digest), the number of requests
 serviced at the cut, and the pure-data payload assembled by
 :meth:`SystemSimulator.checkpoint`.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.exec.cache import CACHE_SALT, canonical_key, default_cache_dir
+from repro.exec.cache import canonical_key, default_cache_dir
 from repro.state.protocol import STATE_SCHEMA_VERSION
 from repro.state.serial import decode_state, encode_state
 
@@ -56,7 +57,7 @@ def run_fingerprint(description: Dict[str, Any]) -> str:
     input that shapes simulated state — restoring a checkpoint under a
     mismatched fingerprint is refused.
     """
-    return canonical_key(description, CACHE_SALT)
+    return canonical_key(description)
 
 
 @dataclass

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.exec import MitigationSpec, ResultCache, SweepPoint, canonical_key
+from repro.exec import cache as cache_module
 from repro.exec.cache import default_cache_dir
 from repro.mem.metrics import SimMetrics
 
@@ -97,11 +98,12 @@ def test_canonical_key_is_order_independent():
     assert len(a) == 64
 
 
-def test_canonical_key_salt_invalidates():
+def test_canonical_key_source_digest_invalidates(monkeypatch):
     description = {"x": 1}
-    assert canonical_key(description, salt="v1") != canonical_key(
-        description, salt="v2"
-    )
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "a" * 64)
+    first = canonical_key(description)
+    monkeypatch.setattr(cache_module, "source_digest", lambda: "b" * 64)
+    assert canonical_key(description) != first
 
 
 def test_sweep_point_key_depends_on_every_input():

@@ -6,7 +6,8 @@
   the tracker and through RRS (array and CAT tracker) and Graphene,
   ``run_credit`` further activations of a row are all noops, and for a
   tracked row the one after them acts;
-* ``DisturbanceModel.on_activate_run(row, k)`` against single
+* ``DisturbanceModel.on_activate_run(row, k)``, with ``k`` bounded by
+  ``activations_to_flip`` as the harness bounds it, against single
   ``on_activate`` calls up to and including the first one that records
   a flip, and ``activations_to_flip`` against where that flip lands;
 * ``BankTimingState.activate_run`` against ``activate_only`` calls on a
@@ -180,7 +181,8 @@ def test_on_activate_run_equals_single_activations(coupling, t_rh, events):
             oracle.end_window()
         else:
             flip_at = kernel.activations_to_flip(row, count)
-            applied = kernel.on_activate_run(row, count)
+            applied = flip_at or count
+            kernel.on_activate_run(row, applied)
             want = 0
             flips = len(oracle.flips)
             while want < count:

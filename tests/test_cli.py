@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.check.cli import find_repo_root
 from repro.cli import build_parser, main
 
 BAD_FIXTURE = Path(__file__).parent / "check" / "fixtures" / "bad_module.py"
@@ -19,7 +20,6 @@ def test_parser_subcommands():
         ["info"],
         ["check"],
         ["check", "--rules", "--format", "json"],
-        ["check", "--salt", "--update-salt"],
     ):
         args = parser.parse_args(argv)
         assert callable(args.func)
@@ -96,7 +96,7 @@ def test_attack_command_supports_every_defense(defense, capsys):
 
 
 def test_check_clean_tree_exit_zero(capsys):
-    assert main(["check", "--rules", "--salt"]) == 0
+    assert main(["check", "--rules"]) == 0
     assert "ok: no findings" in capsys.readouterr().out
 
 
@@ -126,10 +126,17 @@ def test_check_parser_accepts_flow_flags():
     parser = build_parser()
     assert parser.parse_args(["check", "--flow"]).flow
     assert not parser.parse_args(["check"]).flow
-    # --update-salt is the only re-bless verb.
-    for retired in ("--update-oracles", "--update-baseline"):
+    # The check keeps no committed manifest, so no re-bless verb is left.
+    rebless = [f"--update-{name}" for name in ("oracles", "baseline", "salt")]
+    for retired in ["--salt", *rebless]:
         with pytest.raises(SystemExit):
             parser.parse_args(["check", "--flow", retired])
+
+
+def test_repo_root_discovery():
+    repo_root = Path(__file__).resolve().parents[1]
+    assert find_repo_root(repo_root) == repo_root
+    assert find_repo_root(repo_root / "src" / "repro") == repo_root
 
 
 def test_check_flow_clean_tree_exit_zero(capsys):
