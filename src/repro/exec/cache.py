@@ -27,6 +27,7 @@ import json
 import os
 import tempfile
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -169,11 +170,16 @@ class ResultCache:
         self.stores += 1
 
     def clear(self) -> int:
-        """Delete every entry under the cache root; returns the count."""
+        """Delete every entry under the cache root, and every checkpoint
+        cut under its ``checkpoints/<fp[:2]>/<fp>/`` (where
+        ``CheckpointStore`` keeps them by default: a package edit
+        orphans them all); returns the count."""
         removed = 0
         if not self.root.exists():
             return removed
-        for entry in self.root.glob("*/*.json"):
+        for entry in chain(
+            self.root.glob("*/*.json"), self.root.glob("checkpoints/*/*/*.json")
+        ):
             try:
                 entry.unlink()
                 removed += 1

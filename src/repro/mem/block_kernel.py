@@ -91,11 +91,14 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
  P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_TABLES, P_TIME, P_INST, P_RETIRED,
  P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER,
  P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK,
- P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP, P_COUNT) = range(35)
+ P_TRK_SLOTS, P_TRK_TABLE, P_TRK_MIN, P_COUNT) = range(35)
 (EV_DONE, EV_STOP, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT, EV_BLOCK,
  EV_BAD_ROW) = range(8)
 # Per-bank tracker fields (rows of the P_TRK array).
 T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N = range(6)
+# Header words of a bank's min-count set (P_TRK_MIN), before its bitmap.
+MIN_BITS = 2
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 # Per-channel stats columns: int64 (reads, writes, activations,
 # row-buffer hits) and double (swap-blocked, throttle, latency ns).
 S_N, S_D = 4, 3
@@ -250,8 +253,10 @@ class RouteTables:
 
 class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back before every return
     """C copies of per-bank ``ArrayMisraGries`` trackers, indexed by
-    flat bank (DESIGN.md §12.1): per bank the ``T_*`` fields, (row,
-    count) slots, a row -> slot table and the eviction heap.
+    flat bank (DESIGN.md §12.1): per bank the ``T_*`` fields, int32
+    (row, count) slots, an int32 row -> slot table and the min-count
+    set of eviction candidates (``MIN_BITS`` header words, then one bit
+    per slot).
 
     ``load`` copies a Python tracker in (``snapshot_state``), ``store``
     writes it back (``restore_state``), ``add`` hands over one more
@@ -260,7 +265,7 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
     own ``P``/``I``, which the block loop copies into its tables
     (``share``)."""
 
-    SLOTS = (P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_HEAP)
+    SLOTS = (P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_MIN)
 
     def __init__(self, lib, trackers: list) -> None:
         """``trackers[gfb]``: a ``(tracker, threshold)`` pair, or None
@@ -283,15 +288,15 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
                 self.add(gfb, pair)
 
     def _allocate(self, cap: int) -> None:
-        """Slots, tables and heaps for ``cap`` entries per bank."""
+        """Slots, tables and min-count sets for ``cap`` entries per bank."""
         n_banks = len(self.trackers)
         self.cap = cap
         self.mask = (1 << (2 * cap).bit_length()) - 1
         self.I[[I_TRK_CAP, I_TRK_MASK]] = (cap, self.mask)
-        self.slots = np.zeros(n_banks * 2 * cap, np.int64)
-        self.table = np.full(n_banks * (self.mask + 1), -1, np.int64)
-        self.heap = np.zeros(n_banks * 2 * cap, np.int64)
-        for slot, array in zip(self.SLOTS[1:], (self.slots, self.table, self.heap)):
+        self.slots = np.zeros(n_banks * 2 * cap, np.int32)
+        self.table = np.full(n_banks * (self.mask + 1), -1, np.int32)
+        self.min_set = np.zeros(n_banks * (MIN_BITS + -(-cap // 64)), np.int64)
+        for slot, array in zip(self.SLOTS[1:], (self.slots, self.table, self.min_set)):
             self.P[slot] = _address(array)
 
     def add(self, gfb: int, pair) -> None:
@@ -322,13 +327,16 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
         tracker = self.trackers[gfb][0]
         spill, rows, counts, heap_built = tracker.snapshot_state()
         n = len(rows)
+        # A restored checkpoint could carry any values: C must never
+        # index past the bank's slots or truncate a value to int32.
         if not n == len(counts) <= tracker.entries:
-            # A restored checkpoint could carry any lists; C must never
-            # index past the bank's slots.
             raise ValueError(
                 f"tracker of bank {gfb}: {n} rows and {len(counts)} counts "
                 f"for {tracker.entries} entries"
             )
+        for values in (rows, counts, (spill,)):
+            if values and not INT32_MIN <= min(values) <= max(values) <= INT32_MAX:
+                raise ValueError(f"tracker of bank {gfb}: a value outside int32")
         base = gfb * T_N
         self._meta[base + T_LIVE] = n
         self._meta[base + T_SPILL] = spill
@@ -371,11 +379,14 @@ def replay_hot_rows(mitigation, bank_key, rows) -> None:
     """:func:`replay_activations` for one window of one bank, with the
     bank's hot-row tracker in C: Python runs only at each hot row
     (``on_hot_row``). Falls back to the oracle when the library or the
-    tracker (``hot_row_tracker``) is unavailable."""
+    tracker (``hot_row_tracker``) is unavailable, or a row does not fit
+    C's int32 slots."""
     rows = np.ascontiguousarray(rows, np.int64)
     n = len(rows)
     lib = load()
-    pair = mitigation.hot_row_tracker(bank_key) if lib is not None and n else None
+    # C stores rows as int32.
+    fits = n and INT32_MIN <= rows.min() and rows.max() <= INT32_MAX
+    pair = mitigation.hot_row_tracker(bank_key) if lib is not None and fits else None
     if pair is None:
         replay_activations(mitigation, bank_key, rows)
         return

@@ -12,8 +12,11 @@
  * Graphene's ArrayMisraGries), the tracker itself runs here too: C
  * observes the logical row of every activation and returns only when
  * an estimate lands on a non-zero multiple of the threshold (a swap or
- * a refresh). On every other bank of a mitigation that observes
- * activations (I_MITIGATES), each activation returns to Python.
+ * a refresh). It keeps the Python tracker's rules and victims in a
+ * cache-sized layout: int32 slots and row table, and a min-count bitmap
+ * in place of the eviction heap. On every other bank of a mitigation
+ * that observes activations (I_MITIGATES), each activation returns to
+ * Python.
  *
  * Bit-identity with SystemSimulator._run_scalar: every double
  * operation runs in the oracle's order, every max() is the oracle's
@@ -46,7 +49,7 @@ enum {
     P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
     P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
     P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
-    P_TRK_HEAP, P_COUNT
+    P_TRK_MIN, P_COUNT
 };
 
 /* Events returned to Python. */
@@ -145,15 +148,23 @@ int64_t rk_route_get(const int64_t *table, int64_t mask, int64_t row)
 
 /* ---- hot-row tracker: track/array_state.py's ArrayMisraGries ----
  *
- * Per bank: T_N fields, (row, count) slots, a row -> slot table
- * (linear probing, -1 empty, deletion by backward shift) and the
- * eviction heap of (count lower bound, slot) pairs that bumps never
- * touch. The heap is built at the first full-table miss, like the
- * Python one, and corrected at the top on each later one: its settled
- * top is the exact minimum (count, slot), whatever its layout. */
+ * Per bank: T_N fields, int32 (row, count) slots, an int32 row -> slot
+ * table (linear probing, -1 empty, deletion by backward shift) and the
+ * min-count set that picks eviction victims: the minimum count m
+ * (MIN_M), how many slots hold it (MIN_N) and a bitmap of those slots.
+ * Once the table is full, m never falls: a hit raises a count, and an
+ * eviction writes spill + 1 > m (it evicts only when spill >= m). So a
+ * hit on a slot at m and an eviction only clear that slot's bit, the
+ * lowest set bit is the oracle's victim (the lowest slot among the
+ * minimum-count entries), and an emptied set is rebuilt by one scan of
+ * the counts at the next full-table miss. While the set is empty m is
+ * INT64_MIN, which no int32 count equals, so hits leave it alone. */
+
+enum { MIN_M, MIN_N, MIN_BITS };
 
 struct tracker {
-    int64_t *meta, *slots, *table, *heap;
+    int64_t *meta, *min;
+    int32_t *slots, *table;
     int64_t mask;
 };
 
@@ -164,9 +175,9 @@ static struct tracker tracker_of(const uint64_t *P, int64_t gfb)
     struct tracker t;
     t.mask = I[I_TRK_MASK];
     t.meta = (int64_t *)(uintptr_t)P[P_TRK] + gfb * T_N;
-    t.slots = (int64_t *)(uintptr_t)P[P_TRK_SLOTS] + gfb * 2 * cap;
-    t.table = (int64_t *)(uintptr_t)P[P_TRK_TABLE] + gfb * (t.mask + 1);
-    t.heap = (int64_t *)(uintptr_t)P[P_TRK_HEAP] + gfb * 2 * cap;
+    t.slots = (int32_t *)(uintptr_t)P[P_TRK_SLOTS] + gfb * 2 * cap;
+    t.table = (int32_t *)(uintptr_t)P[P_TRK_TABLE] + gfb * (t.mask + 1);
+    t.min = (int64_t *)(uintptr_t)P[P_TRK_MIN] + gfb * (MIN_BITS + (cap + 63) / 64);
     return t;
 }
 
@@ -176,7 +187,7 @@ static int64_t mg_probe(const struct tracker *t, int64_t row)
     uint64_t h = row_hash(row);
     for (;;) {
         int64_t pos = (int64_t)(h & (uint64_t)t->mask);
-        int64_t slot = t->table[pos];
+        int32_t slot = t->table[pos];
         if (slot < 0 || t->slots[2 * slot] == row)
             return pos;
         h++;
@@ -189,7 +200,7 @@ static void mg_unlink(const struct tracker *t, int64_t pos)
     uint64_t hole = (uint64_t)pos, next = (uint64_t)pos;
     for (;;) {
         next = (next + 1) & mask;
-        int64_t slot = t->table[next];
+        int32_t slot = t->table[next];
         if (slot < 0)
             break;
         /* An entry may fill the hole unless its home lies cyclically
@@ -204,94 +215,90 @@ static void mg_unlink(const struct tracker *t, int64_t pos)
     t->table[hole] = -1;
 }
 
-static int heap_before(const int64_t *heap, int64_t a, int64_t b)
+static uint64_t *mg_min_bits(const struct tracker *t)
 {
-    return heap[2 * a] < heap[2 * b]
-        || (heap[2 * a] == heap[2 * b] && heap[2 * a + 1] < heap[2 * b + 1]);
+    return (uint64_t *)(t->min + MIN_BITS);
 }
 
-static void mg_sift(int64_t *heap, int64_t n, int64_t pos)
+/* Drop slot (which holds m) from the set. */
+static void mg_min_drop(const struct tracker *t, int64_t slot)
 {
-    for (;;) {
-        int64_t child = 2 * pos + 1, low = pos;
-        if (child < n && heap_before(heap, child, low))
-            low = child;
-        if (child + 1 < n && heap_before(heap, child + 1, low))
-            low = child + 1;
-        if (low == pos)
-            return;
-        int64_t count = heap[2 * pos], slot = heap[2 * pos + 1];
-        heap[2 * pos] = heap[2 * low];
-        heap[2 * pos + 1] = heap[2 * low + 1];
-        heap[2 * low] = count;
-        heap[2 * low + 1] = slot;
-        pos = low;
-    }
+    mg_min_bits(t)[slot / 64] &= ~((uint64_t)1 << (slot % 64));
+    if (--t->min[MIN_N] == 0)
+        t->min[MIN_M] = INT64_MIN;
 }
 
-static void mg_build_heap(const struct tracker *t)
+/* Rebuild the set from the counts of a full table. */
+static void mg_min_scan(const struct tracker *t)
 {
     const int64_t n = t->meta[T_LIVE];
-    for (int64_t slot = 0; slot < n; slot++) {
-        t->heap[2 * slot] = t->slots[2 * slot + 1];
-        t->heap[2 * slot + 1] = slot;
-    }
-    for (int64_t pos = n / 2 - 1; pos >= 0; pos--)
-        mg_sift(t->heap, n, pos);
-    t->meta[T_HEAP] = 1;
+    uint64_t *bits = mg_min_bits(t);
+    int64_t low = t->slots[1], held = 0;
+    for (int64_t slot = 1; slot < n; slot++)
+        if (t->slots[2 * slot + 1] < low)
+            low = t->slots[2 * slot + 1];
+    for (int64_t word = 0; word < (n + 63) / 64; word++)
+        bits[word] = 0;
+    for (int64_t slot = 0; slot < n; slot++)
+        if (t->slots[2 * slot + 1] == low) {
+            bits[slot / 64] |= (uint64_t)1 << (slot % 64);
+            held++;
+        }
+    t->min[MIN_M] = low;
+    t->min[MIN_N] = held;
 }
 
 /* ArrayMisraGries.observe: the row's new estimate (0 after a spill). */
 static int64_t mg_observe(const struct tracker *t, int64_t row)
 {
-    int64_t *meta = t->meta, *slots = t->slots;
+    int64_t *meta = t->meta, *min = t->min;
+    int32_t *slots = t->slots;
     int64_t pos = mg_probe(t, row);
     int64_t slot = t->table[pos], estimate;
-    if (slot >= 0)
-        return ++slots[2 * slot + 1];
+    if (slot >= 0) {
+        estimate = slots[2 * slot + 1];
+        if (estimate == min[MIN_M])
+            mg_min_drop(t, slot);
+        slots[2 * slot + 1] = (int32_t)++estimate;
+        return estimate;
+    }
     estimate = meta[T_SPILL] + 1;
     if (meta[T_LIVE] < meta[T_ENTRIES]) {
         slot = meta[T_LIVE]++;
     } else {
-        int64_t *heap = t->heap;
-        int64_t count;
-        if (!meta[T_HEAP])
-            mg_build_heap(t);
-        slot = heap[1];
-        count = slots[2 * slot + 1];
-        while (count != heap[0]) {
-            heap[0] = count;
-            mg_sift(heap, meta[T_LIVE], 0);
-            slot = heap[1];
-            count = slots[2 * slot + 1];
-        }
-        if (meta[T_SPILL] < count) {
+        const uint64_t *bits = mg_min_bits(t), *word = bits;
+        if (min[MIN_N] == 0)
+            mg_min_scan(t);
+        meta[T_HEAP] = 1;
+        if (meta[T_SPILL] < min[MIN_M]) {
             meta[T_SPILL]++;
             return 0;
         }
-        heap[0] = estimate;
-        mg_sift(heap, meta[T_LIVE], 0);
+        while (*word == 0)
+            word++;
+        slot = 64 * (word - bits) + __builtin_ctzll(*word);
+        mg_min_drop(t, slot);
         mg_unlink(t, mg_probe(t, slots[2 * slot]));
         pos = mg_probe(t, row);
     }
-    slots[2 * slot] = row;
-    slots[2 * slot + 1] = estimate;
-    t->table[pos] = slot;
+    slots[2 * slot] = (int32_t)row;
+    slots[2 * slot + 1] = (int32_t)estimate;
+    t->table[pos] = (int32_t)slot;
     return estimate;
 }
 
 /* Index a bank's slots after Python wrote them (and its T_LIVE,
- * T_SPILL, T_HEAP fields): rebuild the table, and the heap if it was
- * built. */
+ * T_SPILL, T_HEAP fields): rebuild the table and empty the min-count
+ * set, which the next full-table miss rebuilds from the counts. */
 void rk_tracker_sync(const uint64_t *P, int64_t gfb)
 {
     struct tracker t = tracker_of(P, gfb);
     for (int64_t pos = 0; pos <= t.mask; pos++)
         t.table[pos] = -1;
     for (int64_t slot = 0; slot < t.meta[T_LIVE]; slot++)
-        t.table[mg_probe(&t, t.slots[2 * slot])] = slot;
-    if (t.meta[T_HEAP])
-        mg_build_heap(&t);
+        t.table[mg_probe(&t, t.slots[2 * slot])] = (int32_t)slot;
+    t.min[MIN_M] = INT64_MIN;
+    t.min[MIN_N] = 0;
 }
 
 /* Observe rows[start:n) in order; the index of the first activation

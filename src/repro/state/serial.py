@@ -12,8 +12,12 @@ a sentinel object:
   eviction and ``Counter.most_common`` tie-breaks) survive exactly.
 * int -> int dict     -> ``{"__di__": base64(int64 keys ++ values)}`` —
   the same, packed, when every key and value is a non-bool ``int`` in
-  int64 range (RIT maps: the bulk of a payload, encoded and parsed at
-  C speed instead of pair by pair).
+  int64 range (RIT maps: encoded and parsed at C speed instead of pair
+  by pair).
+* list of int tuples  -> ``{"__ti__": width, "b64": base64(int64
+  items)}`` — the same, for a non-empty list of equal-length, non-empty
+  tuples whose items are all non-bool ``int`` in int64 range (the RIT
+  entries ``(row, physical, window)``: the bulk of a payload).
 * numpy array         -> ``{"__nd__": dtype, "shape": [...], "b64":
   base64(tobytes)}`` — byte-exact, no text round trip.
 * non-finite float    -> ``{"__f__": "inf" | "-inf" | "nan"}``
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import base64
 import math
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -44,13 +49,12 @@ _PLAIN_IN = _PLAIN_OUT | {float}
 _INT64 = np.dtype("<i8")
 
 
-def _pack_int_dict(value: dict) -> Optional[str]:
-    """Keys then values of an all-int64 dict, packed; None if it is not one.
+def _pack_ints(flat: list) -> Optional[str]:
+    """``flat`` packed as int64; None unless every item is an int64 int.
 
     ``type(x) is int`` excludes ``bool`` and numpy scalars, and numpy
     refuses ints beyond int64, so only exact int64 data is packed.
     """
-    flat = [*value, *value.values()]
     if flat and set(map(type, flat)) != {int}:
         return None
     try:
@@ -58,6 +62,23 @@ def _pack_int_dict(value: dict) -> Optional[str]:
     except OverflowError:
         return None
     return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def _pack_int_dict(value: dict) -> Optional[str]:
+    """Keys then values of an all-int64 dict, packed; None if it is not one."""
+    return _pack_ints([*value, *value.values()])
+
+
+def _pack_int_tuples(value: list) -> Optional[dict]:
+    """A list of tuples (``value``'s items) that share one non-zero
+    length, items packed in order; None if it is not one."""
+    widths = set(map(len, value))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    packed = _pack_ints(list(chain.from_iterable(value)))
+    if packed is None:
+        return None
+    return {"__ti__": widths.pop(), "b64": packed}
 
 
 def encode_state(value: Any) -> Any:
@@ -79,8 +100,13 @@ def encode_state(value: Any) -> Any:
     if isinstance(value, tuple):
         return {"__t__": [encode_state(item) for item in value]}
     if isinstance(value, list):
-        if set(map(type, value)) <= _PLAIN_OUT:
+        types = set(map(type, value))
+        if types <= _PLAIN_OUT:
             return list(value)
+        if types == {tuple}:
+            packed = _pack_int_tuples(value)
+            if packed is not None:
+                return packed
         return [encode_state(item) for item in value]
     if type(value) is dict:
         # Strict type check: dict *subclasses* (Counter, defaultdict,
@@ -120,6 +146,9 @@ def decode_state(value: Any) -> Any:
             flat = np.frombuffer(base64.b64decode(value["__di__"]), _INT64)
             half = len(flat) // 2
             return dict(zip(flat[:half].tolist(), flat[half:].tolist()))
+        if "__ti__" in value:
+            flat = np.frombuffer(base64.b64decode(value["b64"]), _INT64)
+            return list(map(tuple, flat.reshape(-1, value["__ti__"]).tolist()))
         if "__d__" in value:
             return {
                 decode_state(k): decode_state(v) for k, v in value["__d__"]

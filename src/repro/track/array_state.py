@@ -19,9 +19,13 @@ run-length replay and for the compiled loop's C copy:
 
 The compiled system loop and Figure 5's replay run a C copy of this
 tracker for RRS and Graphene (``mem/block_loop.c``, DESIGN.md §12.1)
-with the same rules: they load and write back the ``snapshot_state``
-4-tuple and, in between, leave this object stale (an action asks C for
-membership). So this class is the tracker of the scalar loop and the
+with the same rules and victims, found there with a bitmap of the
+minimum-count slots instead of the heap, over int32 rows and counts:
+they load and write back the ``snapshot_state`` 4-tuple and, in
+between, leave this object stale (an action asks C for membership).
+``restore_state`` leaves the row -> slot dict unbuilt until its first
+use, since the loop's write-back at every window end is followed by a
+``reset``. So this class is the tracker of the scalar loop and the
 attack harnesses, and the fallback where the loop cannot be compiled.
 
 Tie-break policy: the reference tracker evicts the minimum-count entry
@@ -41,6 +45,7 @@ times per window.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from heapq import heapify, heapreplace
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -104,14 +109,24 @@ class ArrayMisraGries:
         self.spill = 0
         self._rows.clear()
         self._counts.clear()
-        self._slot_of.clear()
+        self._slot_of = {}
         self._heap = None
 
     def __contains__(self, row: int) -> bool:
         return row in self._slot_of
 
     def __len__(self) -> int:
-        return len(self._slot_of)
+        return len(self._rows)
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: restore_state leaves the
+        # row -> slot index unbuilt (the compiled loop writes a tracker
+        # back at every window end and then resets it), and its first
+        # use builds it.
+        if name != "_slot_of":
+            raise AttributeError(name)
+        self._slot_of = slot_of = dict(zip(self._rows, range(len(self._rows))))
+        return slot_of
 
     # ------------------------------------------------------------------
     # Deferred and run-length replay
@@ -169,7 +184,8 @@ class ArrayMisraGries:
         self.spill = spill
         self._rows = list(rows)
         self._counts = list(counts)
-        self._slot_of = dict(zip(self._rows, range(len(self._rows))))
+        with suppress(AttributeError):  # already unbuilt
+            del self._slot_of
         self._heap = [] if heap_built else None
 
     # ------------------------------------------------------------------

@@ -91,6 +91,22 @@ def test_clear_and_len(cache):
     assert len(cache) == 0
 
 
+def test_clear_removes_checkpoint_cuts(cache):
+    """``make clean-cache`` also drops the cuts a checkpointed run
+    persisted under ``<cache-dir>/checkpoints``, and counts them."""
+    from repro.state.checkpoint import CheckpointStore, SimCheckpoint
+
+    cache.put("ab" * 32, _metrics())
+    store = CheckpointStore(root=cache.root / "checkpoints")
+    fp = "cd" * 32
+    for serviced in (300, 600):
+        store.put(SimCheckpoint(fingerprint=fp, serviced=serviced, payload=(1,)))
+    assert store.cuts(fp) == [300, 600]
+    assert cache.clear() == 3
+    assert store.cuts(fp) == []
+    assert len(cache) == 0
+
+
 def test_canonical_key_is_order_independent():
     a = canonical_key({"x": 1, "y": 2})
     b = canonical_key({"y": 2, "x": 1})

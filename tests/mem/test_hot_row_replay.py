@@ -123,3 +123,18 @@ def test_swaps_per_window_falls_back_to_the_per_activation_loop(
     assert swaps_per_window(spec, DRAM, config) == expected
     assert len(calls) == expected[1]
     assert expected[0] > 0
+
+
+def test_rows_outside_int32_replay_through_the_oracle(compiled, monkeypatch):
+    """C keeps rows as int32, so a window with a row beyond int32 takes
+    ``replay_activations`` (the C tracker is never built) and leaves
+    the same RRS state."""
+    stream = bank_stream(get_workload("hmmer"), DRAM, 0).copy()
+    stream[len(stream) // 2] = 1 << 31
+    expected = RandomizedRowSwap(FIG5, DRAM)
+    replay_activations(expected, BANK, stream)
+    monkeypatch.setattr(block_kernel, "HotRowTrackers", None)
+    rrs = RandomizedRowSwap(FIG5, DRAM)
+    replay_hot_rows(rrs, BANK, stream)
+    assert expected.total_swaps > 0
+    assert rrs.snapshot_state() == expected.snapshot_state()

@@ -143,6 +143,56 @@ def test_numpy_int_dict_is_not_packed():
 
 
 # ----------------------------------------------------------------------
+# lists of int tuples (RIT entries): the packed fast path
+# ----------------------------------------------------------------------
+def test_int_tuple_list_fast_path_keeps_order_and_extremes():
+    value = [(5, 1, 0), (-3, 7, 2), (2**63 - 1, -(2**63), 1), (0, 0, 0)]
+    encoded = encode_state(value)
+    assert sorted(encoded) == ["__ti__", "b64"]
+    assert encoded["__ti__"] == 3
+    out = _roundtrip(value)
+    assert out == value
+    assert all(type(item) is tuple for item in out)
+    assert all(type(x) is int for item in out for x in item)
+
+
+def test_int_tuple_list_inside_a_payload_roundtrips():
+    value = ({"rit": [(1, 2, 3)], "forward": {1: 2}}, [(4,), (5,)])
+    assert _roundtrip(value) == value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        [()],
+        [(), ()],
+        [(1, True)],
+        [(True, 1), (2, 3)],
+        [(1, 2**63)],
+        [(-(2**63) - 1, 1)],
+        [(1, 2), (3, 4, 5)],
+        [(1, 2), (3,)],
+        [(1, 2.0)],
+        [(1, "a")],
+        [(1, (2,))],
+        [(1, 2), [3, 4]],
+        [(1, np.int64(2))],
+    ],
+)
+def test_int_tuple_list_fast_path_falls_back(value):
+    encoded = encode_state(value)
+    assert isinstance(encoded, list)
+    out = _roundtrip(value)
+    assert out == value
+    assert [type(item) for item in out] == [type(item) for item in value]
+    assert [
+        type(x) for item in out for x in item
+    ] == [type(x.item()) if isinstance(x, np.generic) else type(x)
+          for item in value for x in item]
+
+
+# ----------------------------------------------------------------------
 # Core block columns and schema versions
 # ----------------------------------------------------------------------
 def _core(records=5000):
@@ -183,11 +233,12 @@ def test_core_block_columns_roundtrip():
     assert restored.done
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 4])
 def test_old_schema_checkpoint_in_store_is_a_miss(tmp_path, version):
     """A cut written under an older schema (2 still carried per-row
-    activation counts in every bank tuple) is skipped, so the run
-    starts fresh instead of misreading it."""
+    activation counts in every bank tuple; 4 spelled every RIT entry
+    as its own tuple) is skipped, so the run starts fresh instead of
+    misreading it."""
     store = CheckpointStore(root=tmp_path)
     fp = "ab" * 32
     old = SimCheckpoint(
