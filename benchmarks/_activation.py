@@ -59,8 +59,7 @@ def swaps_per_window(
     (tracker + RIT + destination exclusion) and scales by bank count.
     The tracker runs in C and Python only at swaps
     (``block_kernel.replay_hot_rows``), falling back to one
-    ``on_activation`` per activation without a compiler or with the
-    CAT tracker.
+    ``on_activation`` per activation without a compiler.
     """
     from repro.mem.block_kernel import replay_hot_rows
 

@@ -18,8 +18,8 @@ Checked rules
                (checked only when ``DRAMConfig.t_rrd > 0``).
 ``DDR-tFAW``   at most 4 ACTs per rank per tFAW window
                (checked only when ``DRAMConfig.t_faw > 0``).
-``DDR-tREFI``  refresh cadence: successive REF bursts at most
-               ``(1 + max_postponed) * tREFI`` apart.
+``DDR-tREFI``  refresh cadence: successive REF bursts at most one
+               tREFI apart.
 ``DDR-OPEN-ROW``   ACT on a bank with a row open / PRE on a closed
                    bank / CAS to a row other than the open one.
 ``RRS-RIT-BIJECTIVE``  RIT forward/inverse maps are a consistent
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.dram.config import DRAMConfig
+from repro.dram.timing import chain_observer
 
 _ENV_SANITIZE = "REPRO_SANITIZE"
 _EPS = 1e-6
@@ -219,21 +220,19 @@ class BankCommandChecker:
 class RefreshCadenceChecker:
     """Validates REF burst cadence against the tREFI window."""
 
-    def __init__(self, config: DRAMConfig, max_postponed: int = 0) -> None:
+    def __init__(self, config: DRAMConfig) -> None:
         self.config = config
-        self.max_postponed = max_postponed
         self.last_burst_ns: Optional[float] = None
         self.bursts_seen = 0
 
     def __call__(self, start_ns: float, bursts: int) -> None:
-        limit = (1 + self.max_postponed) * self.config.t_refi
         if self.last_burst_ns is not None:
             gap = start_ns - self.last_burst_ns
-            if gap > limit + _EPS:
+            if gap > self.config.t_refi + _EPS:
                 raise ProtocolViolation(
                     "DDR-tREFI",
                     f"refresh gap {gap:.0f}ns exceeds "
-                    f"(1+{self.max_postponed})*tREFI={limit:.0f}ns",
+                    f"tREFI={self.config.t_refi}ns",
                     command=TracedCommand("REF", -1, start_ns),
                 )
         self.last_burst_ns = start_ns
@@ -370,31 +369,16 @@ class ProtocolSanitizer:
                         bank=(channel.index, rank_index, bank.index),
                         rank_act_history=rank_acts,
                     )
-                    self._chain_observer(bank.timing, checker)
+                    chain_observer(bank.timing, checker)
                     self.checkers.append(checker)
-        self.refresh_checker = RefreshCadenceChecker(
-            self.config, max_postponed=simulator.refresh.max_postponed
-        )
-        simulator.refresh.observer = self.refresh_checker
+        self.refresh_checker = RefreshCadenceChecker(self.config)
+        chain_observer(simulator.refresh, self.refresh_checker)
         mitigation = simulator.mitigation
         if hasattr(mitigation, "_pick_destination"):
             mitigation._pick_destination = _checked_destination_picker(mitigation)
         for controller in simulator.controllers:
             controller.sanitizer = self
         return self
-
-    @staticmethod
-    def _chain_observer(timing, checker: BankCommandChecker) -> None:
-        existing = timing.observer
-        if existing is None:
-            timing.observer = checker
-        else:
-
-            def chained(kind: str, row: int, time_ns: float) -> None:
-                existing(kind, row, time_ns)
-                checker(kind, row, time_ns)
-
-            timing.observer = chained
 
     def audit_mitigation(self, mitigation) -> None:
         """Post-action audit of the RRS swap machinery."""

@@ -36,7 +36,6 @@ class RRSConfig:
     rit_capacity_tuples: int = 3400
     rit_lookup_ns: float = RIT_LOOKUP_CPU_CYCLES / CPU_CLOCK_GHZ
     exclude_tracked_destinations: bool = True
-    tracker_backend: str = "reference"  # "reference" | "cat"
     seed: int = 0
     # >1 when running a 1/time_scale-length epoch: the swap engine's
     # channel-block latency is divided by this so the *fraction* of
@@ -48,8 +47,6 @@ class RRSConfig:
             raise ValueError("thresholds must be positive")
         if self.t_rrs >= self.t_rh:
             raise ValueError("T_RRS must be below T_RH for any security")
-        if self.tracker_backend not in ("reference", "cat"):
-            raise ValueError("tracker_backend must be 'reference' or 'cat'")
 
     @property
     def k(self) -> int:
@@ -114,7 +111,6 @@ class RRSConfig:
             rit_capacity_tuples=2 * tracker,
             rit_lookup_ns=self.rit_lookup_ns,
             exclude_tracked_destinations=self.exclude_tracked_destinations,
-            tracker_backend=self.tracker_backend,
             seed=self.seed,
             time_scale=self.time_scale * factor,
         )

@@ -37,7 +37,6 @@ from repro.mitigations.base import (
     tracker_run_credit,
 )
 from repro.track.array_state import ArrayMisraGries
-from repro.track.cat_tracker import CATMisraGriesTracker
 
 
 class SwapRateDetector:
@@ -90,7 +89,7 @@ class SwapRateDetector:
 class _BankState:
     """Per-bank RRS state: tracker + RIT + PRNG."""
 
-    tracker: object
+    tracker: ArrayMisraGries
     rit: RowIndirectionTable
     prng: PrinceStylePRNG
     swaps_this_window: int = 0
@@ -170,10 +169,7 @@ class RandomizedRowSwap(Mitigation):
         return self._perform_swap(bank_key, self._bank(bank_key), row, now_ns, tracked)
 
     def hot_row_tracker(self, bank_key):
-        """The bank's array tracker and T_RRS; the CAT tracker stays on
-        ``on_activation``."""
-        if self.config.tracker_backend == "cat":
-            return None
+        """The bank's array tracker and T_RRS."""
         return self._bank(bank_key).tracker, self.config.t_rrs
 
     def on_window_end(self, window_index: int) -> None:
@@ -288,20 +284,14 @@ class RandomizedRowSwap(Mitigation):
         state = self._banks.get(bank_key)
         if state is None:
             seed = hash(bank_key) ^ self.config.seed
-            if self.config.tracker_backend == "cat":
-                tracker = CATMisraGriesTracker(
-                    entries=self.config.tracker_entries, seed=seed
-                )
-            else:
+            state = _BankState(
                 # Array-state HRT: Figure-3 semantics with slot storage
                 # and a defined lowest-slot tie-break. Invariant-1 sizing
                 # bounds the spill counter below T, not below the minimum
                 # counter, so a window touching more distinct rows than
                 # the table holds evicts; there the victim can differ
                 # from the reference tracker's (see track/array_state.py).
-                tracker = ArrayMisraGries(entries=self.config.tracker_entries)
-            state = _BankState(
-                tracker=tracker,
+                tracker=ArrayMisraGries(entries=self.config.tracker_entries),
                 rit=RowIndirectionTable(
                     capacity_tuples=self.config.rit_capacity_tuples,
                     use_cat=self.rit_use_cat,

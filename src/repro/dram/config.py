@@ -9,7 +9,7 @@ and a 64ms refresh window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.utils.units import KB, NS_PER_MS
 
@@ -51,10 +51,6 @@ class DRAMConfig:
     bus_clock_ghz: float = 1.6
     bus_bytes_per_beat: int = 8
 
-    # Row-buffer management: "open" (paper baseline) keeps the row
-    # open after an access; "closed" auto-precharges after each burst.
-    page_policy: str = "open"
-
     def __post_init__(self) -> None:
         if self.rows_per_bank <= 0 or self.banks_per_rank <= 0:
             raise ValueError("geometry fields must be positive")
@@ -66,8 +62,6 @@ class DRAMConfig:
             raise ValueError("timing windows cannot be negative")
         if self.t_ras and self.t_ras + self.t_rp > self.t_rc:
             raise ValueError("tRAS + tRP cannot exceed tRC")
-        if self.page_policy not in ("open", "closed"):
-            raise ValueError("page policy must be 'open' or 'closed'")
 
     @property
     def t_ras_ns(self) -> int:
@@ -163,7 +157,6 @@ class DRAMConfig:
             t_faw=self.t_faw,
             bus_clock_ghz=self.bus_clock_ghz,
             bus_bytes_per_beat=self.bus_bytes_per_beat,
-            page_policy=self.page_policy,
         )
 
 

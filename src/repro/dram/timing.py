@@ -56,7 +56,6 @@ class BankTimingState:
     _t_rp: float = field(init=False, repr=False, default=0.0)
     _t_rc: float = field(init=False, repr=False, default=0.0)
     _t_ras: float = field(init=False, repr=False, default=0.0)
-    _closed_page: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self) -> None:
         config = self.config
@@ -65,7 +64,6 @@ class BankTimingState:
         self._t_rp = config.t_rp
         self._t_rc = config.t_rc
         self._t_ras = config.t_ras_ns
-        self._closed_page = config.page_policy == "closed"
 
     def earliest_start(self, now_ns: float) -> float:
         """Earliest instant a new request could begin on this bank."""
@@ -105,13 +103,6 @@ class BankTimingState:
         if observer is not None:
             observer("ACT", row, act_at)
             observer("CAS", row, act_at + self._t_rcd)
-        if self._closed_page:
-            # Auto-precharge: the bank closes after the burst, once the
-            # row has been open for tRAS.
-            pre_at = max(data, act_at + self._t_ras)
-            self._emit("PRE", row, pre_at)
-            self.open_row = -1
-            self.ready_ns = pre_at + self._t_rp
         return AccessOutcome(start_ns=start, data_ns=data, row_buffer_hit=False, activated=True)
 
     def activate_only(self, row: int, now_ns: float) -> float:
@@ -229,7 +220,7 @@ class BankTimingState:
     # scalars on flat arrays and hands them back via
     # :meth:`restore_state`. It only runs when no bank has an observer
     # attached, so the exchange is only ever applied to unobserved
-    # open-page banks.
+    # banks.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> "tuple[int, float, float]":
         """``(open_row, last_act_ns, ready_ns)`` — the full open-page
@@ -244,18 +235,21 @@ class BankTimingState:
             self.observer(kind, row, time_ns)
 
 
-def chain_observer(timing: BankTimingState, probe) -> None:
-    """Attach ``probe`` to ``timing`` without displacing an existing
-    observer (both run, existing first). Shared by the protocol
-    sanitizer and the obs tracer so either — or both — can watch the
-    same bank."""
-    existing = timing.observer
+def chain_observer(host, probe) -> None:
+    """Attach ``probe`` to ``host.observer`` without displacing an
+    existing observer (both run, existing first, with the same
+    arguments). ``host`` is any object with an ``observer`` hook: a
+    bank's :class:`BankTimingState` (``(kind, row, time_ns)``) or the
+    :class:`~repro.dram.refresh.RefreshScheduler` (``(start_ns,
+    bursts)``). Shared by the protocol sanitizer and the obs tracer so
+    either — or both — can watch the same bank or refresh stream."""
+    existing = host.observer
     if existing is None:
-        timing.observer = probe
+        host.observer = probe
         return
 
-    def chained(kind: str, row: int, time_ns: float) -> None:
-        existing(kind, row, time_ns)
-        probe(kind, row, time_ns)
+    def chained(*args) -> None:
+        existing(*args)
+        probe(*args)
 
-    timing.observer = chained
+    host.observer = chained

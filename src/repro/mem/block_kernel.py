@@ -95,7 +95,7 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 (EV_DONE, EV_STOP, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT, EV_BLOCK,
  EV_BAD_ROW) = range(8)
 # Per-bank tracker fields (rows of the P_TRK array).
-T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N = range(6)
+T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_N = range(5)
 # Header words of a bank's min-count set (P_TRK_MIN), before its bitmap.
 MIN_BITS = 2
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
@@ -325,7 +325,7 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
 
     def load(self, gfb: int) -> None:
         tracker = self.trackers[gfb][0]
-        spill, rows, counts, heap_built = tracker.snapshot_state()
+        spill, rows, counts = tracker.snapshot_state()
         n = len(rows)
         # A restored checkpoint could carry any values: C must never
         # index past the bank's slots or truncate a value to int32.
@@ -340,7 +340,6 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
         base = gfb * T_N
         self._meta[base + T_LIVE] = n
         self._meta[base + T_SPILL] = spill
-        self._meta[base + T_HEAP] = int(heap_built)
         offset = gfb * 2 * self.cap
         self.slots[offset:offset + 2 * n:2] = rows
         self.slots[offset + 1:offset + 2 * n:2] = counts
@@ -356,7 +355,6 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
             self._meta[base + T_SPILL],
             pairs[0::2].tolist(),
             pairs[1::2].tolist(),
-            bool(self._meta[base + T_HEAP]),
         )
 
     def store(self, gfb: int) -> None:
@@ -402,12 +400,12 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     """Run ``sim`` over columnar ``cores`` on the compiled loop.
 
     Bit-identical to ``SystemSimulator._run_scalar`` (the oracle).
-    Eligibility (compiled library present, unobserved open-page banks
-    without fault models, no postponed refresh) is
-    decided by ``SystemSimulator._block_loop_eligible``. Returns the
-    requests serviced, stopping at ``stop_at`` (-1: never) with every
-    live object written back as the oracle leaves it between two
-    requests, so a cut can be taken and either loop re-entered.
+    Eligibility (compiled library present, unobserved banks without
+    fault models) is decided by
+    ``SystemSimulator._block_loop_eligible``. Returns the requests
+    serviced, stopping at ``stop_at`` (-1: never) with every live
+    object written back as the oracle leaves it between two requests,
+    so a cut can be taken and either loop re-entered.
     """
     lib = load()
     config = sim.config.dram

@@ -62,7 +62,7 @@ enum {
 enum { PH_TOP, PH_WINDOW, PH_ROUTE, PH_DELAY, PH_ACT, PH_BLOCK };
 
 /* Per-bank tracker fields (P_TRK rows); T_THRESH 0: not tracked here. */
-enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_HEAP, T_N };
+enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_N };
 
 /* Per-channel stats slots. */
 enum { S_READS, S_WRITES, S_ACTS, S_HITS, S_N };
@@ -269,7 +269,6 @@ static int64_t mg_observe(const struct tracker *t, int64_t row)
         const uint64_t *bits = mg_min_bits(t), *word = bits;
         if (min[MIN_N] == 0)
             mg_min_scan(t);
-        meta[T_HEAP] = 1;
         if (meta[T_SPILL] < min[MIN_M]) {
             meta[T_SPILL]++;
             return 0;
@@ -287,9 +286,9 @@ static int64_t mg_observe(const struct tracker *t, int64_t row)
     return estimate;
 }
 
-/* Index a bank's slots after Python wrote them (and its T_LIVE,
- * T_SPILL, T_HEAP fields): rebuild the table and empty the min-count
- * set, which the next full-table miss rebuilds from the counts. */
+/* Index a bank's slots after Python wrote them (and its T_LIVE and
+ * T_SPILL fields): rebuild the table and empty the min-count set,
+ * which the next full-table miss rebuilds from the counts. */
 void rk_tracker_sync(const uint64_t *P, int64_t gfb)
 {
     struct tracker t = tracker_of(P, gfb);
@@ -444,7 +443,7 @@ int64_t rk_run(const uint64_t *P)
         row = CORE_COL(int64_t, P_ROWS, core)[idx];
         gfb = CORE_COL(int64_t, P_FLATS, core)[idx];
 
-        /* refresh gate (RefreshScheduler.advance_to, max_postponed=0) */
+        /* refresh gate (RefreshScheduler.advance_to) */
         if (arrival >= due) {
             while (next_refi <= arrival) {
                 end = next_refi + t_rfc;

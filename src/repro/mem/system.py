@@ -271,23 +271,18 @@ class SystemSimulator:
         """Whether this run can take the compiled block loop.
 
         The loop (repro.mem.block_kernel) is bit-identical to
-        ``_run_scalar`` but covers only what every Figure run uses: no
-        postponed refresh, and open-page banks with no command observer
-        and no fault model. Observed runs, the sanitizer and
-        ``with_faults`` need per-command callbacks, so they stay scalar,
-        as does a host where the loop cannot be compiled. Either trace
-        form (chunks or records) and checkpoint cuts are supported.
-        Nothing outside the run itself picks the loop, so result-cache
-        keys never depend on which loop ran.
+        ``_run_scalar`` but covers only what every Figure run uses:
+        banks with no command observer and no fault model. Observed
+        runs, the sanitizer and ``with_faults`` need per-command
+        callbacks, so they stay scalar, as does a host where the loop
+        cannot be compiled. Either trace form (chunks or records) and
+        checkpoint cuts are supported. Nothing outside the run itself
+        picks the loop, so result-cache keys never depend on which
+        loop ran.
         """
         if self.obs is not None or self.sanitizer is not None:
             return False
-        refresh = self.refresh
-        if refresh.max_postponed != 0 or refresh.postponed != 0:
-            return False
-        if refresh.observer is not None:
-            return False
-        if self.config.dram.page_policy == "closed":
+        if self.refresh.observer is not None:
             return False
         if any(controller.obs is not None for controller in self.controllers):
             return False

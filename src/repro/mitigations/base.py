@@ -74,8 +74,8 @@ def tracker_run_credit(tracker, row: int, threshold: int) -> int:
     non-zero multiple of ``threshold``: ``T - 1 - b % T``, where ``b``
     is the row's estimate or, for an untracked row, the spill counter.
 
-    Proof, for a run of ``k`` activations of ``row`` alone (Figure 3;
-    ``ArrayMisraGries`` and ``CATMisraGriesTracker`` alike):
+    Proof, for a run of ``k`` activations of ``row`` alone (Figure 3,
+    as ``ArrayMisraGries`` implements it):
 
     * A tracked row's counter moves only by its own hits, so the run's
       estimates are ``b + 1, ..., b + k``.
@@ -172,10 +172,10 @@ class Mitigation:
     def hot_row_tracker(self, bank_key: BankKey) -> Optional[Tuple[object, int]]:
         """This bank's Misra-Gries tracker (an ``ArrayMisraGries``) and
         its action threshold, for the compiled loop to run itself; None
-        (the default) keeps the bank on ``on_activation``. RRS (with the
-        array tracker) and Graphene hand theirs over; a test or bench
-        that wants the per-activation hook overrides this method on the
-        instance to return None.
+        (the default) keeps the bank on ``on_activation``. RRS and
+        Graphene hand theirs over; a test or bench that wants the
+        per-activation hook overrides this method on the instance to
+        return None.
 
         The compiled loop consults it, when the class overrides it, at
         each bank's first activation (``block_kernel.replay_hot_rows``
@@ -185,12 +185,11 @@ class Mitigation:
         physical rows) and calls :meth:`on_hot_row` only when the
         estimate lands on a non-zero multiple of the threshold, so an
         override's ``on_activation`` must be exactly that observe, check
-        and act. The tracker is
-        loaded with ``snapshot_state`` at loop entry and after window
-        ends and written back with ``restore_state`` before window
-        callbacks and whenever the loop returns; in between it is
-        stale, and :meth:`on_hot_row` reads membership from its
-        ``tracked`` predicate."""
+        and act. The tracker is loaded with ``snapshot_state`` at loop
+        entry and after window ends and written back with
+        ``restore_state`` before window callbacks and whenever the loop
+        returns; in between it is stale, and :meth:`on_hot_row` reads
+        membership from its ``tracked`` predicate."""
         return None
 
     def on_hot_row(

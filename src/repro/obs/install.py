@@ -160,7 +160,7 @@ class Observability:
             controller.obs = self
 
         refresh = simulator.refresh
-        self._chain_refresh_observer(refresh)
+        chain_observer(refresh, self._on_refresh_burst)
         refresh.window_callbacks.append(self._on_window_end)
 
         mitigation = simulator.mitigation
@@ -263,20 +263,6 @@ class Observability:
                 flush_events()
 
         return probe
-
-    def _chain_refresh_observer(self, refresh) -> None:
-        existing = refresh.observer
-        probe = self._on_refresh_burst
-
-        if existing is None:
-            refresh.observer = probe
-        else:
-
-            def chained(start_ns: float, bursts: int) -> None:
-                existing(start_ns, bursts)
-                probe(start_ns, bursts)
-
-            refresh.observer = chained
 
     # ------------------------------------------------------------------
     # Probes (called from the instrumented hot paths)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, Tuple, runtime_checkable
 
-STATE_SCHEMA_VERSION = 5
+STATE_SCHEMA_VERSION = 6
 
 
 class NotSnapshotable(RuntimeError):

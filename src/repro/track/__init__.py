@@ -7,21 +7,16 @@
   two-table skew-associative structure with over-provisioned ways and
   load-balancing installs, giving conflict-free storage at
   set-associative lookup cost.
-* :class:`CATMisraGriesTracker` — the Misra-Gries algorithm running on
-  CAT storage with per-set SetMin counters (Section 6.4), the scalable
-  hardware organization.
 * :class:`CountingBloomFilter` — the tracker BlockHammer uses.
 """
 
 from repro.track.misra_gries import MisraGriesTracker
 from repro.track.cat import CATConfig, CollisionAvoidanceTable
-from repro.track.cat_tracker import CATMisraGriesTracker
 from repro.track.bloom import CountingBloomFilter
 
 __all__ = [
     "MisraGriesTracker",
     "CATConfig",
     "CollisionAvoidanceTable",
-    "CATMisraGriesTracker",
     "CountingBloomFilter",
 ]

@@ -21,11 +21,11 @@ The compiled system loop and Figure 5's replay run a C copy of this
 tracker for RRS and Graphene (``mem/block_loop.c``, DESIGN.md §12.1)
 with the same rules and victims, found there with a bitmap of the
 minimum-count slots instead of the heap, over int32 rows and counts:
-they load and write back the ``snapshot_state`` 4-tuple and, in
-between, leave this object stale (an action asks C for membership).
-``restore_state`` leaves the row -> slot dict unbuilt until its first
-use, since the loop's write-back at every window end is followed by a
-``reset``. So this class is the tracker of the scalar loop and the
+they load and write back the ``snapshot_state`` ``(spill, rows,
+counts)`` triple and, in between, leave this object stale (an action
+asks C for membership). ``restore_state`` leaves the row -> slot dict
+unbuilt until its first use, since the loop's write-back at every
+window end is followed by a ``reset``. So this class is the tracker of the scalar loop and the
 attack harnesses, and the fallback where the loop cannot be compiled.
 
 Tie-break policy: the reference tracker evicts the minimum-count entry
@@ -35,12 +35,11 @@ entries, a defined rule that is reproducible from any implementation.
 The two rules pick different victims whenever the tied entries reached
 the minimum in other than slot order (rows A, B in slots 0, 1 hit in
 the order A B B A tie at 2 with B first). Invariant 1 holds for either
-rule, and the property tests treat tie-break differences as allowed
-(as they already do for the CAT tracker). Invariant-1 sizing keeps the
-spill counter below T, not below the minimum counter: evictions fire
-whenever a window touches more distinct rows than the table has
-entries, which the memory-intensive Figure-6 workloads do thousands of
-times per window.
+rule, and the property tests treat tie-break differences as allowed.
+Invariant-1 sizing keeps the spill counter below T, not below the
+minimum counter: evictions fire whenever a window touches more
+distinct rows than the table has entries, which the memory-intensive
+Figure-6 workloads do thousands of times per window.
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ class ArrayMisraGries:
         # misses read it, so it is built at the first of them (never, in
         # a window whose row footprint fits the table), and bumps never
         # touch it: _full_miss corrects stale entries when they surface.
-        # A restored tracker whose heap was built holds [] until its
-        # next full-table miss rebuilds it.
+        # A restored tracker has none until its next full-table miss.
         self._heap: Optional[List[Tuple[int, int]]] = None
 
     @classmethod
@@ -163,30 +161,23 @@ class ArrayMisraGries:
         return estimate
 
     # ------------------------------------------------------------------
-    # Snapshotable (repro.state): slots, the spill counter, and whether
-    # the lazy eviction heap has materialized. The heap is a derived
-    # view, rebuilt at the next full-table miss, so a restored tracker
-    # makes the same lazy/eager transitions at the same points an
-    # uninterrupted one would (a heap rebuilt from exact counts picks
-    # the same victims as one holding stale lower bounds: the settled
-    # top is the minimum (count, slot) pair either way).
+    # Snapshotable (repro.state): the spill counter and the slots. The
+    # eviction heap is a derived view, rebuilt from exact counts at the
+    # next full-table miss; it picks the same victims as one holding
+    # stale lower bounds, since the settled top is the minimum
+    # (count, slot) pair either way.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
-        return (
-            self.spill,
-            list(self._rows),
-            list(self._counts),
-            self._heap is not None,
-        )
+        return self.spill, list(self._rows), list(self._counts)
 
     def restore_state(self, state: tuple) -> None:
-        spill, rows, counts, heap_built = state
+        spill, rows, counts = state
         self.spill = spill
         self._rows = list(rows)
         self._counts = list(counts)
         with suppress(AttributeError):  # already unbuilt
             del self._slot_of
-        self._heap = [] if heap_built else None
+        self._heap = None
 
     # ------------------------------------------------------------------
     # Internals
@@ -210,7 +201,7 @@ class ArrayMisraGries:
         the slots holding it, the lowest.
         """
         heap = self._heap
-        if not heap:
+        if heap is None:
             heap = self._build_heap()
         counts = self._counts
         low, slot = heap[0]

@@ -25,6 +25,11 @@ from repro.check.sanitizer import (
 )
 from repro.core.rit import RITEntry, RowIndirectionTable
 from repro.dram.config import DRAMConfig
+from repro.dram.timing import chain_observer
+from repro.mem.system import SystemConfig, SystemSimulator
+from repro.obs import Observability
+from repro.workloads.suites import get_workload
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 def _raises_rule(rule):
@@ -135,16 +140,38 @@ class TestRankLevelRules:
 
 class TestRefreshCadence:
     def test_trefi_violation_on_late_burst(self, paper_dram):
-        checker = RefreshCadenceChecker(paper_dram, max_postponed=0)
+        checker = RefreshCadenceChecker(paper_dram)
         checker(0.0, 1)
+        checker(paper_dram.t_refi, 1)  # exactly one tREFI later
+        assert checker.bursts_seen == 2
         with _raises_rule("DDR-tREFI"):
             checker(2.5 * paper_dram.t_refi, 1)
 
-    def test_postponement_budget_respected(self, paper_dram):
-        checker = RefreshCadenceChecker(paper_dram, max_postponed=1)
-        checker(0.0, 1)
-        checker(2.0 * paper_dram.t_refi, 2)  # within (1+1)*tREFI
-        assert checker.bursts_seen == 3
+    @pytest.mark.parametrize("first", ["obs", "sanitizer"])
+    def test_both_refresh_observers_fire(self, first, monkeypatch):
+        """The sanitizer's cadence checker and obs's refresh probe chain
+        onto the scheduler in either install order: both see every
+        burst."""
+        dram = DRAMConfig().scaled(128)
+        obs = Observability(tracer=None, export_extra=False)
+        if first == "sanitizer":
+            monkeypatch.setenv("REPRO_SANITIZE", "1")
+            sim = SystemSimulator(SystemConfig(dram=dram, cores=2), obs=obs)
+            sanitizer = sim.sanitizer
+        else:
+            sim = SystemSimulator(SystemConfig(dram=dram, cores=2), obs=obs)
+            sanitizer = ProtocolSanitizer(dram).install(sim)
+        spec = get_workload("hmmer")
+        sim.run([
+            SyntheticTraceGenerator(
+                spec.component_for_core(core), core_id=core, cores=2, config=dram
+            ).records(3_000)
+            for core in range(2)
+        ])
+        bursts = sim.refresh.refresh_bursts
+        assert bursts > 0
+        assert obs.registry.counter("refresh.bursts").value == bursts
+        assert sanitizer.refresh_checker.bursts_seen == bursts
 
 
 # ----------------------------------------------------------------------
@@ -278,7 +305,7 @@ def test_observer_chaining_preserves_existing_observer(paper_dram):
     seen = []
     timing = SimpleNamespace(observer=lambda k, r, t: seen.append((k, r, t)))
     checker = BankCommandChecker(paper_dram)
-    ProtocolSanitizer._chain_observer(timing, checker)
+    chain_observer(timing, checker)
     timing.observer("ACT", 3, 0.0)
     assert seen == [("ACT", 3, 0.0)]
     assert checker.commands_seen == 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import RRSConfig
-from repro.dram.config import DRAMConfig
 
 
 def test_paper_defaults():
@@ -56,8 +55,6 @@ def test_validation():
         RRSConfig(t_rrs=0)
     with pytest.raises(ValueError):
         RRSConfig(t_rrs=5000, t_rh=4800)  # T_RRS must be below T_RH
-    with pytest.raises(ValueError):
-        RRSConfig(tracker_backend="magic")
     with pytest.raises(ValueError):
         RRSConfig.for_threshold(4800, k=1)
     with pytest.raises(ValueError):

@@ -134,15 +134,6 @@ def test_detector_validation():
         SwapRateDetector(flag_threshold=1)
 
 
-def test_cat_tracker_backend_equivalent_behaviour():
-    reference = _rrs(t_rrs=10)
-    cat_backed = _rrs(t_rrs=10, tracker_backend="cat")
-    for _ in range(10):
-        reference.on_activation(BANK, 5, reference.route(BANK, 5), 0.0)
-        cat_backed.on_activation(BANK, 5, cat_backed.route(BANK, 5), 0.0)
-    assert reference.total_swaps == cat_backed.total_swaps == 1
-
-
 def test_storage_bits_positive():
     rrs = RandomizedRowSwap(RRSConfig(), DRAMConfig())
     bits = rrs.storage_bits_per_bank(128 * 1024)

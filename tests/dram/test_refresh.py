@@ -11,6 +11,20 @@ def test_refi_bursts_fire_on_schedule(small_dram):
     assert scheduler.refresh_bursts == 10
 
 
+def test_busy_bank_is_refreshed_every_trefi(small_dram):
+    """A REF is never postponed: a bank busy past four tREFI boundaries
+    still takes one burst at each, and the observer sees each burst at
+    its own tREFI."""
+    channels = [Channel(small_dram)]
+    scheduler = RefreshScheduler(small_dram, channels)
+    seen = []
+    scheduler.observer = lambda start_ns, bursts: seen.append((start_ns, bursts))
+    channels[0].bank(0, 0).timing.block_until(10 * small_dram.t_refi)
+    scheduler.advance_to(4 * small_dram.t_refi)
+    assert scheduler.refresh_bursts == 4
+    assert seen == [(float(i * small_dram.t_refi), 1) for i in range(1, 5)]
+
+
 def test_refresh_blocks_banks(small_dram):
     channels = [Channel(small_dram)]
     scheduler = RefreshScheduler(small_dram, channels)

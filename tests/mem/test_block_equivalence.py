@@ -9,8 +9,6 @@ with the fault model attached. ``TestLoopDispatch`` pins which loop a
 run takes and which mitigation hooks the compiled loop calls.
 """
 
-import dataclasses
-
 import pytest
 
 import repro.mem.system as system_module
@@ -38,6 +36,13 @@ def _dram(scale=SCALE):
     return DRAMConfig().scaled(scale)
 
 
+def _declined(mitigation):
+    """``mitigation`` with its tracker kept on ``on_activation``: its
+    ``hot_row_tracker`` returns None on the instance."""
+    mitigation.hot_row_tracker = lambda bank_key: None
+    return mitigation
+
+
 def _factories(scale=SCALE):
     dram = _dram(scale)
     scaled_t_rh = max(12, 4800 // scale)
@@ -46,9 +51,7 @@ def _factories(scale=SCALE):
         "none": NoMitigation,
         "rrs": lambda: RandomizedRowSwap(rrs_config, dram),
         # Every activation goes through on_activation (no C tracker).
-        "rrs_cat": lambda: RandomizedRowSwap(
-            dataclasses.replace(rrs_config, tracker_backend="cat"), dram
-        ),
+        "rrs_declined": lambda: _declined(RandomizedRowSwap(rrs_config, dram)),
         # A threshold of 3 makes both hmmer and stream refresh within
         # 1,000 records per core, so the compiled run calls on_hot_row.
         "graphene": lambda: Graphene(
@@ -98,12 +101,12 @@ class TestBlockLoopEquivalence:
         if name == "graphene":
             assert mitigation.refreshes_issued > 0
 
-    @pytest.mark.parametrize("name", ["rrs", "rrs_cat"])
+    @pytest.mark.parametrize("name", ["rrs", "rrs_declined"])
     def test_rrs_exercises_real_swaps(self, name, scalar_loop):
         """The equivalence claim is vacuous for RRS unless the run
         swaps: scale 64 shrinks T_RRS enough that hmmer forces swaps,
-        which the array tracker reaches through on_hot_row and the CAT
-        tracker through on_activation."""
+        which the tracker in C reaches through on_hot_row and a
+        declined tracker through on_activation."""
         scale = 64
         factory = _factories(scale)[name]
         mitigation = factory()
@@ -235,11 +238,7 @@ class TestLoopDispatch:
         """A mitigation that hands over no tracker (or whose
         ``hot_row_tracker`` returns None on the instance) sees every
         activation of the compiled loop through ``on_activation``."""
-        if name == "rrs_declined":
-            mitigation = _factories()["rrs"]()
-            mitigation.hot_row_tracker = lambda bank_key: None
-        else:
-            mitigation = _factories()[name]()
+        mitigation = _factories()[name]()
         seen = []
         on_activation = type(mitigation).on_activation
 
@@ -260,8 +259,7 @@ class TestLoopDispatch:
         """RRS's tracker runs inside the compiled loop: Python sees one
         on_hot_row call per swap and, per bank, only the first
         activation (which creates the bank's state, as the scalar loop
-        does, and hands its tracker to C), while a CAT-tracker RRS
-        keeps the per-activation hand-off."""
+        does, and hands its tracker to C)."""
         calls = {"on_activation": [], "on_hot_row": []}
         for name in calls:
             original = getattr(RandomizedRowSwap, name)
@@ -285,14 +283,6 @@ class TestLoopDispatch:
         first = calls["on_activation"]
         assert first and len(set(first)) == len(first)
         assert len(calls["on_hot_row"]) == metrics.swaps
-        cat = RandomizedRowSwap(
-            dataclasses.replace(
-                RRSConfig.for_threshold(4800, DRAMConfig()).scaled(SCALE),
-                tracker_backend="cat",
-            ),
-            _dram(),
-        )
-        assert cat.hot_row_tracker((0, 0, 0)) is None
 
     def test_compiled_loop_hands_graphene_only_its_refreshes(
         self, monkeypatch, scalar_loop

@@ -101,7 +101,7 @@ def _per_activation(spec, config):
     return rrs.total_swaps * DRAM.banks_total, len(stream)
 
 
-@pytest.mark.parametrize("fallback", ["no library", "cat tracker"])
+@pytest.mark.parametrize("fallback", ["no library", "tracker declined"])
 def test_swaps_per_window_falls_back_to_the_per_activation_loop(
     fallback, monkeypatch
 ):
@@ -110,7 +110,9 @@ def test_swaps_per_window_falls_back_to_the_per_activation_loop(
     if fallback == "no library":
         monkeypatch.setattr(block_kernel, "load", lambda: None)
     else:
-        config = dataclasses.replace(FIG5, tracker_backend="cat")
+        monkeypatch.setattr(
+            RandomizedRowSwap, "hot_row_tracker", lambda self, bank_key: None
+        )
     expected = _per_activation(spec, config)
     calls = []
     original = RandomizedRowSwap.on_activation

@@ -88,7 +88,6 @@ def _run_mitigation(kind: str, entries: int, threshold: int):
         rows_per_bank=RUN_ROWS,
         tracker_entries=entries,
         rit_capacity_tuples=400,
-        tracker_backend="cat" if kind == "rrs-cat" else "reference",
     )
     return RandomizedRowSwap(
         config, DRAMConfig(channels=1, banks_per_rank=1, rows_per_bank=RUN_ROWS)
@@ -102,7 +101,7 @@ def _tracked(mitigation, row: int, physical_row: int) -> bool:
 
 
 @given(
-    kind=st.sampled_from(["rrs", "rrs-cat", "graphene"]),
+    kind=st.sampled_from(["rrs", "graphene"]),
     entries=st.sampled_from([1, 3, 8]),
     threshold=st.sampled_from([2, 5, 16]),
     prefix=st.lists(st.integers(min_value=0, max_value=11), max_size=120),

@@ -20,15 +20,8 @@ access_lists = st.lists(
 )
 
 
-def _replay(accesses, page_policy="open"):
-    config = DRAMConfig(
-        channels=1,
-        banks_per_rank=4,
-        rows_per_bank=256,
-        row_size_bytes=1024,
-        page_policy=page_policy,
-    )
-    bank = BankTimingState(config=config)
+def _replay(accesses):
+    bank = BankTimingState(config=CONFIG)
     events = []
     bank.observer = lambda kind, row, t: events.append((kind, row, t))
     now = 0.0
@@ -36,7 +29,7 @@ def _replay(accesses, page_policy="open"):
     for row, jitter in accesses:
         now += jitter
         outcomes.append(bank.access(row, now))
-    return config, outcomes, events
+    return CONFIG, outcomes, events
 
 
 @given(accesses=access_lists)
@@ -70,13 +63,6 @@ def test_hits_only_on_open_row(accesses):
         if outcome.row_buffer_hit:
             assert row == open_row
         open_row = row
-
-
-@given(accesses=access_lists)
-@settings(max_examples=80, deadline=None)
-def test_closed_page_never_hits(accesses):
-    _, outcomes, _ = _replay(accesses, page_policy="closed")
-    assert not any(o.row_buffer_hit for o in outcomes)
 
 
 @given(accesses=access_lists)

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from repro.mem import block_kernel
 from repro.track.array_state import ArrayMisraGries
-from repro.track.cat import CATConfig
-from repro.track.cat_tracker import CATMisraGriesTracker
 from repro.track.misra_gries import MisraGriesTracker
 
 streams = st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=400)
@@ -65,41 +63,6 @@ def test_tracker_size_never_exceeds_entries(stream, entries):
     for row in stream:
         tracker.observe(row)
         assert len(tracker) <= entries
-
-
-@given(stream=streams)
-@settings(max_examples=60, deadline=None)
-def test_cat_tracker_matches_reference_spill_and_size(stream):
-    """The CAT-backed tracker implements the same algorithm: identical
-    spill counter and occupancy for any stream (tie-breaking of evicted
-    minimum entries may differ; the bound properties may not)."""
-    entries = 6
-    reference = MisraGriesTracker(entries=entries)
-    cat = CATMisraGriesTracker(
-        entries=entries, cat_config=CATConfig(sets=4, demand_ways=2, extra_ways=6)
-    )
-    for row in stream:
-        reference.observe(row)
-        cat.observe(row)
-    assert cat.spill == reference.spill
-    assert len(cat) == len(reference)
-
-
-@given(stream=streams)
-@settings(max_examples=60, deadline=None)
-def test_cat_tracker_never_loses_a_hot_row(stream):
-    entries = 6
-    tracker = CATMisraGriesTracker(
-        entries=entries, cat_config=CATConfig(sets=4, demand_ways=2, extra_ways=6)
-    )
-    truth = Counter()
-    for row in stream:
-        truth[row] += 1
-        tracker.observe(row)
-    for row, count in truth.items():
-        if count > tracker.spill:
-            assert row in tracker
-            assert tracker.estimate(row) >= count
 
 
 def _compiled(lib, trackers):
@@ -272,12 +235,12 @@ def test_compiled_tracker_stream_stops_at_each_hot_row_on_wide_tables(
 @pytest.mark.parametrize(
     "state",
     [
-        (0, [1 << 31], [1], False),
-        (0, [-(1 << 31) - 1], [1], False),
-        (0, [5], [1 << 31], False),
-        (0, [5], [-(1 << 31) - 1], False),
-        (1 << 31, [5], [1], True),
-        (0, [1 << 70], [1], False),
+        (0, [1 << 31], [1]),
+        (0, [-(1 << 31) - 1], [1]),
+        (0, [5], [1 << 31]),
+        (0, [5], [-(1 << 31) - 1]),
+        (1 << 31, [5], [1]),
+        (0, [1 << 70], [1]),
     ],
     ids=["row-high", "row-low", "count-high", "count-low", "spill-high", "row-huge"],
 )
@@ -291,7 +254,7 @@ def test_compiled_tracker_load_rejects_values_outside_int32(state):
     tracker.restore_state(state)
     with pytest.raises(ValueError, match="int32"):
         compiled.load(0)
-    edge = ((1 << 31) - 1, [-(1 << 31), (1 << 31) - 1], [(1 << 31) - 1, -(1 << 31)], True)
+    edge = ((1 << 31) - 1, [-(1 << 31), (1 << 31) - 1], [(1 << 31) - 1, -(1 << 31)])
     tracker.restore_state(edge)
     compiled.load(0)
     assert compiled.snapshot(0) == edge

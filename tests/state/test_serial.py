@@ -11,9 +11,12 @@ import pytest
 
 from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig
+from repro.dram.device import Channel
+from repro.dram.refresh import RefreshScheduler
 from repro.mem.cpu import Core
 from repro.state.checkpoint import CheckpointStore, SimCheckpoint
 from repro.state.serial import decode_state, encode_state
+from repro.track.array_state import ArrayMisraGries
 from repro.workloads.suites import get_workload
 from repro.workloads.synthetic import SyntheticTraceGenerator
 
@@ -233,12 +236,13 @@ def test_core_block_columns_roundtrip():
     assert restored.done
 
 
-@pytest.mark.parametrize("version", [1, 2, 4])
+@pytest.mark.parametrize("version", [1, 2, 4, 5])
 def test_old_schema_checkpoint_in_store_is_a_miss(tmp_path, version):
     """A cut written under an older schema (2 still carried per-row
     activation counts in every bank tuple; 4 spelled every RIT entry
-    as its own tuple) is skipped, so the run starts fresh instead of
-    misreading it."""
+    as its own tuple; 5 carried refresh-postponement counters and a
+    tracker "heap built" flag) is skipped, so the run starts fresh
+    instead of misreading it."""
     store = CheckpointStore(root=tmp_path)
     fp = "ab" * 32
     old = SimCheckpoint(
@@ -248,3 +252,41 @@ def test_old_schema_checkpoint_in_store_is_a_miss(tmp_path, version):
     assert store.cuts(fp) == [10]
     assert store.get(fp, 10) is None
     assert store.latest(fp) is None
+
+
+# ----------------------------------------------------------------------
+# Tracker and refresh tuples (schema 6)
+# ----------------------------------------------------------------------
+def test_tracker_triple_roundtrips_and_evicts_as_uninterrupted():
+    """``ArrayMisraGries`` snapshots as ``(spill, rows, counts)``; after
+    a JSON round trip, a tracker restored in the eviction regime picks
+    the same victims as the uninterrupted one."""
+    tracker = ArrayMisraGries(entries=4)
+    for row in (1, 2, 3, 4, 5, 1, 1, 6, 2, 7):
+        tracker.observe(row)
+    state = tracker.snapshot_state()
+    assert [type(part) for part in state] == [int, list, list]
+    restored = ArrayMisraGries(entries=4)
+    restored.restore_state(_roundtrip(state))
+    assert restored.snapshot_state() == state
+    for row in (8, 9, 8, 10, 3, 11, 12, 1):
+        assert restored.observe(row) == tracker.observe(row)
+        assert restored.tracked_rows() == tracker.tracked_rows()
+    assert restored.snapshot_state() == tracker.snapshot_state()
+
+
+def test_refresh_state_roundtrips():
+    dram = DRAMConfig().scaled(64)
+    scheduler = RefreshScheduler(dram, [Channel(dram)])
+    scheduler.advance_to(3.5 * dram.t_refi)
+    state = scheduler.snapshot_state()
+    assert state == (
+        4.0 * dram.t_refi,
+        float(dram.refresh_window_ns),
+        4.0 * dram.t_refi,
+        3,
+        0,
+    )
+    restored = RefreshScheduler(dram, [Channel(dram)])
+    restored.restore_state(_roundtrip(state))
+    assert restored.snapshot_state() == state

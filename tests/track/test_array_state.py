@@ -190,17 +190,21 @@ class TestTieBreak:
         assert reference.tracked_rows() == {1, 5}
 
     def test_restore_after_heap_build_evicts_the_same_victims(self):
-        """A snapshot taken in the eviction regime keeps the 4-tuple
-        layout (state schema v4) and restores into a tracker that
-        evicts exactly what the uninterrupted one evicts."""
+        """A snapshot taken in the eviction regime is the ``(spill,
+        rows, counts)`` triple (state schema v6) and restores into a
+        tracker that evicts exactly what the uninterrupted one evicts:
+        the restored heap is rebuilt from exact counts at its first
+        full-table miss, the uninterrupted one holds stale lower
+        bounds."""
         tracker = ArrayMisraGries(entries=8)
         rows = _stream(3, length=600, universe=40)
         tracker.observe_block(rows, len(rows))
+        assert tracker._heap  # full table, heap built
         state = tracker.snapshot_state()
-        assert [type(part) for part in state] == [int, list, list, bool]
-        assert state[3] is True  # full table, heap built
+        assert [type(part) for part in state] == [int, list, list]
         restored = ArrayMisraGries(entries=8)
         restored.restore_state(state)
+        assert restored._heap is None
         burst = range(1000, 1200)
         evicted = _evictions(tracker, burst)
         assert any(evicted)
