@@ -48,6 +48,7 @@ tests can kill a run that provably has state on disk.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from collections import deque
@@ -416,6 +417,7 @@ class SweepStats:
     points: int = 0
     cache_hits: int = 0
     simulated: int = 0
+    copied: int = 0
     retried: int = 0
     stragglers: int = 0
     failed: int = 0
@@ -488,10 +490,12 @@ class SweepRunner:
     ) -> List[SimMetrics]:
         """Execute every point; results come back in input order.
 
-        Cached points are served without simulating; the rest fan out
-        over ``jobs`` workers. Every fresh result is stored back, and
-        every point — cached, simulated, retried, failed — is appended
-        to the run ledger. Raises :class:`RuntimeError` naming the
+        A cache key requested more than once runs once, and its later
+        indices get copies of the first one's result. Cached points are
+        served without simulating; the rest fan out over ``jobs``
+        workers. Every fresh result is stored back, and every point —
+        cached, simulated, retried, failed, copied — is appended to the
+        run ledger. Raises :class:`RuntimeError` naming the
         first failed point if any point finishes without a result — a
         partial sweep must never masquerade as a complete one.
         """
@@ -499,12 +503,19 @@ class SweepRunner:
         resolved = [point.resolved() for point in points]
         keys = [point.cache_key() for point in resolved]
         results: List[Optional[SimMetrics]] = [None] * len(resolved)
-        reporter = self._reporter(len(resolved), label)
+        first_of: Dict[str, int] = {}
+        copies: List[Tuple[int, int]] = []
+        for index, key in enumerate(keys):
+            first = first_of.setdefault(key, index)
+            if first != index:
+                copies.append((index, first))
+        reporter = self._reporter(len(first_of), label)
         entries = []
 
         pending: List[Tuple[int, SweepPoint]] = []
         hits = 0
-        for index, (point, key) in enumerate(zip(resolved, keys)):
+        for key, index in first_of.items():
+            point = resolved[index]
             cached = self.cache.get(key)
             if cached is not None:
                 results[index] = cached
@@ -557,6 +568,26 @@ class SweepRunner:
                     self.stats.resumed += 1
                 self.stats.checkpoints_saved += outcome.checkpoints_saved
             self.stats.simulated += len(pending)
+
+        from repro.obs.ledger import STATUS_COPIED
+
+        for index, first in copies:
+            metrics = results[first]
+            results[index] = copy.deepcopy(metrics)
+            entries.append(
+                self._ledger_entry(
+                    resolved[index],
+                    keys[index],
+                    label,
+                    outcome=PointOutcome(
+                        metrics=metrics,
+                        worker=os.getpid(),
+                        completed_ts=time.time(),
+                    ),
+                    status=STATUS_COPIED,
+                )
+            )
+        self.stats.copied += len(copies)
 
         self.ledger.append_all(entries)
 

@@ -414,6 +414,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     controllers = sim.controllers
     refresh = sim.refresh
     mapper = sim.mapper
+    decode_row_bank = mapper.decode_row_bank
 
     key_table = mapper.bank_key_table
     n_banks = len(key_table)
@@ -580,16 +581,21 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         they equal the scalar per-record expressions exactly."""
         core = cores[core_id]
         gaps = block["gap"]
-        steps = np.cumsum(gaps.astype(np.int64) + 1)
+        steps = gaps.astype(np.int64)
+        steps += 1
+        np.cumsum(steps, out=steps)
         if first:
             inst_issued -= int(steps[first - 1])
-        columns = mapper.decode_batch(block["address"])
+        steps += inst_issued
+        deltas = gaps / core._retire_width
+        deltas *= core._cycle_ns
+        rows, flats = decode_row_bank(block["address"])
         arrays = {
             P_WRITES: block["is_write"].astype(np.uint8),
-            P_ROWS: np.ascontiguousarray(columns.row, np.int64),
-            P_FLATS: np.ascontiguousarray(columns.flat_bank, np.int64),
-            P_DELTAS: (gaps / core._retire_width) * core._cycle_ns,
-            P_INST_AFTER: inst_issued + steps,
+            P_ROWS: rows,
+            P_FLATS: flats,
+            P_DELTAS: deltas,
+            P_INST_AFTER: steps,
         }
         block_refs[core_id] = arrays
         for slot, array in arrays.items():

@@ -17,7 +17,9 @@ any other iterable of :class:`TraceRecord` is packed into blocks once
 (:func:`~repro.workloads.trace.records_to_blocks`). Each block's
 addresses are decoded in one :meth:`AddressMapper.decode_batch` call,
 and :meth:`Core.issue` hands out a fresh :class:`MemoryRequest`
-carrying its :class:`~repro.dram.address.DecodedAddress`.
+carrying its :class:`~repro.dram.address.DecodedAddress`. A core built
+with ``mapper=None`` never issues: the compiled block loop drives it
+and decodes the raw blocks itself, so none of that is built.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Core:
         trace: Union[Iterable[TraceRecord], TraceChunks],
         config: Optional[CoreConfig] = None,
         *,
-        mapper: AddressMapper,
+        mapper: Optional[AddressMapper],
     ) -> None:
         self.core_id = core_id
         self.config = config if config is not None else CoreConfig()
@@ -121,7 +123,10 @@ class Core:
         self._chans = self._ranks = self._banks = _EMPTY
         self._rows = self._cols = _EMPTY
         self._block = None
-        self._fetch()
+        if self._load_block():
+            self._idx = 0
+            self._has_pending = True
+            self._pending_gap = int(self._block["gap"][0])
 
     # ------------------------------------------------------------------
     # System-loop interface
@@ -304,12 +309,17 @@ class Core:
 
         ``tolist()`` converts every column to plain Python scalars once
         per block, so the per-request loop indexes lists of ints/bools.
+        A core built without a mapper keeps only the raw block: the
+        compiled loop drives it and decodes what it reads itself.
         """
-        addresses = block["address"]
         # The raw block is kept for the compiled block loop, which reads
         # its columns directly (repro.mem.block_kernel), and for
         # snapshots; issue() only ever reads the tolist() views below.
         self._block = block
+        self._len = len(block)
+        if self._mapper is None:
+            return
+        addresses = block["address"]
         self._gaps = block["gap"].tolist()
         self._addrs = addresses.tolist()
         self._writes = block["is_write"].tolist()
@@ -319,7 +329,6 @@ class Core:
         self._banks = columns.bank.tolist()
         self._rows = columns.row.tolist()
         self._cols = columns.column.tolist()
-        self._len = len(self._gaps)
 
     def _issue_time_for(self, gap: int) -> float:
         """When this record's memory access reaches the memory system.

@@ -121,11 +121,15 @@ class SystemSimulator:
             raise ValueError(
                 f"expected {self.config.cores} traces, got {len(traces)}"
             )
+        compiled = self._block_loop_eligible(traces)
+        # Cores the compiled loop drives never issue, so they get no
+        # mapper and build none of the scalar loop's decoded views.
+        mapper = None if compiled else self.mapper
         cores = [
-            Core(core_id, trace, self.config.core, mapper=self.mapper)
+            Core(core_id, trace, self.config.core, mapper=mapper)
             for core_id, trace in enumerate(traces)
         ]
-        if self._block_loop_eligible(cores):
+        if compiled:
             loop = functools.partial(run_block_loop, self, cores)
         else:
             loop = functools.partial(self._run_scalar, cores)
@@ -267,8 +271,8 @@ class SystemSimulator:
             if serviced != cut:
                 return
 
-    def _block_loop_eligible(self, cores: List[Core]) -> bool:
-        """Whether this run can take the compiled block loop.
+    def _block_loop_eligible(self, traces: Sequence) -> bool:
+        """Whether a run over ``traces`` can take the compiled block loop.
 
         The loop (repro.mem.block_kernel) is bit-identical to
         ``_run_scalar`` but covers only what every Figure run uses:

@@ -53,8 +53,9 @@ STATUS_OK = "ok"                # simulated cleanly on the first attempt
 STATUS_CACHED = "cached"        # served from the result cache
 STATUS_RETRIED = "retried"      # first attempt failed; retry succeeded
 STATUS_FAILED = "failed"        # attempt failed (paired with a retry row)
+STATUS_COPIED = "copied"        # same key as an earlier point of its batch
 
-STATUSES = (STATUS_OK, STATUS_CACHED, STATUS_RETRIED, STATUS_FAILED)
+STATUSES = (STATUS_OK, STATUS_CACHED, STATUS_RETRIED, STATUS_FAILED, STATUS_COPIED)
 
 
 def default_ledger_path() -> Path:

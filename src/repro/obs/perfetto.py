@@ -28,7 +28,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.obs.tracer import (
     PHASE_COMPLETE,
     PHASE_COUNTER,
-    PHASE_INSTANT,
     TraceEvent,
 )
 

@@ -389,7 +389,9 @@ def _tile(label: str, value: str, note: str = "") -> str:
 def _kpi_row(entries: Sequence[LedgerEntry]) -> str:
     total = len(entries)
     hits = sum(1 for e in entries if e.cache_hit)
-    simulated = sum(1 for e in entries if not e.cache_hit and e.summary)
+    simulated = sum(
+        1 for e in entries if not e.cache_hit and e.status != "copied" and e.summary
+    )
     retried = sum(1 for e in entries if e.status == "retried")
     failed = sum(1 for e in entries if e.status == "failed")
     stragglers = sum(1 for e in entries if e.straggler)

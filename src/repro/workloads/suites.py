@@ -13,7 +13,7 @@ Mixed workloads (mix1-mix6) combine randomly selected benchmarks; their
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 

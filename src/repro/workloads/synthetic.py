@@ -20,6 +20,7 @@ activations per window.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, List
 
@@ -286,7 +287,6 @@ class SyntheticTraceGenerator:
         self._scan_cursor = self._rng.randint(
             0, max(1, self._footprint_rows * self.SCAN_ACCESSES_PER_ROW)
         )
-        self._hot_array = np.asarray(self._hot_addresses, dtype=np.int64)
         # Deterministic periodic bursts: the first BURST_LENGTH records
         # of every cycle are hot-heavy, giving the temporal clustering
         # real hammering phases have.
@@ -296,6 +296,40 @@ class SyntheticTraceGenerator:
             else 0.0
         )
         self._cycle_len = int(BURST_LENGTH / burst_duty) if burst_duty > 0 else 0
+        # Block-building tables, all derived from the fields above.
+        batch = TRACE_BLOCK_RECORDS
+        gap_p = 1.0 / self._mean_gap
+        # numpy's ``geometric`` inverts a standard exponential,
+        # ceil(-E / log1p(-p)), for p < 1/3 and searches otherwise; the
+        # inversion is redone here on one batched exponential draw.
+        self._gap_p = gap_p
+        self._gap_divisor = -math.log1p(-gap_p) if gap_p < 1.0 / 3.0 else None
+        # The hot rotation repeated to cover any block from any cursor,
+        # so a block's hot addresses are one slice.
+        hot = np.asarray(self._hot_addresses, dtype=np.int64)
+        self._hot_ring = (
+            hot[np.arange(hot.size + batch) % hot.size] if hot.size else hot
+        )
+        # Burst membership: a block's window is one slice of this
+        # pattern (see _burst_window). Short cycles tile the pattern;
+        # a cycle longer than a block plus a burst meets at most one
+        # burst per block, so one burst between two empty blocks
+        # serves every offset in 8 KB however long the cycle is.
+        cycle = self._cycle_len
+        if cycle == 0:
+            self._burst_pattern = None
+        elif cycle < batch + BURST_LENGTH:
+            self._burst_pattern = np.arange(cycle + batch) % cycle < BURST_LENGTH
+        else:
+            self._burst_pattern = np.zeros(2 * batch + BURST_LENGTH, dtype=bool)
+            self._burst_pattern[batch:batch + BURST_LENGTH] = True
+        # Strided scan columns as address bits, OR-ed onto a row chunk's
+        # column-0 address (the encode is an OR of disjoint fields).
+        per_row = self.SCAN_ACCESSES_PER_ROW
+        stride = max(1, config.lines_per_row // per_row)
+        self._scan_columns = self._mapper.encode_batch(
+            0, 0, 0, 0, np.arange(per_row, dtype=np.int64) * stride
+        )
 
     # ------------------------------------------------------------------
     # Stream
@@ -346,54 +380,76 @@ class SyntheticTraceGenerator:
         by each class's population count — consecutive hot (or scan)
         accesses draw consecutive cursor values exactly as the
         per-record implementation does.
+
+        The draws are the reference's, value for value: the gaps invert
+        one exponential draw as ``Generator.geometric`` does, and the
+        hot, write and scan uniforms come from one ``random`` call of
+        three blocks, which fills them in the same order as three calls.
         """
         gen = self._rng.generator
         batch = TRACE_BLOCK_RECORDS
-        gaps = gen.geometric(1.0 / self._mean_gap, size=batch)
-        hot_draw = gen.random(size=batch)
-        write_draw = gen.random(size=batch)
-        scan_draw = gen.random(size=batch)
-        random_lines = gen.integers(0, self._footprint_lines, size=batch)
+        if self._gap_divisor is not None:
+            gaps = gen.standard_exponential(size=batch)
+            gaps /= self._gap_divisor
+            np.ceil(gaps, out=gaps)
+        else:
+            gaps = gen.geometric(self._gap_p, size=batch)
+        uniforms = gen.random(size=3 * batch)
+        addresses = gen.integers(0, self._footprint_lines, size=batch)
+        hot_draw = uniforms[:take]
+        write_draw = uniforms[batch:batch + take]
+        scan_draw = uniforms[2 * batch:2 * batch + take]
         if take < batch:
             gaps = gaps[:take]
-            hot_draw = hot_draw[:take]
-            write_draw = write_draw[:take]
-            scan_draw = scan_draw[:take]
-            random_lines = random_lines[:take]
-
-        if self._cycle_len > 0:
-            pos = np.arange(position, position + take, dtype=np.int64)
-            hot_mask = (pos % self._cycle_len < BURST_LENGTH) & (
-                hot_draw < BURST_HOT_PROBABILITY
-            )
-        else:
-            hot_mask = np.zeros(take, dtype=bool)
-        scan_mask = ~hot_mask & (scan_draw < BACKGROUND_SCAN_FRACTION)
+            addresses = addresses[:take]
 
         # Background random lines everywhere, then overwrite the hot and
         # scan positions (cheaper than three scatter passes).
-        addresses = (
-            self._region_base_line + random_lines
-        ) * self.config.line_size_bytes
-        hot_count = int(hot_mask.sum())
-        if hot_count:
-            rotation = len(self._hot_addresses)
-            indices = (
-                self._hot_cursor + np.arange(hot_count, dtype=np.int64)
-            ) % rotation
-            addresses[hot_mask] = self._hot_array[indices]
-            self._hot_cursor = (self._hot_cursor + hot_count) % rotation
-        scan_count = int(scan_mask.sum())
+        addresses += self._region_base_line
+        addresses *= self.config.line_size_bytes
+        scan_mask = scan_draw < BACKGROUND_SCAN_FRACTION
+        window = self._burst_window(position, take)
+        if window is not None:
+            hot_mask = hot_draw < BURST_HOT_PROBABILITY
+            hot_mask &= window
+            hot_count = int(np.count_nonzero(hot_mask))
+            if hot_count:
+                cursor = self._hot_cursor
+                addresses[hot_mask] = self._hot_ring[cursor:cursor + hot_count]
+                self._hot_cursor = (cursor + hot_count) % len(self._hot_addresses)
+                scan_mask &= ~hot_mask
+        scan_count = int(np.count_nonzero(scan_mask))
         if scan_count:
-            cursors = self._scan_cursor + np.arange(scan_count, dtype=np.int64)
-            addresses[scan_mask] = self._scan_addresses(cursors)
+            addresses[scan_mask] = self._scan_run(self._scan_cursor, scan_count)
             self._scan_cursor += scan_count
 
         block = np.empty(take, dtype=TRACE_BLOCK_DTYPE)
         block["gap"] = gaps
         block["address"] = addresses
-        block["is_write"] = write_draw < self.write_fraction
+        np.less(write_draw, self.write_fraction, out=block["is_write"])
         return block
+
+    def _burst_window(self, position: int, take: int):
+        """Burst membership of records ``position .. position+take-1``
+        as a view of the burst pattern, or None when no record of the
+        block can be in a burst."""
+        pattern = self._burst_pattern
+        if pattern is None:
+            return None
+        cycle = self._cycle_len
+        offset = position % cycle
+        batch = TRACE_BLOCK_RECORDS
+        if cycle < batch + BURST_LENGTH:
+            start = offset
+        elif offset < BURST_LENGTH:
+            # The block opens inside a burst.
+            start = batch + offset
+        elif offset + take <= cycle:
+            return None
+        else:
+            # The next burst opens cycle - offset records in.
+            start = batch + offset - cycle
+        return pattern[start:start + take]
 
     # ------------------------------------------------------------------
     # Snapshotable (repro.state): everything except the RNG stream and
@@ -469,17 +525,22 @@ class SyntheticTraceGenerator:
         rng = self._rng.child("hotrows")
         banks = self.config.banks_per_rank
         channels = self.config.channels
-        # The row/column draws stay scalar and interleaved — exactly
-        # the stream the reference loop consumed — but the bit-packing
-        # runs once, batched, instead of one Python encode per row.
-        randint = rng.randint
-        rows_per_bank = self.config.rows_per_bank
-        lines_per_row = self.config.lines_per_row
-        rows = np.empty(share, dtype=np.int64)
-        columns = np.empty(share, dtype=np.int64)
-        for i in range(share):
-            rows[i] = randint(0, rows_per_bank)
-            columns[i] = randint(0, lines_per_row)
+        # One batched uint32 draw gives the values of two scalar
+        # ``integers`` calls per hot row (row, then column): each such
+        # call is Lemire's ``(x * range) >> 32`` on one uint32 draw,
+        # which never rejects a power-of-two range (AddressMapper
+        # enforces one) and draws nothing for a range of one.
+        spans = np.array(
+            [self.config.rows_per_bank, self.config.lines_per_row], dtype=np.uint64
+        )
+        drawn = spans > 1
+        draws = np.zeros((share, 2), dtype=np.uint64)
+        draws[:, drawn] = rng.generator.integers(
+            0, 1 << 32, size=(share, int(drawn.sum())), dtype=np.uint32
+        )
+        draws *= spans
+        draws >>= 32
+        rows, columns = draws.astype(np.int64).T
         index = np.arange(share, dtype=np.int64)
         addresses = self._mapper.encode_batch(
             channel=(self.core_id + index) % channels,
@@ -541,17 +602,22 @@ class SyntheticTraceGenerator:
             DecodedAddress(channel=channel, rank=0, bank=bank, row=row, column=column)
         )
 
-    def _scan_addresses(self, cursors: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_next_scan_address` over a cursor array."""
+    def _scan_run(self, cursor: int, count: int) -> np.ndarray:
+        """The next ``count`` scan addresses from ``cursor``: vectorized
+        :meth:`_next_scan_address`, encoding each row chunk once and
+        OR-ing the strided columns onto it."""
         config = self.config
         per_row = self.SCAN_ACCESSES_PER_ROW
-        stride = max(1, config.lines_per_row // per_row)
-        column = (cursors % per_row) * stride
-        chunk = (cursors // per_row) % self._footprint_rows
+        first, skip = divmod(cursor, per_row)
+        chunk = np.arange(
+            first, first + (skip + count + per_row - 1) // per_row, dtype=np.int64
+        )
+        chunk %= self._footprint_rows
         channel = chunk % config.channels
         bank = (chunk // config.channels + self.core_id * 5) % config.banks_per_rank
         row = (
             self._region_base_row
             + chunk // (config.channels * config.banks_per_rank)
         ) % config.rows_per_bank
-        return self._mapper.encode_batch(channel, 0, bank, row, column)
+        rows = self._mapper.encode_batch(channel, 0, bank, row, 0)
+        return (rows[:, None] | self._scan_columns).ravel()[skip:skip + count]

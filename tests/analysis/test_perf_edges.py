@@ -1,7 +1,5 @@
 """Perf-harness edge cases."""
 
-import pytest
-
 from repro.analysis.perf import records_for_windows
 from repro.workloads.suites import get_workload
 

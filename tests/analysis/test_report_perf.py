@@ -7,7 +7,6 @@ from repro.analysis.report import render_table
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
-from repro.mitigations.none import NoMitigation
 from repro.workloads.suites import get_workload
 
 

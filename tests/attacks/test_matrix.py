@@ -5,8 +5,6 @@ Figure 1 stories so they run in test time; the benchmark harness runs
 the full-scale versions.
 """
 
-import pytest
-
 from repro.attacks.base import AttackHarness
 from repro.attacks.patterns import (
     DoubleSidedAttack,

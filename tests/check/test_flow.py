@@ -215,7 +215,8 @@ class TestOracleDrift:
         pairs = discover_pairs(repo_graph)
         assert "system-loop" in pairs
         assert "tracker-misra-gries" in pairs
-        assert "dram.address.AddressMapper.decode_batch" in pairs
+        assert "address-decode" in pairs
+        assert "row-bank-decode" in pairs
         assert "analysis.buckets.BucketsAndBalls.success_probability" in pairs
         for pair in pairs.values():
             assert pair.oracle is not None and pair.kernel is not None

@@ -1,7 +1,5 @@
 """Footnote-2 integration: swap-rate detection + preemptive refresh."""
 
-import pytest
-
 from repro.attacks.base import AttackHarness
 from repro.attacks.rrs_adaptive import RRSAdaptiveAttack
 from repro.core.config import RRSConfig

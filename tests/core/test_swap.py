@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.swap import SwapBuffer, SwapEngine, SwapOp
-from repro.dram.config import DRAMConfig
 
 
 def test_swap_op_validation():

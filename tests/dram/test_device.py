@@ -1,7 +1,5 @@
 """Rank/channel composition: refresh blocking and channel stalls."""
 
-import pytest
-
 from repro.dram.device import Channel, Rank
 
 

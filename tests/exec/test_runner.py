@@ -125,6 +125,37 @@ def test_partial_cache_only_simulates_changed_points(tmp_path):
     assert mixed.stats.simulated == 1
 
 
+def test_repeated_point_in_a_batch_is_simulated_once(tmp_path):
+    from repro.obs.ledger import STATUS_COPIED, STATUS_OK, RunLedger
+
+    runner = SweepRunner(
+        jobs=1,
+        cache=ResultCache(enabled=False),
+        ledger=RunLedger(path=tmp_path / "ledger.jsonl", enabled=True),
+    )
+    point = _point()
+    first, second = runner.run([point, point])
+    assert runner.stats.simulated == 1
+    assert runner.stats.copied == 1
+    assert runner.stats.points == 2
+    assert first == second == execute_point(point)
+    assert first is not second
+    rows = runner.ledger.read()
+    assert [row.status for row in rows] == [STATUS_OK, STATUS_COPIED]
+    assert rows[0].cache_key == rows[1].cache_key
+    assert rows[1].summary == rows[0].summary
+
+
+def test_copies_keep_input_order_around_other_points(tmp_path):
+    runner = SweepRunner(jobs=1, cache=ResultCache(root=tmp_path))
+    a, b = _point(), _point(seed=5)
+    results = runner.run([a, b, a, b, a])
+    assert runner.stats.simulated == 2
+    assert runner.stats.copied == 3
+    assert results[0] == results[2] == results[4] != results[1]
+    assert results[1] == results[3]
+
+
 def test_stats_accumulate_and_label(tmp_path):
     runner = SweepRunner(jobs=1, cache=ResultCache(root=tmp_path))
     runner.run([_point()], label="first")

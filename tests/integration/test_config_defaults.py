@@ -1,7 +1,5 @@
 """Table 2 (baseline system configuration) asserted end to end."""
 
-import pytest
-
 from repro.core.config import CPU_CLOCK_GHZ, RRSConfig
 from repro.mem.cache import CacheConfig
 from repro.mem.cpu import CoreConfig

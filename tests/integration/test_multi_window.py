@@ -1,7 +1,5 @@
 """Multi-window RRS behaviour: epoch rollover, lazy RIT drain, caps."""
 
-import pytest
-
 from repro.attacks.base import AttackHarness
 from repro.attacks.rrs_adaptive import RRSAdaptiveAttack
 from repro.core.config import RRSConfig

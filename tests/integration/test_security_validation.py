@@ -9,8 +9,6 @@ and the measured windows-until-success compared against the same
 formula that generates Table 4.
 """
 
-import pytest
-
 from repro.analysis.security import attack_iterations
 from repro.attacks.base import AttackHarness
 from repro.attacks.rrs_adaptive import RRSAdaptiveAttack

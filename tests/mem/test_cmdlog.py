@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dram.bank import Bank
-from repro.mem.cmdlog import CommandLog, LoggedCommand
+from repro.mem.cmdlog import CommandLog
 from repro.utils.rng import DeterministicRng
 
 

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.dram.address import AddressMapper
 from repro.dram.device import Channel
 from repro.mem.controller import MemoryController
 from repro.mem.request import MemoryRequest
-from repro.mitigations.base import BankKey, Mitigation, MitigationOutcome
+from repro.mitigations.base import Mitigation, MitigationOutcome
 from repro.mitigations.none import NoMitigation
 
 

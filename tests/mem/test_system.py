@@ -4,7 +4,6 @@ import pytest
 
 from repro.dram.config import DRAMConfig
 from repro.mem.system import SystemConfig, SystemSimulator
-from repro.mitigations.none import NoMitigation
 from repro.workloads.trace import TraceRecord
 
 

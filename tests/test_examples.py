@@ -7,7 +7,6 @@ documents itself — so refactors cannot silently break them.
 
 import ast
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
