@@ -15,7 +15,7 @@ lint:  ## ruff + mypy (configs in pyproject.toml)
 
 kernel-check:  ## compile the block loop's C source with every warning an error
 	mkdir -p build/kernel-check
-	$(CC) -O2 -ffp-contract=off -std=c99 -fPIC -Wall -Wextra -Werror \
+	$(CC) -O2 -ffp-contract=off -std=c99 -fPIC -Wall -Wextra -Werror -Wcast-align=strict \
 		-c src/repro/mem/block_loop.c -o build/kernel-check/block_loop.o
 
 check:  ## repro.check pillars: linter, sanitizer smoke, flow passes

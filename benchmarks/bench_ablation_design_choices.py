@@ -13,8 +13,6 @@
   bursty request backlog.
 """
 
-import pytest
-
 from repro.analysis.report import render_table
 from repro.core.config import RRSConfig
 from repro.core.probabilistic import expected_swaps_per_window

@@ -8,8 +8,6 @@ footprint workloads (mcf, GAP) under 5, average across all 78
 workloads ~68.
 """
 
-import pytest
-
 from repro.analysis.charts import bar_chart
 from repro.analysis.report import render_table
 from repro.dram.config import DRAMConfig

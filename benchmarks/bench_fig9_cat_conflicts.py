@@ -6,8 +6,6 @@ point for the remaining ways up to 6 — where the paper lands at ~1e30
 installs, i.e. conflict-free for any practical lifetime.
 """
 
-import math
-
 from repro.analysis.buckets import (
     cat_installs_until_conflict,
     mirage_installs_until_conflict,

@@ -13,9 +13,17 @@ same interface.)
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.utils.hashing import keyed_hash, splitmix64
 
 _MASK64 = (1 << 64) - 1
+# Draws pick_row makes before it declares the bank exhausted.
+MAX_DRAWS = 10_001
+EXHAUSTED = (
+    "could not find an eligible swap destination; "
+    "exclusion set covers nearly the whole bank"
+)
 
 __all__ = ["PrinceStylePRNG", "keyed_hash", "splitmix64"]
 
@@ -32,10 +40,14 @@ class PrinceStylePRNG:
     def __init__(self, key: int = 0) -> None:
         self.key = key & _MASK64
         self.counter = 0
+        # keyed_hash(counter, key) with the key's mix done once.
+        self._mixed_key = splitmix64(self.key)
+        # bound -> largest multiple of bound that fits in 64 bits.
+        self._limits: Dict[int, int] = {}
 
     def next_u64(self) -> int:
         """Next 64-bit pseudo-random block."""
-        block = keyed_hash(self.counter, self.key)
+        block = splitmix64((self.counter & _MASK64) ^ self._mixed_key)
         self.counter += 1
         return block
 
@@ -51,10 +63,11 @@ class PrinceStylePRNG:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        # Largest multiple of bound that fits in 64 bits.
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
+        limit = self._limits.get(bound)
+        if limit is None:
+            if bound <= 0:
+                raise ValueError("bound must be positive")
+            limit = self._limits[bound] = (_MASK64 + 1) - ((_MASK64 + 1) % bound)
         while True:
             draw = self.next_u64()
             if draw < limit:
@@ -67,14 +80,8 @@ class PrinceStylePRNG:
         valid swap destinations; with >98% of rows eligible the chance
         of needing more than one re-draw is under 1%.
         """
-        attempts = 0
-        while True:
+        for _ in range(MAX_DRAWS):
             candidate = self.below(rows)
             if not is_excluded(candidate):
                 return candidate
-            attempts += 1
-            if attempts > 10_000:
-                raise RuntimeError(
-                    "could not find an eligible swap destination; "
-                    "exclusion set covers nearly the whole bank"
-                )
+        raise RuntimeError(EXHAUSTED)

@@ -27,8 +27,7 @@ speed; behaviour is identical as long as the CAT never conflicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.swap import SwapOp
 from repro.track.cat import CATConfig, CollisionAvoidanceTable
@@ -37,8 +36,7 @@ from repro.track.cat import CATConfig, CollisionAvoidanceTable
 RIT_CAT_CONFIG = CATConfig(sets=256, demand_ways=14, extra_ways=6)
 
 
-@dataclass
-class RITEntry:
+class RITEntry(NamedTuple):
     """One directional entry: data of ``logical`` lives at ``physical``."""
 
     physical: int
@@ -117,12 +115,13 @@ class RowIndirectionTable:
             raise ValueError("cannot swap a row with itself")
         ops: List[SwapOp] = []
         # A swap adds at most 2 directional entries; evict until 2 free.
-        while self.entries_used > self.capacity_entries - 2:
+        while len(self._map) > 2 * self.capacity_tuples - 2:
             ops.append(self._evict_one())
 
-        phys_a = self.route(row_a)
-        phys_b = self.route(row_b)
-        ops.append(SwapOp(phys_a=phys_a, phys_b=phys_b, kind="swap"))
+        forward = self.forward
+        phys_a = forward.get(row_a, row_a)
+        phys_b = forward.get(row_b, row_b)
+        ops.append(SwapOp._make((phys_a, phys_b, "swap")))
 
         # Atomic pair update: clear both rows' old mappings first, then
         # install the new ones, so inverse bookkeeping never collides.
@@ -179,7 +178,7 @@ class RowIndirectionTable:
         self.forward.clear()
         self._inverse.clear()
         for row, physical, entry_window in entries:
-            self._map[row] = RITEntry(physical=physical, window=entry_window)
+            self._map[row] = RITEntry(physical, entry_window)
             self.forward[row] = physical
             self._inverse[physical] = row
         if self._cat is not None:
@@ -200,7 +199,7 @@ class RowIndirectionTable:
     def _insert_forward(self, row: int, physical: int, window: int) -> None:
         if row == physical:
             return  # identity mappings are simply absent
-        self._map[row] = RITEntry(physical=physical, window=window)
+        self._map[row] = RITEntry(physical, window)
         self.forward[row] = physical
         self._inverse[physical] = row
         if self._cat is not None:
@@ -256,7 +255,7 @@ class RowIndirectionTable:
         displaced = self._inverse[victim]  # whose data sits at physical `victim`
 
         # Physical exchange: victim's data (at `phys`) <-> data at `victim`.
-        op = SwapOp(phys_a=phys, phys_b=victim, kind="unswap")
+        op = SwapOp._make((phys, victim, "unswap"))
 
         self._remove_forward(victim)
         if displaced != victim:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import RRSConfig
-from repro.core.prng import PrinceStylePRNG
+from repro.core.prng import EXHAUSTED, MAX_DRAWS, PrinceStylePRNG
 from repro.core.rit import RowIndirectionTable
 from repro.core.swap import SwapEngine
 from repro.dram.config import DRAMConfig
@@ -346,15 +346,19 @@ class RandomizedRowSwap(Mitigation):
 
     def _pick_destination(self, state: _BankState, row: int, tracked) -> int:
         """Random destination excluding HRT (``tracked``) and RIT
-        residents (Section 4.4)."""
-
-        def is_excluded(candidate: int) -> bool:
-            if candidate == row:
-                return True
-            if state.rit.is_swapped(candidate):
-                return True
-            if self.config.exclude_tracked_destinations and tracked(candidate):
-                return True
-            return False
-
-        return state.prng.pick_row(self.config.rows_per_bank, is_excluded)
+        residents (Section 4.4): ``PrinceStylePRNG.pick_row`` with the
+        exclusion test inlined."""
+        below = state.prng.below
+        is_swapped = state.rit.is_swapped
+        rows = self.config.rows_per_bank
+        if not self.config.exclude_tracked_destinations:
+            tracked = None
+        for _ in range(MAX_DRAWS):
+            candidate = below(rows)
+            if (
+                candidate != row
+                and not is_swapped(candidate)
+                and (tracked is None or not tracked(candidate))
+            ):
+                return candidate
+        raise RuntimeError(EXHAUSTED)

@@ -15,22 +15,30 @@ keeps the accounting the performance model charges to the channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.dram.config import DRAMConfig
 
 
-@dataclass(frozen=True)
-class SwapOp:
-    """One physical row exchange (a swap or a lazy-eviction un-swap)."""
-
+class _SwapFields(NamedTuple):
     phys_a: int
     phys_b: int
     kind: str  # "swap" | "unswap"
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("swap", "unswap"):
+
+class SwapOp(_SwapFields):
+    """One physical row exchange (a swap or a lazy-eviction un-swap).
+
+    The constructor checks ``kind``; the RIT, which only ever passes
+    its own two constants, builds ops unchecked with ``SwapOp._make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phys_a: int, phys_b: int, kind: str) -> "SwapOp":
+        if kind not in ("swap", "unswap"):
             raise ValueError("kind must be 'swap' or 'unswap'")
+        return super().__new__(cls, phys_a, phys_b, kind)
 
 
 @dataclass
@@ -68,6 +76,10 @@ class SwapEngine:
             raise ValueError("latency scale must be positive")
         self.config = config
         self.latency_scale = latency_scale
+        # Latency of one physical row exchange (~1.46us on DDR4-3200),
+        # divided by ``latency_scale`` on time-scaled runs so the
+        # blocked *fraction* of the (shortened) epoch matches full scale.
+        self.op_latency_ns = config.row_swap_ns / latency_scale
         self.buffer_1 = SwapBuffer(size_bytes=config.row_size_bytes)
         self.buffer_2 = SwapBuffer(size_bytes=config.row_size_bytes)
         self.ops_executed = 0
@@ -76,15 +88,6 @@ class SwapEngine:
         # for every executed exchange. Read-only — the latency math
         # above is already final when the observer fires.
         self.observer = None
-
-    @property
-    def op_latency_ns(self) -> float:
-        """Latency of one physical row exchange (~1.46us on DDR4-3200).
-
-        Divided by ``latency_scale`` on time-scaled runs so the blocked
-        *fraction* of the (shortened) epoch matches full scale.
-        """
-        return self.config.row_swap_ns / self.latency_scale
 
     def execute(self, ops: Iterable[SwapOp]) -> float:
         """Perform a batch of exchanges; returns total blocked time.
@@ -95,16 +98,19 @@ class SwapEngine:
         charged as a channel block by the memory controller.
         """
         total = 0.0
+        latency = self.op_latency_ns
+        buffer_1, buffer_2 = self.buffer_1, self.buffer_2
+        observer = self.observer
         for op in ops:
-            self.buffer_1.load(op.phys_a)
-            self.buffer_2.load(op.phys_b)
+            buffer_1.load(op.phys_a)
+            buffer_2.load(op.phys_b)
             # Buffer-1 (old A data) lands in B's frame and vice versa.
-            self.buffer_1.store()
-            self.buffer_2.store()
-            total += self.op_latency_ns
+            buffer_1.store()
+            buffer_2.store()
+            total += latency
             self.ops_executed += 1
-            if self.observer is not None:
-                self.observer(op, self.op_latency_ns)
+            if observer is not None:
+                observer(op, latency)
         self.total_blocked_ns += total
         return total
 

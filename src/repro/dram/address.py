@@ -117,7 +117,6 @@ class AddressMapper:
         return bits << self._line_bits
 
     # repro-oracle: address-decode -- kernel
-    # repro-oracle: row-bank-decode -- oracle
     def decode_batch(self, addresses: np.ndarray) -> DecodedColumns:
         """Vectorized :meth:`decode` over an int64 address array.
 
@@ -144,27 +143,6 @@ class AddressMapper:
             column=column,
             flat_bank=flat_bank,
         )
-
-    # repro-oracle: row-bank-decode -- kernel
-    def decode_row_bank(self, addresses: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``row`` and ``flat_bank`` columns of :meth:`decode_batch`
-        alone: the two the compiled system loop reads. The property
-        test in ``tests/dram`` pins both to ``decode_batch``.
-        """
-        if addresses.size and int(addresses.min()) < 0:
-            raise ValueError("address must be non-negative")
-        row = addresses >> self._row_shift
-        row &= self._row_mask
-        fields = addresses >> self._channel_shift
-        flat_bank = fields & self._channel_mask
-        if self._rank_bits:
-            flat_bank <<= self._rank_bits
-            flat_bank |= (fields >> self._channel_bits) & self._rank_mask
-        flat_bank <<= self._bank_bits
-        fields >>= self._bank_shift - self._channel_shift
-        fields &= self._bank_mask
-        flat_bank |= fields
-        return row, flat_bank
 
     def encode_batch(
         self,

@@ -20,8 +20,8 @@ Python objects, and is re-entered after each:
   ``pre_activate_delay_ns`` call of a mitigation with no
   ``route_table`` or with a throttle;
 * a refresh-window end, whose callbacks run in Python;
-* the end of a core's trace block (the next one is generated, decoded
-  and precomputed here);
+* the end of a core's trace block (the next one is generated here; C
+  reads its records in place);
 * ``stop_at`` (a checkpoint cut) and the end of the run.
 
 A bank's first activation goes to ``on_activation``, which creates the
@@ -67,12 +67,14 @@ import tempfile
 import warnings
 from collections import deque
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from repro.mitigations.base import Mitigation
+from repro.workloads.trace import TRACE_BLOCK_DTYPE
 
 __all__ = ["load", "replay_hot_rows", "run_block_loop"]
 
@@ -83,15 +85,18 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 (I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_STOP,
  I_SERVICED, I_BURSTS, I_PHASE, I_HEAP_N, I_CUR_CORE, I_CORE, I_IDX,
  I_INST, I_WRITE, I_ROW, I_BANK, I_PROW, I_IN, I_TRK_CAP, I_TRK_MASK,
- I_MITIGATES, I_COUNT) = range(23)
+ I_MITIGATES, I_REC_SIZE, I_OFF_GAP, I_OFF_ADDR, I_OFF_WRITE,
+ I_ROW_SHIFT, I_ROW_MASK, I_CH_SHIFT, I_CH_MASK, I_RANK_SHIFT,
+ I_RANK_MASK, I_BANK_SHIFT, I_BANK_MASK, I_RANK_BITS, I_BANK_BITS,
+ I_COUNT) = range(37)
 (D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
  D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
  D_ARRIVAL, D_FLOOR, D_COMPLETION, D_IN, D_COUNT) = range(19)
 (P_I, P_D, P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_RT_MASK,
  P_RT_PTR, P_BUS, P_ST_I, P_ST_D, P_CH_TABLES, P_TIME, P_INST, P_RETIRED,
- P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER,
- P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK,
- P_TRK_SLOTS, P_TRK_TABLE, P_TRK_MIN, P_COUNT) = range(35)
+ P_ROB, P_IDX, P_LEN, P_BLOCK, P_RW, P_CYCLE, P_ROB_IDX, P_ROB_CMP,
+ P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
+ P_TRK_MIN, P_COUNT) = range(33)
 (EV_DONE, EV_STOP, EV_WINDOW, EV_ROUTE, EV_DELAY, EV_ACT, EV_BLOCK,
  EV_BAD_ROW) = range(8)
 # Per-bank tracker fields (rows of the P_TRK array).
@@ -155,8 +160,8 @@ def _build_and_load():
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for name, restype, *argtypes in (
         ("rk_run", i64, ptr),
-        ("rk_route_build", None, ptr, i64, ptr, ptr, i64),
-        ("rk_route_put", None, ptr, i64, i64, i64),
+        ("rk_route_build", None, ptr, i64, ptr, i64),
+        ("rk_route_puts", None, ptr, i64, ptr, i64),
         ("rk_route_get", i64, ptr, i64, i64),
         ("rk_tracker_sync", None, ptr, i64),
         ("rk_tracker_stream", i64, ptr, i64, ptr, i64, i64),
@@ -208,11 +213,20 @@ class RouteTables:
     indexed by flat bank: open addressing over ``(row, physical)``
     pairs, at most half full; ``mask`` -1 routes the bank as identity."""
 
+    MOVED_PAIRS = 16
+
     def __init__(self, lib, n_banks: int) -> None:
         self.lib = lib
         self.mask = np.full(n_banks, -1, np.int64)
         self.ptr = np.zeros(n_banks, np.uint64)
         self.arrays: list = [None] * n_banks
+        self._mask_v = memoryview(self.mask)
+        self._ptr_v = memoryview(self.ptr)
+        # Interleaved (row, physical) pairs that ``update`` hands to C:
+        # room for MOVED_PAIRS, two per swapped pair.
+        self._moved = np.empty(2 * self.MOVED_PAIRS, np.int64)
+        self._moved_v = memoryview(self._moved)
+        self._moved_at = _address(self._moved)
 
     def build(self, gfb: int, forward) -> None:
         """Mirror the whole table."""
@@ -224,31 +238,33 @@ class RouteTables:
         if table is None or len(table) <= 4 * n:
             table = self.arrays[gfb] = np.empty(4 << (2 * n).bit_length(), np.int64)
             self.ptr[gfb] = _address(table)
-        keys = np.fromiter(forward.keys(), np.int64, n)
-        values = np.fromiter(forward.values(), np.int64, n)
+        pairs = np.fromiter(chain.from_iterable(forward.items()), np.int64, 2 * n)
         self.mask[gfb] = mask = len(table) // 2 - 1
-        self.lib.rk_route_build(
-            _address(table), mask, _address(keys), _address(values), n
-        )
+        self.lib.rk_route_build(self._ptr_v[gfb], mask, _address(pairs), n)
 
     def update(self, gfb: int, forward, swaps) -> None:
         """Re-mirror the rows whose routes an action's ``swaps`` (pairs
-        of physical rows whose contents moved) changed: each such row
-        now lives at one of those physical rows, and ``forward`` is a
-        permutation, so walking the cycle through a physical row finds
-        the logical row resident there."""
-        mask = int(self.mask[gfb])
-        if mask < 0 or 2 * len(forward) > mask:
+        of physical rows whose contents moved) changed, in one C call:
+        each such row now lives at one of those physical rows, and
+        ``forward`` is a permutation, so walking the cycle through a
+        physical row finds the logical row resident there. A table
+        about to pass half full, or an action moving more rows than the
+        pair buffer holds, is rebuilt whole instead."""
+        mask = self._mask_v[gfb]
+        if mask < 0 or 2 * len(forward) > mask or 2 * len(swaps) > self.MOVED_PAIRS:
             self.build(gfb, forward)
             return
-        table = int(self.ptr[gfb])
-        put = self.lib.rk_route_put
+        moved = self._moved_v
+        n = 0
         for pair in swaps:
             for physical in pair:
                 row = physical
                 while (step := forward.get(row, row)) != physical:
                     row = step
-                put(table, mask, row, physical)
+                moved[n] = row
+                moved[n + 1] = physical
+                n += 2
+        self.lib.rk_route_puts(self._ptr_v[gfb], mask, self._moved_at, n // 2)
 
 
 class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back before every return
@@ -260,7 +276,8 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
 
     ``load`` copies a Python tracker in (``snapshot_state``), ``store``
     writes it back (``restore_state``), ``add`` hands over one more
-    bank's tracker and ``contains`` is the C tracker's membership test.
+    bank's tracker and ``tracked[gfb]`` is its C tracker's membership
+    test (``contains``), built once per bank.
     The arrays' pointer-table slots and scalars live in this object's
     own ``P``/``I``, which the block loop copies into its tables
     (``share``)."""
@@ -272,6 +289,7 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
         for a bank the loop does not track (yet)."""
         self.lib = lib
         self.trackers = [None] * len(trackers)
+        self.tracked = [None] * len(trackers)
         self.banks: list = []
         self.I = np.zeros(I_COUNT, np.int64)
         self.P = np.zeros(P_COUNT, np.uint64)
@@ -311,6 +329,7 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
             for bank in self.banks:
                 self.load(bank)
         self.trackers[gfb] = pair
+        self.tracked[gfb] = partial(self.lib.rk_tracker_contains, self._table, gfb)
         self.banks.append(gfb)
         self._meta[gfb * T_N + T_THRESH] = threshold
         self._meta[gfb * T_N + T_ENTRIES] = tracker.entries
@@ -362,7 +381,7 @@ class HotRowTrackers:  # repro-check: STA001 -- loop-local mirror, written back 
 
     def contains(self, gfb: int):
         """``row -> bool``: whether the bank's C tracker holds ``row``."""
-        return partial(self.lib.rk_tracker_contains, self._table, gfb)
+        return self.tracked[gfb]
 
 
 # repro-oracle: hot-row-replay -- oracle
@@ -414,7 +433,6 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     controllers = sim.controllers
     refresh = sim.refresh
     mapper = sim.mapper
-    decode_row_bank = mapper.decode_row_bank
 
     key_table = mapper.bank_key_table
     n_banks = len(key_table)
@@ -451,6 +469,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     # ---- mitigation hand-off: trackers, route tables ----
     c0 = controllers[0]
     route = mitigation.route
+    route_table = mitigation.route_table
     pre_delay = mitigation.pre_activate_delay_ns
     on_act = mitigation.on_activation
     on_hot_row = mitigation.on_hot_row
@@ -467,6 +486,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     hands_over = type(mitigation).hot_row_tracker is not Mitigation.hot_row_tracker
     unarmed = [hands_over] * n_banks
     hot = HotRowTrackers(lib, [None] * n_banks)
+    hot_tracked = hot.tracked
     keep.append(hot)
     hot.share(P, I)
     routes = RouteTables(lib, n_banks)
@@ -509,40 +529,24 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         [(s.swap_blocked_ns, s.throttle_delay_ns, s.total_latency_ns) for s in stats],
         np.float64,
     ).ravel())
-    st_d_v = memoryview(st_d)
     victims = [s.victim_refreshes for s in stats]
     swaps = [s.swaps for s in stats]
     rows_per_bank = config.rows_per_bank
     t_rc = config.t_rc
-    banks_of_channel = [
-        [fb for fb in range(n_banks) if chan_of[fb] == ch]
-        for ch in range(n_channels)
-    ]
 
-    def apply_action(action, gfb: int, now_ns: float) -> None:
-        # MemoryController._apply on the shared arrays (compiled runs
-        # have no fault model, sanitizer or observer to notify).
+    def refresh_victims(refresh_rows, gfb: int, now_ns: float) -> None:
+        # MemoryController._apply's targeted refreshes on the shared
+        # arrays (compiled runs have no fault model, sanitizer or
+        # observer to notify); C applies the channel block on resuming.
         ch = chan_of[gfb]
-        refresh_rows = action.refresh_rows
-        if refresh_rows:
-            bank = bank_objs[gfb]
-            for victim_row in refresh_rows:
-                if 0 <= victim_row < rows_per_bank:
-                    bank.refresh_row(victim_row)
-                    victims[ch] += 1
-            end = now_ns + len(refresh_rows) * t_rc
-            if ready_v[gfb] < end:
-                ready_v[gfb] = end
-        if action.swaps:
-            swaps[ch] += len(action.swaps)
-        if action.channel_block_ns > 0.0:
-            st_d_v[ch * S_D] += action.channel_block_ns
-            bus_free = bus_v[ch]
-            end = (now_ns if now_ns >= bus_free else bus_free) + action.channel_block_ns
-            bus_v[ch] = end
-            for fb in banks_of_channel[ch]:
-                if ready_v[fb] < end:
-                    ready_v[fb] = end
+        bank = bank_objs[gfb]
+        for victim_row in refresh_rows:
+            if 0 <= victim_row < rows_per_bank:
+                bank.refresh_row(victim_row)
+                victims[ch] += 1
+        end = now_ns + len(refresh_rows) * t_rc
+        if ready_v[gfb] < end:
+            ready_v[gfb] = end
 
     # ---- cores ----
     n_cores = len(cores)
@@ -563,44 +567,32 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     point(P_ROB, np.array([c._rob_size for c in cores], np.int64))
     c_idx = point(P_IDX, np.array([c._idx for c in cores], np.int64))
     c_len = point(P_LEN, np.zeros(n_cores, np.int64))
-    col_ptrs = {
-        slot: point(slot, np.zeros(n_cores, np.uint64))
-        for slot in (P_WRITES, P_ROWS, P_FLATS, P_DELTAS, P_INST_AFTER)
-    }
+    c_block = point(P_BLOCK, np.zeros(n_cores, np.uint64))
+    point(P_RW, np.array([c._retire_width for c in cores], np.int64))
+    point(P_CYCLE, np.array([c._cycle_ns for c in cores], np.float64))
     rob_idx = point(P_ROB_IDX, np.zeros(n_cores * rob_capacity, np.int64))
     rob_cmp = point(P_ROB_CMP, np.zeros(n_cores * rob_capacity, np.float64))
     rob_head = point(P_ROB_HEAD, np.zeros(n_cores, np.int64))
     rob_n = point(P_ROB_N, np.zeros(n_cores, np.int64))
     block_refs: list = [None] * n_cores
+    c_block_v = memoryview(c_block)
+    c_len_v = memoryview(c_len)
 
-    def adopt(core_id: int, block, inst_issued: int, first: int) -> None:
-        """Issue-time precompute for a core's block, rebased so record
-        ``first`` (the pending one, mid-block after a cut) continues
-        from ``inst_issued``. ``(gap / retire_width) * cycle_ns`` and
-        the instruction cumsum are elementwise IEEE-754 operations, so
-        they equal the scalar per-record expressions exactly."""
-        core = cores[core_id]
-        gaps = block["gap"]
-        steps = gaps.astype(np.int64)
-        steps += 1
-        np.cumsum(steps, out=steps)
-        if first:
-            inst_issued -= int(steps[first - 1])
-        steps += inst_issued
-        deltas = gaps / core._retire_width
-        deltas *= core._cycle_ns
-        rows, flats = decode_row_bank(block["address"])
-        arrays = {
-            P_WRITES: block["is_write"].astype(np.uint8),
-            P_ROWS: rows,
-            P_FLATS: flats,
-            P_DELTAS: deltas,
-            P_INST_AFTER: steps,
-        }
-        block_refs[core_id] = arrays
-        for slot, array in arrays.items():
-            col_ptrs[slot][core_id] = _address(array)
-        c_len[core_id] = len(block)
+    def adopt(core_id: int, block) -> None:
+        """Point C at a core's block. C reads each record where it lies
+        (``TRACE_BLOCK_DTYPE``, packed), so a block of another layout
+        or stride is packed into one first; a negative address raises
+        as ``AddressMapper.decode`` does."""
+        if block.dtype != TRACE_BLOCK_DTYPE or not block.flags.c_contiguous:
+            packed = np.empty(len(block), TRACE_BLOCK_DTYPE)
+            for name in TRACE_BLOCK_DTYPE.names:
+                packed[name] = block[name]
+            block = packed
+        if block["address"].min() < 0:
+            raise ValueError("address must be non-negative")
+        block_refs[core_id] = block
+        c_block_v[core_id] = _address(block)
+        c_len_v[core_id] = len(block)
 
     for core_id, core in enumerate(cores):
         outstanding = core._outstanding
@@ -609,7 +601,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
             rob_cmp[core_id * rob_capacity + k] = completion
         rob_n[core_id] = len(outstanding)
         if core._has_pending:
-            adopt(core_id, core._block, core._inst_issued, core._idx)
+            adopt(core_id, core._block)
 
     heap_t = point(P_HEAP_T, np.zeros(max(n_cores, 1), np.float64))
     heap_c = point(P_HEAP_C, np.zeros(max(n_cores, 1), np.int64))
@@ -630,6 +622,21 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
     I[I_STOP] = stop_at
     I[I_MITIGATES] = c0._mitigates_acts
     I[I_BANK] = -1
+    fields = TRACE_BLOCK_DTYPE.fields
+    I[I_REC_SIZE] = TRACE_BLOCK_DTYPE.itemsize
+    I[I_OFF_GAP] = fields["gap"][1]
+    I[I_OFF_ADDR] = fields["address"][1]
+    I[I_OFF_WRITE] = fields["is_write"][1]
+    I[I_ROW_SHIFT] = mapper._row_shift
+    I[I_ROW_MASK] = mapper._row_mask
+    I[I_CH_SHIFT] = mapper._channel_shift
+    I[I_CH_MASK] = mapper._channel_mask
+    I[I_RANK_SHIFT] = mapper._rank_shift
+    I[I_RANK_MASK] = mapper._rank_mask
+    I[I_BANK_SHIFT] = mapper._bank_shift
+    I[I_BANK_MASK] = mapper._bank_mask
+    I[I_RANK_BITS] = mapper._rank_bits
+    I[I_BANK_BITS] = mapper._bank_bits
     D[D_LOOKUP] = c0._lookup_ns
     D[D_TCAS] = config.t_cas
     D[D_TRCD] = config.t_rcd
@@ -651,18 +658,22 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
         event = run(table)
         if event == EV_ACT:
             gfb = iv[I_BANK]
-            now = dv[D_COMPLETION]
             key = key_table[gfb]
-            if hot.trackers[gfb] is not None:
-                action = on_hot_row(key, iv[I_ROW], now, hot.contains(gfb))
+            tracked = hot_tracked[gfb]
+            if tracked is not None:
+                action = on_hot_row(key, iv[I_ROW], dv[D_COMPLETION], tracked)
             else:
-                action = on_act(key, iv[I_ROW], iv[I_PROW], now)
+                action = on_act(key, iv[I_ROW], iv[I_PROW], dv[D_COMPLETION])
                 if unarmed[gfb]:
                     arm(gfb)
-            if action is not None and not action.is_noop:
-                apply_action(action, gfb, now)
-                if has_tables and action.swaps:
-                    routes.update(gfb, mitigation.route_table(key), action.swaps)
+            if action is not None:
+                if action.refresh_rows:
+                    refresh_victims(action.refresh_rows, gfb, dv[D_COMPLETION])
+                if action.swaps:
+                    swaps[chan_of[gfb]] += len(action.swaps)
+                    if has_tables:
+                        routes.update(gfb, route_table(key), action.swaps)
+                dv[D_IN] = action.channel_block_ns
         elif event == EV_ROUTE:
             gfb = iv[I_BANK]
             iv[I_IN] = route(key_table[gfb], iv[I_ROW])
@@ -677,7 +688,7 @@ def run_block_loop(sim, cores, stop_at: int = -1) -> int:
                 iv[I_IN] = 0
             else:
                 core._block = block
-                adopt(core_id, block, iv[I_INST], 0)
+                adopt(core_id, block)
                 iv[I_IN] = 1
         elif event == EV_WINDOW:
             trackers_to_py()

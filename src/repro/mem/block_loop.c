@@ -8,6 +8,11 @@
  * the Python side owns (numpy buffers), addressed through one table of
  * pointers, so a return and a re-entry lose nothing.
  *
+ * Each core's trace block is read where the generator wrote it: one
+ * packed record per request (TRACE_BLOCK_DTYPE, its size and field
+ * offsets passed in), decoded to row and flat bank with the address
+ * mapper's shifts and masks.
+ *
  * On banks whose mitigation hands over its hot-row tracker (RRS's and
  * Graphene's ArrayMisraGries), the tracker itself runs here too: C
  * observes the logical row of every activation and returns only when
@@ -24,16 +29,26 @@
  * -ffp-contract=off (no fused multiply-add) without -ffast-math.
  */
 #include <stdint.h>
+#include <string.h>
 
 /* int64 scalars: configuration, loop cursors, the request in flight. */
 enum {
     I_NB, I_ROWS, I_PRE_DELAY, I_ROUTE_CALL, I_RCAP, I_STOP,
     I_SERVICED, I_BURSTS, I_PHASE, I_HEAP_N, I_CUR_CORE, I_CORE, I_IDX,
     I_INST, I_WRITE, I_ROW, I_BANK, I_PROW, I_IN, I_TRK_CAP, I_TRK_MASK,
-    I_MITIGATES, I_COUNT
+    I_MITIGATES,
+    /* trace record layout */
+    I_REC_SIZE, I_OFF_GAP, I_OFF_ADDR, I_OFF_WRITE,
+    /* address fields: absolute shift and mask of row, channel, rank and
+     * bank, and the rank and bank widths of the flat bank ordinal */
+    I_ROW_SHIFT, I_ROW_MASK, I_CH_SHIFT, I_CH_MASK, I_RANK_SHIFT,
+    I_RANK_MASK, I_BANK_SHIFT, I_BANK_MASK, I_RANK_BITS, I_BANK_BITS,
+    I_COUNT
 };
 
-/* double scalars: timing constants, refresh cursors, request times. */
+/* double scalars: timing constants, refresh cursors, request times.
+ * D_IN is Python's answer: a delay at PH_DELAY, a channel block at
+ * PH_ACT. */
 enum {
     D_LOOKUP, D_TCAS, D_TRCD, D_TRP, D_TRC, D_TRAS, D_LINE, D_TREFI,
     D_TRFC, D_WINDOW, D_NEXT_REFI, D_NEXT_WINDOW, D_DUE, D_CUR_T,
@@ -46,10 +61,9 @@ enum {
     P_I, P_D,
     P_OPEN_ROW, P_LAST_ACT, P_READY, P_CHAN, P_TOTAL, P_RT_MASK, P_RT_PTR,
     P_BUS, P_ST_I, P_ST_D, P_CH_TABLES,
-    P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_WRITES, P_ROWS,
-    P_FLATS, P_DELTAS, P_INST_AFTER, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD,
-    P_ROB_N, P_HEAP_T, P_HEAP_C, P_TRK, P_TRK_SLOTS, P_TRK_TABLE,
-    P_TRK_MIN, P_COUNT
+    P_TIME, P_INST, P_RETIRED, P_ROB, P_IDX, P_LEN, P_BLOCK, P_RW,
+    P_CYCLE, P_ROB_IDX, P_ROB_CMP, P_ROB_HEAD, P_ROB_N, P_HEAP_T, P_HEAP_C,
+    P_TRK, P_TRK_SLOTS, P_TRK_TABLE, P_TRK_MIN, P_COUNT
 };
 
 /* Events returned to Python. */
@@ -66,7 +80,7 @@ enum { T_THRESH, T_ENTRIES, T_LIVE, T_SPILL, T_N };
 
 /* Per-channel stats slots. */
 enum { S_READS, S_WRITES, S_ACTS, S_HITS, S_N };
-enum { S_THROTTLE = 1, S_LATENCY = 2, S_D = 3 };
+enum { S_SWAP_BLOCKED, S_THROTTLE, S_LATENCY, S_D };
 
 /* Slot counts, checked by block_kernel.py against its copy of the enums. */
 int64_t rk_layout(int64_t which)
@@ -103,7 +117,7 @@ static int64_t route_get(const int64_t *table, int64_t mask, int64_t row)
 /* Route row to physical, or drop row's pair when physical is row
  * (deletion by backward shift, as in mg_unlink). The table keeps an
  * empty slot. */
-void rk_route_put(int64_t *table, int64_t mask, int64_t row, int64_t physical)
+static void route_put(int64_t *table, int64_t mask, int64_t row, int64_t physical)
 {
     const uint64_t m = (uint64_t)mask;
     uint64_t hole = row_hash(row) & m, next;
@@ -130,14 +144,21 @@ void rk_route_put(int64_t *table, int64_t mask, int64_t row, int64_t physical)
     table[2 * hole] = -1;
 }
 
+/* route_put for n (row, physical) pairs, interleaved. */
+void rk_route_puts(int64_t *table, int64_t mask, const int64_t *pairs,
+                   int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        route_put(table, mask, pairs[2 * i], pairs[2 * i + 1]);
+}
+
 /* Fill a table of mask + 1 slots (mask + 1 > n) from n pairs. */
-void rk_route_build(int64_t *table, int64_t mask, const int64_t *keys,
-                    const int64_t *values, int64_t n)
+void rk_route_build(int64_t *table, int64_t mask, const int64_t *pairs,
+                    int64_t n)
 {
     for (int64_t i = 0; i <= mask; i++)
         table[2 * i] = -1;
-    for (int64_t i = 0; i < n; i++)
-        rk_route_put(table, mask, keys[i], values[i]);
+    rk_route_puts(table, mask, pairs, n);
 }
 
 /* One lookup outside the loop (the route-table property tests). */
@@ -352,7 +373,15 @@ static void sift_down(double *ht, int64_t *hc, int64_t n, int64_t pos)
 }
 
 #define PTR(type, slot) ((type *)(uintptr_t)P[slot])
-#define CORE_COL(type, slot, core) ((const type *)(uintptr_t)PTR(uint64_t, slot)[core])
+
+/* An int64 field of a packed record: copied, never cast, since records
+ * need not be 8-byte aligned. */
+static int64_t field_i64(const unsigned char *record, int64_t offset)
+{
+    int64_t value;
+    memcpy(&value, record + offset, sizeof value);
+    return value;
+}
 
 int64_t rk_run(const uint64_t *P)
 {
@@ -376,6 +405,9 @@ int64_t rk_run(const uint64_t *P)
     const int64_t *c_rob = PTR(int64_t, P_ROB);
     int64_t *c_idx = PTR(int64_t, P_IDX);
     const int64_t *c_len = PTR(int64_t, P_LEN);
+    const uint64_t *c_block = PTR(uint64_t, P_BLOCK);
+    const int64_t *c_rw = PTR(int64_t, P_RW);
+    const double *c_cycle = PTR(double, P_CYCLE);
     int64_t *rob_idx = PTR(int64_t, P_ROB_IDX);
     double *rob_cmp = PTR(double, P_ROB_CMP);
     int64_t *rob_head = PTR(int64_t, P_ROB_HEAD);
@@ -391,6 +423,13 @@ int64_t rk_run(const uint64_t *P)
     const int64_t rcap = I[I_RCAP];
     const int64_t stop = I[I_STOP];
     const int64_t mitigates = I[I_MITIGATES];
+    const int64_t rec_size = I[I_REC_SIZE], off_gap = I[I_OFF_GAP];
+    const int64_t off_addr = I[I_OFF_ADDR], off_write = I[I_OFF_WRITE];
+    const int64_t row_shift = I[I_ROW_SHIFT], row_mask = I[I_ROW_MASK];
+    const int64_t ch_shift = I[I_CH_SHIFT], ch_mask = I[I_CH_MASK];
+    const int64_t rank_shift = I[I_RANK_SHIFT], rank_mask = I[I_RANK_MASK];
+    const int64_t bank_shift = I[I_BANK_SHIFT], bank_mask = I[I_BANK_MASK];
+    const int64_t rank_bits = I[I_RANK_BITS], bank_bits = I[I_BANK_BITS];
     const double lookup = D[D_LOOKUP], t_cas = D[D_TCAS], t_rcd = D[D_TRCD];
     const double t_rp = D[D_TRP], t_rc = D[D_TRC], t_ras = D[D_TRAS];
     const double line = D[D_LINE], t_refi = D[D_TREFI], t_rfc = D[D_TRFC];
@@ -410,8 +449,10 @@ int64_t rk_run(const uint64_t *P)
     int64_t ch = gfb >= 0 ? chan[gfb] : 0;
 
     int64_t ev, phase = PH_TOP, nxt, orow, slot, threshold, estimate;
+    int64_t address, gap;
     double start, data, la, act_at, pre_at, floor_at, end, bus_free;
-    double issue_at;
+    double issue_at, blocked;
+    const unsigned char *record;
     int hit, activated, act;
     struct tracker hot;
 
@@ -437,11 +478,16 @@ int64_t rk_run(const uint64_t *P)
         arrival = cur_t;
         idx = c_idx[core];
         c_time[core] = arrival;
-        inst = CORE_COL(int64_t, P_INST_AFTER, core)[idx];
+        /* Core.issue and AddressMapper.decode, fused */
+        record = (const unsigned char *)(uintptr_t)c_block[core] + idx * rec_size;
+        inst = c_inst[core] + field_i64(record, off_gap) + 1;
         c_inst[core] = inst;
-        is_write = CORE_COL(uint8_t, P_WRITES, core)[idx];
-        row = CORE_COL(int64_t, P_ROWS, core)[idx];
-        gfb = CORE_COL(int64_t, P_FLATS, core)[idx];
+        is_write = record[off_write] != 0;
+        address = field_i64(record, off_addr);
+        row = (address >> row_shift) & row_mask;
+        gfb = ((((address >> ch_shift) & ch_mask) << rank_bits
+                | ((address >> rank_shift) & rank_mask)) << bank_bits)
+            | ((address >> bank_shift) & bank_mask);
 
         /* refresh gate (RefreshScheduler.advance_to) */
         if (arrival >= due) {
@@ -545,12 +591,25 @@ int64_t rk_run(const uint64_t *P)
                 act = mitigates != 0;
             }
             if (act) {
+                D[D_IN] = 0.0;
                 ev = EV_ACT;
                 phase = PH_ACT;
                 goto out;
+            resume_act:
+                /* the action's channel block (MemoryController._apply,
+                 * after the refreshes Python applied) */
+                blocked = D[D_IN];
+                if (blocked > 0.0) {
+                    st_d[ch * S_D + S_SWAP_BLOCKED] += blocked;
+                    bus_free = bus[ch];
+                    end = (completion >= bus_free ? completion : bus_free) + blocked;
+                    bus[ch] = end;
+                    for (int64_t fb = 0; fb < n_banks; fb++)
+                        if (chan[fb] == ch && ready[fb] < end)
+                            ready[fb] = end;
+                }
             }
         }
-    resume_act:
 
         /* Core.complete + next_issue_time, fused */
         if (inst > c_retired[core])
@@ -589,9 +648,12 @@ int64_t rk_run(const uint64_t *P)
             nxt = 0;
         }
         c_idx[core] = nxt;
-        issue_at = arrival + CORE_COL(double, P_DELTAS, core)[nxt];
+        /* Core._issue_time_for */
+        record = (const unsigned char *)(uintptr_t)c_block[core] + nxt * rec_size;
+        gap = field_i64(record, off_gap);
+        issue_at = arrival + ((double)gap / (double)c_rw[core]) * c_cycle[core];
         {
-            const int64_t next_index = CORE_COL(int64_t, P_INST_AFTER, core)[nxt];
+            const int64_t next_index = inst + gap + 1;
             const int64_t rob_size = c_rob[core];
             int64_t head = rob_head[core], count = rob_n[core];
             while (count > 0) {

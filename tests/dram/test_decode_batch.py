@@ -4,18 +4,16 @@ The columnar pipeline batch-decodes whole trace blocks, so the
 vectorized shift/mask path must agree with the scalar mapper element
 for element — across every DRAMConfig geometry the paper's sweeps use:
 the Table-2 default, the scaled-epoch variants, the single-bank attack
-geometry, and a dual-rank system. The compiled loop's two-column
-``decode_row_bank`` must in turn match ``decode_batch``.
+geometry, and a dual-rank system. (The compiled loop decodes in C;
+``tests/mem/test_block_equivalence.py`` pins its runs, a dual-rank one
+included, to the scalar loop's.)
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig
-from repro.workloads.trace import TRACE_BLOCK_DTYPE
 
 GEOMETRIES = [
     pytest.param(DRAMConfig(), id="table2-default"),
@@ -100,8 +98,6 @@ def test_negative_addresses_rejected_like_scalar(config):
         mapper.decode(-1)
     with pytest.raises(ValueError):
         mapper.decode_batch(np.array([0, -1], dtype=np.int64))
-    with pytest.raises(ValueError):
-        mapper.decode_row_bank(np.array([0, -1], dtype=np.int64))
 
 
 def test_decode_batch_accepts_empty_input():
@@ -109,24 +105,3 @@ def test_decode_batch_accepts_empty_input():
     columns = mapper.decode_batch(np.empty(0, dtype=np.int64))
     assert columns.channel.size == 0
     assert columns.flat_bank.size == 0
-
-
-@pytest.mark.parametrize("config", GEOMETRIES)
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_decode_row_bank_matches_decode_batch(config, data):
-    """The compiled loop's two-column decode is ``decode_batch``'s row
-    and flat-bank columns, on plain arrays and on a trace block's
-    strided address field alike."""
-    addresses = data.draw(
-        st.lists(st.integers(0, _capacity(config) - 1), max_size=64)
-    )
-    block = np.zeros(len(addresses), dtype=TRACE_BLOCK_DTYPE)
-    block["address"] = addresses
-    mapper = AddressMapper(config)
-    columns = mapper.decode_batch(block["address"])
-    for source in (block["address"], np.array(addresses, dtype=np.int64)):
-        rows, flats = mapper.decode_row_bank(source)
-        assert rows.dtype == flats.dtype == np.int64
-        np.testing.assert_array_equal(rows, columns.row)
-        np.testing.assert_array_equal(flats, columns.flat_bank)

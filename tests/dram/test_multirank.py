@@ -58,3 +58,51 @@ def test_full_system_runs_on_dual_rank(dual_rank):
     metrics = sim.run([trace(500, 0), trace(500, 1)], workload="dual-rank")
     assert metrics.accesses == 1000
     assert metrics.ipc > 0
+
+
+@pytest.mark.parametrize("defended", [False, True])
+def test_compiled_loop_matches_scalar_on_dual_rank(dual_rank, defended, scalar_loop):
+    """Two channels of two ranks: the compiled loop's in-place decode
+    (every address field, the rank's included) and its per-channel bus
+    and swap blocks leave the scalar loop's SimMetrics bit for bit."""
+    from repro.core.config import RRSConfig
+    from repro.core.rrs import RandomizedRowSwap
+    from repro.mem.system import SystemConfig, SystemSimulator
+    from repro.mitigations.none import NoMitigation
+    from repro.workloads.suites import get_workload
+    from repro.workloads.synthetic import SyntheticTraceGenerator
+
+    dram = dual_rank.scaled(64)
+    cores = 4
+    spec = get_workload("hmmer")
+
+    def run():
+        if defended:
+            mitigation = RandomizedRowSwap(
+                RRSConfig.for_threshold(4800, dual_rank).scaled(64), dram
+            )
+        else:
+            mitigation = NoMitigation()
+        sim = SystemSimulator(SystemConfig(dram=dram, cores=cores), mitigation=mitigation)
+        traces = [
+            SyntheticTraceGenerator(
+                spec.component_for_core(core_id), core_id=core_id, cores=cores, config=dram
+            ).chunks(6_000)
+            for core_id in range(cores)
+        ]
+        metrics = sim.run(traces, workload="dual-rank")
+        ranks_used = {
+            rank
+            for channel in sim.channels
+            for rank in range(dram.ranks_per_channel)
+            for bank in range(dram.banks_per_rank)
+            if channel.bank(rank, bank).total_activations
+        }
+        return metrics, ranks_used
+
+    compiled, ranks_used = run()
+    with scalar_loop():
+        scalar, _ = run()
+    assert ranks_used == {0, 1}
+    assert compiled.to_dict() == scalar.to_dict()
+    assert (compiled.swaps > 0) == defended

@@ -9,6 +9,7 @@ with the fault model attached. ``TestLoopDispatch`` pins which loop a
 run takes and which mitigation hooks the compiled loop calls.
 """
 
+import numpy as np
 import pytest
 
 import repro.mem.system as system_module
@@ -26,6 +27,7 @@ from repro.mitigations.trr import TargetedRowRefresh
 from repro.obs import Observability
 from repro.workloads.suites import get_workload
 from repro.workloads.synthetic import SyntheticTraceGenerator
+from repro.workloads.trace import TRACE_BLOCK_DTYPE, TraceChunks, TraceRecord
 
 SCALE = 32
 RECORDS = 1_000
@@ -166,6 +168,65 @@ class TestBlockLoopEquivalence:
         with scalar_loop():
             scalar = _run(factory, seed=seed)
         assert block.to_dict() == scalar.to_dict()
+
+    def test_negative_address_raises_on_both_loops(self, scalar_loop):
+        """The compiled loop checks each block before C reads it, and
+        rejects a negative address with the scalar decode's error."""
+        def run():
+            sim = SystemSimulator(SystemConfig(dram=_dram(), cores=1))
+            records = [TraceRecord(3, 64 * k, False) for k in range(10)]
+            records.append(TraceRecord(3, -64, True))
+            sim.run([records])
+
+        with pytest.raises(ValueError, match="address must be non-negative"):
+            run()
+        with scalar_loop():
+            with pytest.raises(ValueError, match="address must be non-negative"):
+                run()
+
+    def test_strided_blocks_run_as_packed_ones(self, scalar_loop):
+        """Blocks that are views with a stride, or of another field
+        layout, give the same run on both loops as the generator's own
+        packed blocks."""
+        dram = _dram()
+        spec = get_workload("hmmer")
+        wide = np.dtype(TRACE_BLOCK_DTYPE.descr, align=True)
+
+        def blocks(core_id):
+            return SyntheticTraceGenerator(
+                spec.component_for_core(core_id), core_id=core_id,
+                cores=CORES, config=dram,
+            ).blocks(RECORDS * 3)
+
+        def strided(block):
+            spread = np.zeros(2 * len(block), TRACE_BLOCK_DTYPE)
+            spread[::2] = block
+            return spread[::2]
+
+        def aligned(block):
+            copy = np.empty(len(block), wide)
+            for name in TRACE_BLOCK_DTYPE.names:
+                copy[name] = block[name]
+            return copy
+
+        def run(form):
+            sim = SystemSimulator(
+                SystemConfig(dram=dram, cores=CORES),
+                mitigation=_factories()["rrs"](),
+            )
+            traces = [
+                TraceChunks(form(block) for block in blocks(core_id))
+                for core_id in range(CORES)
+            ]
+            return sim.run(traces).to_dict()
+
+        packed = run(lambda block: block)
+        assert not strided(next(blocks(0))).flags.c_contiguous
+        assert run(strided) == packed
+        assert run(aligned) == packed
+        with scalar_loop():
+            assert run(strided) == packed
+            assert run(aligned) == packed
 
 
 class TestLoopDispatch:

@@ -165,3 +165,28 @@ def test_compiled_route_table_follows_swaps_and_evictions(ops, capacity):
             for row in range(ROWS)
         ]
         assert routed == [rit.route(row) for row in range(ROWS)]
+
+
+def test_compiled_route_table_rebuilds_after_a_large_action():
+    """An action moving more rows than ``RouteTables``' pair buffer
+    holds (a long drain) re-mirrors the table whole."""
+    lib = block_kernel.load()
+    if lib is None:
+        pytest.skip("compiled block loop unavailable")
+    rit = RowIndirectionTable(capacity_tuples=16)
+    tables = block_kernel.RouteTables(lib, 1)
+    tables.build(0, rit.forward)
+    for row in range(0, 32, 2):
+        changes = rit.swap(row, row + 1)
+        tables.update(0, rit.forward, [(op.phys_a, op.phys_b) for op in changes])
+    rit.end_window()
+    changes = rit.drain(max_evictions=10)
+    assert 2 * len(changes) > block_kernel.RouteTables.MOVED_PAIRS
+    assert rit.forward
+    tables.update(0, rit.forward, [(op.phys_a, op.phys_b) for op in changes])
+    mask = int(tables.mask[0])
+    routed = [
+        lib.rk_route_get(int(tables.ptr[0]), mask, row) if mask >= 0 else row
+        for row in range(ROWS)
+    ]
+    assert routed == [rit.route(row) for row in range(ROWS)]
